@@ -4,8 +4,8 @@ Usage, from the repository root:  python3 perfbench/record_reference.py
 
 Runs every request of each workload's population once, in one round the
 way the benchmark does, and writes reference/<workload>.json: per request
-key, its latency (`cost_s`, used only to stratify the seeded draws) and the
-SHA-256 of its output (`digest`: the coefficient list of degree_sweep, the
+key, its latency (`cost_s`, by which cli_calls stratifies its seeded draws)
+and the SHA-256 of its output (`digest`: the coefficient list of degree_sweep, the
 stdout bytes of cli_calls, null where the request checks itself).  Run it
 only on a commit whose outputs are trusted: the benchmark counts any later
 difference as a failed request.  Re-recording changes the draws, so it is a

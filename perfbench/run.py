@@ -24,10 +24,16 @@ its own HURWITZ_CACHE_DIR, so nothing outside the checkout can change a
 timing or a result.  Only one benchmark process runs at a time.
 
 --trace 0 reports the end-to-end metrics: setup_s (median of fresh
-interpreters importing hurwitz and hurwitz.cli), and the medians over rounds
-of wall_s, cpu_s and peak_rss_mb, plus request latency percentiles pooled
-over the rounds.  --trace 1 alternates untraced and traced rounds and
-reports the per-layer metrics of tracer.py, with trace.overhead_frac.
+interpreters importing hurwitz and hurwitz.cli), the medians over rounds of
+wall_norm_s, cpu_norm_s and peak_rss_mb, and request latency percentiles
+pooled over the rounds.  The shared host's speed swings by 15-30% over
+seconds and minutes, so next to every request a fixed calibration slice
+runs outside the timed window (calibrate.py), and the _norm times are the
+request times scaled to the reference speed by the slices around each
+request: a change to the package moves them as it moves the raw times, the
+host's swings hardly.  The raw times are printed too and kept in the run
+record.  --trace 1 alternates untraced and traced rounds and reports the
+per-layer metrics of tracer.py (raw times), with trace.overhead_frac.
 
 Outputs are checked exactly: route agreement on every b, report.passed,
 reference digests (reference/) plus genus-0 closed forms for the sweep, and
@@ -52,6 +58,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from calibrate import REFERENCE_S, slice_
 from tracer import combine, metric_names
 from workloads import WORKLOADS, draw, request_key
 
@@ -66,12 +73,16 @@ MIN_ROUNDS = 2
 PROBE = ("import sys, time\nimport hurwitz, hurwitz.cli\n"
          "sys.stdout.write(repr(time.monotonic()))")
 
+# Times but setup_s are normalized to the reference speed (calibrate.py):
+# each request's time is scaled by REFERENCE_S over the median of the
+# NORM_WINDOW calibration slices run on each side of it.
+NORM_WINDOW = 3
 END_TO_END = (
     ("setup_s", "s"),
-    ("wall_s", "s"),
-    ("cpu_s", "s"),
-    ("request_p50_ms", "ms"),
-    ("request_p90_ms", "ms"),
+    ("wall_norm_s", "s"),
+    ("cpu_norm_s", "s"),
+    ("request_p50_norm_ms", "ms"),
+    ("request_p90_norm_ms", "ms"),
     ("peak_rss_mb", "MB"),
 )
 
@@ -126,15 +137,17 @@ def worker_round(requests, traced, tmp: Path, spans: Path) -> dict:
     if code != 0:
         raise HarnessError(f"worker exited {code}: {stderr_tail(out)}")
     result = json.loads(out.read_text())
-    return {"wall_s": result["wall_s"], "cpu_s": result["cpu_s"],
+    wall_s = sum(result["latencies"])
+    return {"wall_s": wall_s, "cpu_s": sum(result["cpu_times"]),
             "peak_rss_mb": usage.ru_maxrss / 1024,
-            "latencies": result["latencies"],
+            "latencies": result["latencies"], "cpu_times": result["cpu_times"],
+            "slices": result["slices"],
             "failed": set(result["failed"]),
             "outputs": result["digests"],
             "nonzero": result["nonzero"],
             "max_degree": result["max_degree"], "b_max": result["b_max"],
             "errors": result["errors"],
-            "layers": (combine([result["trace"]], result["wall_s"])
+            "layers": (combine([result["trace"]], wall_s)
                        if traced else None)}
 
 
@@ -155,10 +168,10 @@ def _option(request: list, flag: str, default: str) -> str:
 def cli_round(requests, traced, tmp: Path, spans: Path) -> dict:
     cache = tmp / "cache"
     env = child_env(cache)
-    latencies, codes, outputs, summaries = [], [], [], []
-    cpu = rss = bytes_read = 0
-    start = time.monotonic()
+    latencies, cpu_times, slices, codes, outputs, summaries = [], [], [], [], [], []
+    rss = bytes_read = 0
     for i, request in enumerate(requests):
+        slices.append(slice_())
         characters = cache / "characters.txt"
         bytes_read += characters.stat().st_size if characters.exists() else 0
         out = tmp / f"call{i}.out"
@@ -171,12 +184,12 @@ def cli_round(requests, traced, tmp: Path, spans: Path) -> dict:
         code, wall, usage = spawn(argv, env, out)
         latencies.append(wall)
         codes.append(code)
-        cpu += usage.ru_utime + usage.ru_stime
+        cpu_times.append(usage.ru_utime + usage.ru_stime)
         rss = max(rss, usage.ru_maxrss)
         outputs.append(out)
         if traced and code == 0:
             summaries.append(json.loads(summary.read_text()))
-    wall_s = time.monotonic() - start
+    slices.append(slice_())
     failed, digests, nonzero, errors = set(), [], 0, []
     for i, (code, out) in enumerate(zip(codes, outputs)):
         stdout = out.read_bytes()
@@ -190,8 +203,9 @@ def cli_round(requests, traced, tmp: Path, spans: Path) -> dict:
     if traced:
         layers = combine(summaries, sum(latencies))
         layers["partitions.cache_bytes_read"] = bytes_read
-    return {"wall_s": wall_s, "cpu_s": cpu, "peak_rss_mb": rss / 1024,
-            "latencies": latencies, "failed": failed, "outputs": digests,
+    return {"wall_s": sum(latencies), "cpu_s": sum(cpu_times), "peak_rss_mb": rss / 1024,
+            "latencies": latencies, "cpu_times": cpu_times, "slices": slices,
+            "failed": failed, "outputs": digests,
             "nonzero": nonzero, "errors": errors,
             "max_degree": max(sum(map(int, _option(r, "--mu", "0").split(",")))
                               for r in requests),
@@ -218,6 +232,27 @@ def load_reference(workload: str) -> dict:
 
 def _median(rounds, key):
     return statistics.median(r[key] for r in rounds)
+
+
+def normalized(round_: dict, key: str) -> list:
+    """Per-request times of `key` ("latencies", "cpu_times") at the reference speed."""
+    slices = round_["slices"]  # slices[i] ran just before request i, slices[i + 1] after
+    return [t * REFERENCE_S
+            / statistics.median(slices[max(0, i - NORM_WINDOW + 1):i + NORM_WINDOW + 1])
+            for i, t in enumerate(round_[key])]
+
+
+def latency_metrics(rounds) -> dict:
+    """wall, cpu and pooled latency percentiles, raw and at the reference speed."""
+    out = {}
+    for suffix, scale in (("", lambda r, key: r[key]), ("_norm", normalized)):
+        latencies = [scale(r, "latencies") for r in rounds]
+        pooled = [x for round_latencies in latencies for x in round_latencies]
+        out[f"wall{suffix}_s"] = statistics.median(map(sum, latencies))
+        out[f"cpu{suffix}_s"] = statistics.median(sum(scale(r, "cpu_times")) for r in rounds)
+        out[f"request_p50{suffix}_ms"] = 1000 * statistics.median(pooled)
+        out[f"request_p90{suffix}_ms"] = 1000 * statistics.quantiles(pooled, n=10)[8]
+    return out
 
 
 def measure(workload: str, seed: int, seconds: float, trace: bool,
@@ -258,24 +293,18 @@ def measure(workload: str, seed: int, seconds: float, trace: bool,
     rounds = plain + traced
     attempted = len(requests) * len(rounds)
     failed = sum(len(r["failed"]) for r in rounds)
+    timings = latency_metrics(plain)
     if trace:
         metrics = {}
         for name, unit, _ in metric_names():
             if name == "trace.overhead_frac":
-                value = _median(traced, "wall_s") / _median(plain, "wall_s") - 1
+                value = latency_metrics(traced)["wall_norm_s"] / timings["wall_norm_s"] - 1
             else:
                 value = statistics.median(r["layers"][name] for r in traced)
             metrics[name] = {"value": value, "unit": unit}
     else:
-        latencies = [x for r in plain for x in r["latencies"]]
-        values = {
-            "setup_s": statistics.median(setup),
-            "wall_s": _median(plain, "wall_s"),
-            "cpu_s": _median(plain, "cpu_s"),
-            "request_p50_ms": 1000 * statistics.median(latencies),
-            "request_p90_ms": 1000 * statistics.quantiles(latencies, n=10)[8],
-            "peak_rss_mb": _median(plain, "peak_rss_mb"),
-        }
+        values = dict(timings, peak_rss_mb=_median(plain, "peak_rss_mb"),
+                      setup_s=statistics.median(setup))
         metrics = {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END}
     record = {
         "workload": workload,
@@ -288,6 +317,7 @@ def measure(workload: str, seed: int, seconds: float, trace: bool,
                   "b_max": max(r["b_max"] for r in rounds),
                   "nonzero_coefficients": rounds[0]["nonzero"]},
         "setup_s": setup,
+        "timings": timings,
         "rounds": [{k: (sorted(v) if isinstance(v, set) else v) for k, v in r.items()
                     if k != "outputs"} for r in rounds],
         "attempted": attempted,
@@ -350,6 +380,10 @@ def main(argv=None) -> int:
                       "failed_frac": record["failed_frac"]}))
     for name, metric in record["result"]["metrics"].items():
         print(f"{name} = {metric['value']:.6g} {metric['unit']}")
+    if not args.trace:
+        print("at this host's speed: " + ", ".join(
+            f"{name} = {value:.6g}" for name, value in record["timings"].items()
+            if "_norm" not in name))
     print(json.dumps(record["result"]))
     return 0
 

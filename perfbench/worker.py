@@ -4,8 +4,9 @@ Usage: python worker.py JOB.json   (PYTHONPATH must reach src/)
 
 The job holds the request list, whether to trace, and where to write the
 spans.  The worker imports the package, runs every request back to back
-(closed loop, one client), checks the results outside the timed window, and
-prints one JSON object with its timings, failures, result digests and work
+(closed loop, one client) with a calibration slice (calibrate.py) before
+each, outside its timed window, checks the results outside the timed window
+too, and prints one JSON object with its timings, failures, result digests and work
 units on stdout.  The parent compares the digests with the recorded
 references.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import resource
 import sys
 import time
 import traceback
@@ -26,6 +26,7 @@ from math import comb, factorial, prod
 from hurwitz import counts, polycheck
 from hurwitz.counts import HurwitzKind
 
+from calibrate import slice_
 from workloads import ROUTE_B_MAX
 
 
@@ -100,14 +101,14 @@ def main() -> None:
 
         tracer = Tracer()
         tracer.install()
-    latencies, failed, errors, kept = [], [], [], []
+    latencies, cpu_times, slices, failed, errors, kept = [], [], [], [], [], []
     nonzero = max_degree = b_max = 0
-    clock = time.perf_counter
-    ru0 = resource.getrusage(resource.RUSAGE_SELF)
-    t0 = clock()
+    clock, cpu_clock = time.perf_counter, time.process_time
     for i, request in enumerate(requests):
+        slices.append(slice_())
         if tracer is not None:
             tracer.request = i
+        cpu = cpu_clock()
         start = clock()
         try:
             ok, nz, degree, b, values = RUNNERS[request[0]](*request[1:])
@@ -115,22 +116,22 @@ def main() -> None:
             ok, nz, degree, b, values = False, 0, 0, 0, None
             errors.append(traceback.format_exc(limit=3))
         latencies.append(clock() - start)
+        cpu_times.append(cpu_clock() - cpu)
         if not ok:
             failed.append(i)
         kept.append(values)
         nonzero += nz
         max_degree, b_max = max(max_degree, degree), max(b_max, b)
-    wall = clock() - t0
-    ru1 = resource.getrusage(resource.RUSAGE_SELF)
+    slices.append(slice_())
     # checks outside the timed window
     digests = [None if values is None else coefficient_digest(values) for values in kept]
     for i, (request, values) in enumerate(zip(requests, kept)):
         if values is not None and not matches_closed_form(request, values):
             failed.append(i)
     out = {
-        "wall_s": wall,
-        "cpu_s": (ru1.ru_utime - ru0.ru_utime) + (ru1.ru_stime - ru0.ru_stime),
         "latencies": latencies,
+        "cpu_times": cpu_times,
+        "slices": slices,
         "failed": sorted(set(failed)),
         "digests": digests,
         "errors": errors,

@@ -5,14 +5,19 @@ This module runs in the benchmark's parent process and does not import
 drawn from a finite population, so reference values are recorded for every
 request any seed can draw (reference/, by record_reference.py).
 
-Draws are stratified: a workload splits its population into cells of
-requests that cost about the same, and a seed draws one request from each
-cell.  For quasipoly a cell is a residue class up to order (the numbers are
-symmetric in mu); elsewhere cells follow the latency each request had when
-the references were recorded, the heaviest requests each in a cell of its
-own (so the negative-genus (1^5) profiles at r = 1 of route_agreement, and
-the p90 latency, are in every draw).  So seeds differ in which requests run,
-but hardly in how much work a round is or in its spread of latencies.
+A seed changes which requests run, or their order, but hardly how much
+work a round is or its spread of latencies:
+- route_agreement and degree_sweep run their whole population, in (kind, r)
+  blocks whose order the seed sets.  Requests share memo tables within a
+  block (sub-profiles, fock blocks), so a drawn subset would make each
+  request's latency depend on which others were drawn; the blocks share
+  only characters and the oracle's class tables, a few percent of a round.
+- quasipoly draws one residue class of each class up to order: the numbers
+  are symmetric in mu, so the drawn classes do the same work.
+- cli_calls splits its population into cells of calls that cost about the
+  same when the references were recorded, the costliest alone, and draws
+  one call per cell; calls run in fresh processes and share only the
+  on-disk character cache.
 """
 
 from __future__ import annotations
@@ -23,9 +28,8 @@ from itertools import product
 
 KINDS = ("monotone", "strict", "usual")
 
-# Sizes keep a round at a few seconds, so that a 28-second run holds about
-# five rounds and their median shrugs off a slow one (the shared host's speed
-# swings by 15-30% over tens of seconds).  ROUTE_B_MAX mirrors acceptance
+# Sizes keep a round at 3-8 seconds, so that a 28-second run holds three to
+# seven rounds.  ROUTE_B_MAX mirrors acceptance
 # criterion 1 (b <= 5); the oracle stops at degree 6.  Profiles of 6 parts
 # are left out of route_agreement: at r = 1 each takes 1-2.5 s, all of it on
 # entries of negative genus, which the (1^5) and (2,1^4) profiles still have.
@@ -119,32 +123,51 @@ def residue_orbit(request, rank):
     return kind, r, g, n, tuple(sorted(eta))
 
 
-# name -> (population, cell of a request given its cost rank)
+def one_per_cell(cell_of):
+    """Draw one request of each cell, kept in population order."""
+    def arrange(requests, rng, rank):
+        cells: dict = {}
+        for request in requests:
+            cells.setdefault(cell_of(request, rank[request_key(request)]), []).append(request)
+        chosen = {request_key(rng.choice(members)) for members in cells.values()}
+        return [r for r in requests if request_key(r) in chosen]
+    return arrange
+
+
+def shuffled_blocks(requests, rng, rank):
+    """Every request, in (kind, r) blocks taken in a seeded order.
+
+    Within a block, requests keep population order, so each request finds
+    the same memo entries of its block's earlier requests whatever the seed.
+    """
+    blocks: dict = {}
+    for request in requests:
+        blocks.setdefault(tuple(request[1:3]), []).append(request)
+    order = list(blocks.values())
+    rng.shuffle(order)
+    return [request for block in order for request in block]
+
+
+# name -> (population, arrangement of a round's requests)
 WORKLOADS = {
-    "route_agreement": (route_population, cost_stratum(6, 2)),
-    "quasipoly": (quasipoly_population, residue_orbit),
-    "degree_sweep": (sweep_population, cost_stratum(8, 2)),
-    "cli_calls": (cli_population, cost_stratum(3, 3)),
+    "route_agreement": (route_population, shuffled_blocks),
+    "quasipoly": (quasipoly_population, one_per_cell(residue_orbit)),
+    "degree_sweep": (sweep_population, shuffled_blocks),
+    "cli_calls": (cli_population, one_per_cell(cost_stratum(3, 3))),
 }
 
 
 def draw(workload: str, seed: int, costs: dict) -> list[list]:
-    """The seeded request list of one round of `workload`: one request per cell.
+    """The seeded request list of one round of `workload`.
 
-    `costs` maps request keys to their recorded latency.  Requests run in
-    population order, whatever the seed: memo tables shared between requests
-    make a request's latency depend on what ran before it.
+    `costs` maps request keys to their recorded latency, by which
+    cost_stratum ranks requests.
     """
-    population, cell_of = WORKLOADS[workload]
+    population, arrange = WORKLOADS[workload]
     requests = list(population())
     ranked = sorted(requests, key=lambda r: -costs[request_key(r)])
     rank = {request_key(r): i for i, r in enumerate(ranked)}
-    cells: dict = {}
-    for request in requests:
-        cells.setdefault(cell_of(request, rank[request_key(request)]), []).append(request)
-    rng = random.Random(seed)
-    chosen = {request_key(rng.choice(members)) for members in cells.values()}
-    return [r for r in requests if request_key(r) in chosen]
+    return arrange(requests, random.Random(seed), rank)
 
 
 def request_key(request: list) -> str:
