@@ -8,6 +8,7 @@ to stderr.  The exit code is 0 exactly when all requested checks PASS.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -53,6 +54,19 @@ def _parse_eta(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, or a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def default_cache_dir() -> str:
     env = os.environ.get("HURWITZ_CACHE_DIR")
     if env:
@@ -75,6 +89,8 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"#   {key} = {val}")
         for row in payload.get("results", []):
             print("  ".join(f"{k}={_csv_cell(v)}" for k, v in sorted(row.items())))
+        for row in payload.get("disagreements", []):
+            print("# disagreement  " + "  ".join(f"{k}={v}" for k, v in sorted(row.items())))
 
 
 def _csv_cell(value) -> str:
@@ -111,13 +127,24 @@ def cmd_compute(args) -> dict:
         if reason:
             record["note"] = reason
         results.append(record)
-        values.append(value)
-    status = "PASS" if len(set(values)) <= 1 else "FAIL"
-    return {"command": "compute",
-            "params": {"kind": kind.value, "r": args.r, "g": args.g,
-                       "mu": list(mus), "connected": connected,
-                       "method": args.method},
-            "results": results, "status": status}
+        values.append((method, value))
+    payload = {"command": "compute",
+               "params": {"kind": kind.value, "r": args.r, "g": args.g,
+                          "mu": list(mus), "connected": connected,
+                          "method": args.method},
+               "results": results, "status": "PASS"}
+    disagreements = [_witness(a, va, b, vb) for (a, va), (b, vb)
+                     in itertools.combinations(values, 2) if va != vb]
+    if disagreements:
+        payload["status"] = "FAIL"
+        payload["disagreements"] = disagreements
+    return payload
+
+
+def _witness(route_a: str, value_a, route_b: str, value_b, **where) -> dict:
+    """One disagreement: the two routes, where they differ and both values."""
+    return {"routes": f"{route_a}/{route_b}", **where,
+            route_a: str(value_a), route_b: str(value_b)}
 
 
 def cmd_series(args) -> dict:
@@ -217,23 +244,25 @@ def cmd_cross_validate(args) -> dict:
                 continue
             for mus in enumerate_partitions(d):
                 record = {"kind": kind.value, "r": args.r, "mu": list(mus)}
-                agree = True
+                witnesses = []
                 char_disc = disconnected_series_character(kind, args.r, mus, args.max_b)
                 orac_disc = oracle_series(kind, args.r, mus, args.max_b)
                 for b in range(args.max_b + 1):
-                    if char_disc.coefficient(u=b) != orac_disc.coefficient(u=b):
-                        agree = False
-                        record["disagreement"] = {"routes": "character/oracle", "b": b}
+                    cv, ov = char_disc.coefficient(u=b), orac_disc.coefficient(u=b)
+                    if cv != ov:
+                        witnesses.append(_witness("character", cv, "oracle", ov, b=b))
                         break
                 char_conn = connected_series_character(kind, args.r, mus, args.max_b)
                 for b in range(args.max_b + 1):
+                    cv = char_conn.coefficient(u=b)
                     fv = fock_shifted_coefficient(kind, args.r, mus, b, True)
-                    if char_conn.coefficient(u=b) != fv:
-                        agree = False
-                        record["disagreement"] = {"routes": "character/fock", "b": b}
+                    if cv != fv:
+                        witnesses.append(_witness("character", cv, "fock", fv, b=b))
                         break
-                record["status"] = "PASS" if agree else "FAIL"
-                ok = ok and agree
+                if witnesses:
+                    record["disagreements"] = witnesses
+                record["status"] = "FAIL" if witnesses else "PASS"
+                ok = ok and not witnesses
                 results.append(record)
     return {"command": "cross-validate",
             "params": {"kind": args.kind, "r": args.r,
@@ -275,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_kind_r(p, kinds=("monotone", "strict", "usual")):
         p.add_argument("--kind", required=True, choices=kinds)
-        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--r", type=_int_at_least(1), required=True)
 
     p = sub.add_parser("compute", help="one Hurwitz number, optionally by all routes")
     add_kind_r(p)
@@ -288,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="genus series coefficients h_b for b <= order")
     add_kind_r(p)
     p.add_argument("--mu", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int_at_least(0), required=True)
     p.add_argument("--disconnected", action="store_true")
     p.add_argument("--method", choices=METHODS, default="character")
     p.set_defaults(func=cmd_series)
@@ -306,20 +335,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("xi", help="xi basis expansion vs closed form")
     add_kind_r(p)
     p.add_argument("--i", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int_at_least(0), required=True)
     p.add_argument("--derivative", type=int, default=0)
     p.set_defaults(func=cmd_xi)
 
     p = sub.add_parser("unstable-check", help="(0,1) and (0,2) identities")
     add_kind_r(p, kinds=("monotone", "strict"))
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int_at_least(0), required=True)
     p.set_defaults(func=cmd_unstable_check)
 
     p = sub.add_parser("cross-validate", help="route agreement sweep")
     p.add_argument("--kind", default="all", choices=("all",) + tuple(k.value for k in ALL_KINDS))
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--max-d", type=int, default=6)
-    p.add_argument("--max-b", type=int, default=5)
+    p.add_argument("--r", type=_int_at_least(1), required=True)
+    p.add_argument("--max-d", type=_int_at_least(0), default=6)
+    p.add_argument("--max-b", type=_int_at_least(0), default=5)
     p.set_defaults(func=cmd_cross_validate)
 
     p = sub.add_parser("cache", help="character table cache maintenance")

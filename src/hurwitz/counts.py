@@ -8,7 +8,7 @@ r-orbifold point is the partition sum
 with m = d/r and W_lam the content weight of the chosen kind: the complete
 (monotone) or elementary (strictly monotone) symmetric generating series in
 the contents, or exp(u * sum of contents) in the usual case.  Connected
-numbers come from the set-partition inclusion-exclusion at the level of
+numbers come from the connected-from-disconnected recursion at the level of
 u-series; the exponent of u counts simple ramifications
 b = 2g - 2 + len(mu) + |mu|/r.
 
@@ -73,6 +73,9 @@ class HurwitzRequest:
     connected: bool = True
     method: str = "character"
 
+    def __post_init__(self):
+        object.__setattr__(self, "mus", Profile(self.mus, self.r).mus)
+
     def branch_count(self) -> Fraction:
         """b = 2g - 2 + n + d/r; integrality is a vanishing condition."""
         return 2 * self.g - 2 + len(self.mus) + Fraction(sum(self.mus), self.r)
@@ -128,7 +131,7 @@ def disconnected_series_character(kind: HurwitzKind, r: int, mus: Sequence[int],
 
 def connected_series_character(kind: HurwitzKind, r: int, mus: Sequence[int],
                                u_order: int) -> TruncatedSeries:
-    """Connected genus series via set-partition inclusion-exclusion."""
+    """Connected genus series via the inclusion-exclusion over sub-profiles."""
     mus = tuple(mus)
     blocks = {}
     for size in range(1, len(mus) + 1):
@@ -293,6 +296,8 @@ def request_status(req: HurwitzRequest) -> str | None:
         return f"b = {b} is negative"
     if sum(req.mus) % req.r != 0:
         return f"r = {req.r} does not divide |mu| = {sum(req.mus)}"
+    if req.connected and req.g < 0:
+        return f"g = {req.g} is negative, so no cover is connected"
     return None
 
 

@@ -10,6 +10,14 @@ State propagation is exact: every operator shifts the state energy
 deterministically, so the support after each step consists of partitions of
 one fixed size.  Vacuum expectations are multivariate Laurent series whose
 only poles are the simple 1/zeta poles, one per variable at most.
+
+The series an operator needs depend only on its argument and the truncation
+window, so they are built once and shared: the weights e^{c*w} and the
+scaled 1/zeta are memoized, like the elementary series under them
+(TruncatedSeries values are immutable).  A disconnected block sums over
+t-tuples; only the energy-balanced ones can reach the vacuum, and they are
+enumerated directly (prefix energies stay nonnegative, the last t is
+solved for) rather than filtered out of the full product.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .kinds import HurwitzKind
 from .partitions import connected_from_disconnected
@@ -97,21 +105,45 @@ def _diagonal_exponents(lam: Partition) -> list[tuple[Fraction, int]]:
     return out
 
 
+def _window(form: Mapping[str, Fraction], orders: Mapping[str, int]) -> tuple:
+    """The truncation orders of the form's variables, as a cache key."""
+    return tuple(sorted((v, orders[v]) for v in form))
+
+
+@lru_cache(maxsize=None)
+def _exp_weight(form: tuple[tuple[str, Fraction], ...], window: tuple) -> TruncatedSeries:
+    """exp(sum c_v * v) for the scaled form, built once per truncation window."""
+    return exp_linear(dict(form), dict(window))
+
+
+@lru_cache(maxsize=None)
+def _inv_zeta(var: str, scale: Fraction, order: int) -> TruncatedSeries:
+    """1/zeta(scale * var), built once per (var, scale, order)."""
+    return elementary_series("inv_zeta", var, order).scale_var(var, scale)
+
+
+def _accumulate(out: StateVector, lam: Partition, term: TruncatedSeries) -> None:
+    out[lam] = out[lam] + term if lam in out else term
+
+
 def apply_E_diagonal(arg: Mapping[str, object], state: StateVector,
                      orders: Mapping[str, int]) -> StateVector:
     """Apply Etilde_0(L), the diagonal part without the 1/zeta scalar."""
     form = {v: Fraction(c) for v, c in arg.items()}
+    window = _window(form, orders)
     out: StateVector = {}
     for lam, coeff in state.items():
         eig = None
         for k, sign in _diagonal_exponents(lam):
-            piece = exp_linear({v: c * k for v, c in form.items()}, orders)
-            eig = sign * piece if eig is None else eig + sign * piece
+            piece = _exp_weight(tuple(sorted((v, c * k) for v, c in form.items())), window)
+            if sign < 0:
+                piece = -piece
+            eig = piece if eig is None else eig + piece
         if eig is None:
             continue
         term = coeff * eig
         if not term.is_zero():
-            out[lam] = out.get(lam, TruncatedSeries.constant(0)) + term
+            _accumulate(out, lam, term)
     return {lam: s for lam, s in out.items() if not s.is_zero()}
 
 
@@ -120,7 +152,7 @@ def _inv_zeta_of(arg: Mapping[str, object], orders: Mapping[str, int]) -> Trunca
     if len(form) != 1:
         raise ValueError("the 1/zeta scalar requires a single-variable argument")
     (var, scale), = form.items()
-    return elementary_series("inv_zeta", var, orders[var]).scale_var(var, scale)
+    return _inv_zeta(var, scale, orders[var])
 
 
 def apply_E(energy: int, arg: Mapping[str, object], state: StateVector,
@@ -128,27 +160,27 @@ def apply_E(energy: int, arg: Mapping[str, object], state: StateVector,
             total_cap: int | None = None) -> StateVector:
     """Apply E_energy(L) to a state vector (with the energy-0 pole split)."""
     form = {v: Fraction(c) for v, c in arg.items()}
-    out: StateVector = {}
     if energy == 0:
-        out = apply_E_diagonal(form, state, orders)
+        result = apply_E_diagonal(form, state, orders)
         pole = _inv_zeta_of(form, orders)
         for lam, coeff in state.items():
             term = coeff * pole
             if not term.is_zero():
-                out[lam] = out.get(lam, TruncatedSeries.constant(0)) + term
-        result = out
+                _accumulate(result, lam, term)
     else:
+        window = _window(form, orders)
+        result = {}
         for lam, coeff in state.items():
             if energy_cap is not None and sum(lam) - energy > energy_cap:
                 raise EnergyCapError(
                     f"state of energy {sum(lam) - energy} exceeds cap {energy_cap}")
             for exponent, sign, new_lam in _moves(lam, energy):
-                weight = exp_linear({v: c * exponent for v, c in form.items()}, orders)
-                term = mul(coeff * sign, weight, total_cap)
+                weight = _exp_weight(
+                    tuple(sorted((v, c * exponent) for v, c in form.items())), window)
+                term = mul(coeff, weight, total_cap)
                 if term.is_zero():
                     continue
-                out[new_lam] = out.get(new_lam, TruncatedSeries.constant(0)) + term
-        result = out
+                _accumulate(result, new_lam, term if sign > 0 else -term)
     if total_cap is not None:
         result = {lam: s.truncate_total(total_cap) for lam, s in result.items()}
     return {lam: s for lam, s in result.items() if not s.is_zero()}
@@ -286,6 +318,42 @@ def _scalar_table(kind: HurwitzKind, r: int, mu: int, t: int, k_hi: int) -> dict
     return table
 
 
+def _balanced_t_tuples(ranges: Sequence[range], etas: Sequence[int],
+                       r: int) -> Iterator[tuple[int, ...]]:
+    """The t-tuples of product(*ranges) whose E-operators can reach the vacuum.
+
+    Entry i carries energy t_i * r - etas[i]; a tuple is kept when the
+    energies sum to zero and every proper prefix sum is nonnegative (the
+    operators act from the right, and every state they pass through must
+    have nonnegative energy).
+    Tuples come in itertools.product order.  A prefix is cut as soon as its
+    energy is negative or too large for the remaining entries to cancel, and
+    the last t is solved for instead of searched.
+    """
+    n = len(ranges)
+    if n == 0:
+        yield ()
+        return
+    # room[i]: the most energy entries i+1.. can remove, at their lowest t
+    room = [0] * n
+    for i in range(n - 2, -1, -1):
+        room[i] = room[i + 1] + etas[i + 1] - ranges[i + 1].start * r
+
+    def extend(i: int, prefix: int, head: tuple[int, ...]):
+        if i == n - 1:
+            t, rest = divmod(etas[i] - prefix, r)
+            if not rest and t in ranges[i]:
+                yield head + (t,)
+            return
+        # prefix + t * r - etas[i] must lie in [0, room[i]]
+        lo = max(ranges[i].start, -((prefix - etas[i]) // r))
+        hi = min(ranges[i].stop - 1, (room[i] + etas[i] - prefix) // r)
+        for t in range(lo, hi + 1):
+            yield from extend(i + 1, prefix + t * r - etas[i], head + (t,))
+
+    yield from extend(0, 0, ())
+
+
 @lru_cache(maxsize=None)
 def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
                               k_hi: int) -> TruncatedSeries:
@@ -307,18 +375,8 @@ def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
         nu_sum = sum(nus)
         ranges = [range(-nus[i], (eta_sum + r * (nu_sum - nus[i])) // r + 1)
                   for i in range(n)]
-        for ts in itertools.product(*ranges):
+        for ts in _balanced_t_tuples(ranges, etas, r):
             energies = [t * r - e for t, e in zip(ts, etas)]
-            if sum(energies) != 0:
-                continue
-            prefix, ok = 0, True
-            for a in energies[:-1]:
-                prefix += a
-                if prefix < 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
             tables = [_scalar_table(kind, r, mus[i], ts[i], k_budget)
                       for i in range(n)]
             if any(not tb for tb in tables):

@@ -328,8 +328,9 @@ def mul(a: TruncatedSeries, b: TruncatedSeries, total_cap: int | None = None) ->
 # -- elementary series -----------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def exp_series(var: str, scale, order: int) -> TruncatedSeries:
-    """exp(scale * var) truncated at the inclusive order."""
+    """exp(scale * var) truncated at the inclusive order, cached."""
     c = _as_fraction(scale)
     terms = {}
     power = Fraction(1)
@@ -342,9 +343,12 @@ def exp_series(var: str, scale, order: int) -> TruncatedSeries:
 
 def exp_linear(form: Mapping[str, object], orders: Mapping[str, int]) -> TruncatedSeries:
     """exp(sum_v c_v * v) truncated per variable."""
-    acc = TruncatedSeries.constant(1)
-    for v, c in sorted(form.items()):
-        acc = acc * exp_series(v, c, orders[v])
+    factors = [exp_series(v, c, orders[v]) for v, c in sorted(form.items())]
+    if not factors:
+        return TruncatedSeries.constant(1)
+    acc = factors[0]
+    for factor in factors[1:]:
+        acc = acc * factor
     return acc
 
 
@@ -355,8 +359,9 @@ def zeta_of_linear(form: Mapping[str, object], orders: Mapping[str, int]) -> Tru
     return exp_linear(half, orders) - exp_linear(minus, orders)
 
 
+@lru_cache(maxsize=None)
 def elementary_series(name: str, var: str, order: int) -> TruncatedSeries:
-    """One of zeta, S = zeta(z)/z, or their multiplicative inverses.
+    """One of zeta, S = zeta(z)/z, or their multiplicative inverses, cached.
 
     zeta(z) = e^{z/2} - e^{-z/2}; inv_zeta has a simple pole at the origin.
     """

@@ -107,6 +107,82 @@ def test_invalid_flags_exit_nonzero(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "--kind", "monotone", "--r", "0", "--g", "0", "--mu", "2"),
+    ("compute", "--kind", "monotone", "--r", "-2", "--g", "0", "--mu", "2"),
+    ("cross-validate", "--r", "0"),
+    ("cross-validate", "--r", "2", "--max-d", "-1"),
+    ("cross-validate", "--r", "2", "--max-b", "-1"),
+    ("series", "--kind", "monotone", "--r", "2", "--mu", "2", "--order", "-1"),
+    ("series", "--kind", "monotone", "--r", "0", "--mu", "2", "--order", "2"),
+    ("verify-quasipoly", "--kind", "monotone", "--r", "0", "--g", "1", "--n", "1"),
+    ("xi", "--kind", "monotone", "--r", "2", "--i", "1", "--order", "-1"),
+    ("unstable-check", "--kind", "monotone", "--r", "2", "--order", "-3"),
+    ("compute", "--kind", "monotone", "--r", "2", "--g", "0", "--mu", "2,-2"),
+])
+def test_bad_input_is_a_usage_error(capsys, argv):
+    try:
+        code = run(list(argv))
+    except SystemExit as exc:  # argparse rejects the flag before any command runs
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: " in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_compute_failure_names_the_routes(capsys, monkeypatch):
+    import hurwitz.cli as cli
+
+    def wrong_fock(req):
+        value = hurwitz_number(req)
+        return value + 1 if req.method == "fock" else value
+
+    hurwitz_number = cli.hurwitz_number
+    monkeypatch.setattr(cli, "hurwitz_number", wrong_fock)
+    code, out, _ = invoke(capsys, "compute", "--kind", "monotone", "--r", "2",
+                          "--g", "0", "--mu", "1,3", "--method", "all")
+    assert code == 1
+    data = json.loads(out)
+    assert data["status"] == "FAIL"
+    assert data["disagreements"] == [
+        {"routes": "character/fock", "character": "2", "fock": "3"},
+        {"routes": "fock/oracle", "fock": "3", "oracle": "2"},
+    ]
+    code, out, _ = invoke(capsys, "--format", "text", "compute", "--kind", "monotone",
+                          "--r", "2", "--g", "0", "--mu", "1,3", "--method", "all")
+    assert "# disagreement  character=2  fock=3  routes=character/fock" in out
+
+
+def test_cross_validate_failure_keeps_both_witnesses(capsys, monkeypatch):
+    import hurwitz.cli as cli
+    from hurwitz.series import TruncatedSeries
+
+    oracle_series = cli.oracle_series
+    fock_shifted_coefficient = cli.fock_shifted_coefficient
+
+    def wrong_oracle(kind, r, mus, u_order):
+        return oracle_series(kind, r, mus, u_order) + TruncatedSeries.monomial("u", 2)
+
+    def wrong_fock(kind, r, mus, b, connected):
+        return fock_shifted_coefficient(kind, r, mus, b, connected) + (b == 1)
+
+    monkeypatch.setattr(cli, "oracle_series", wrong_oracle)
+    monkeypatch.setattr(cli, "fock_shifted_coefficient", wrong_fock)
+    code, out, _ = invoke(capsys, "cross-validate", "--kind", "monotone", "--r", "2",
+                          "--max-d", "2", "--max-b", "3")
+    assert code == 1
+    data = json.loads(out)
+    assert data["status"] == "FAIL"
+    first = data["results"][0]
+    assert first["mu"] == [2] and first["status"] == "FAIL"
+    assert first["disagreements"] == [
+        {"routes": "character/oracle", "b": 2, "character": "1/2", "oracle": "3/2"},
+        {"routes": "character/fock", "b": 1, "character": "0", "fock": "1"},
+    ]
+
+
 def test_csv_and_text_formats(capsys):
     code, out, _ = invoke(capsys, "--format", "csv", "series", "--kind", "monotone",
                           "--r", "2", "--mu", "2", "--order", "2")

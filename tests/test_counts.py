@@ -170,6 +170,42 @@ def test_vanishing_conditions():
         assert hurwitz_number(req) == 0
 
 
+def test_request_rejects_bad_inputs():
+    for r, mus in [(0, (2,)), (-2, (2,)), (2, (2, 0)), (2, (-1,)), (2, ())]:
+        with pytest.raises(ValueError):
+            HurwitzRequest(K.MONOTONE, r, 0, mus)
+    assert HurwitzRequest(K.MONOTONE, 2, 0, [1, 3]).mus == (1, 3)
+
+
+def test_negative_genus_is_a_structural_zero():
+    req = HurwitzRequest(K.MONOTONE, 1, -1, (1, 1, 1, 1))
+    assert request_status(req) is not None
+    assert hurwitz_number(req) == 0
+    # disconnected covers of negative total genus exist
+    req = HurwitzRequest(K.MONOTONE, 1, -1, (1, 1, 1, 1), connected=False)
+    assert request_status(req) is None
+    assert hurwitz_number(req) != 0
+
+
+def test_routes_compute_zero_at_negative_genus():
+    # the request layer answers 0 without computing; both routes must agree
+    checked = 0
+    for kind in ALL_KINDS:
+        for r in (1, 2, 3):
+            for d in range(r, 7, r):
+                for mus in enumerate_partitions(d):
+                    character = connected_series_character(kind, r, mus, 5)
+                    for b in range(6):
+                        twice_g = b + 2 - len(mus) - d // r
+                        if twice_g >= 0 or twice_g % 2:
+                            continue
+                        assert character.coefficient(u=b) == 0, (kind, r, mus, b)
+                        assert fock_shifted_coefficient(kind, r, mus, b, True) == 0, \
+                            (kind, r, mus, b)
+                        checked += 1
+    assert checked > 100
+
+
 def test_result_record():
     req = HurwitzRequest(K.MONOTONE, 2, 0, (1, 3))
     rec = result_record(req, Fraction(2))

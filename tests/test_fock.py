@@ -1,10 +1,14 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from hurwitz.counts import connected_series_character, fock_shifted_coefficient
 from hurwitz.fock import (
     EnergyCapError,
     EOpSpec,
+    _balanced_t_tuples,
     a_correlator,
     a_operator_terms,
     apply_E,
@@ -13,7 +17,7 @@ from hurwitz.fock import (
     fock_genus_series,
     vacuum_expectation,
 )
-from hurwitz.kinds import HurwitzKind as K
+from hurwitz.kinds import ALL_KINDS, HurwitzKind as K
 from hurwitz.series import TruncatedSeries, compose_univariate, elementary_series
 
 
@@ -191,3 +195,49 @@ def test_zero_energy_requires_single_variable_argument():
 def test_vacuum_expectation_empty_product():
     s = vacuum_expectation([], {})
     assert s.coefficient() == 1
+
+
+def filtered_product(ranges, etas, r):
+    """Reference: every t-tuple of the product, kept when its energies balance."""
+    out = []
+    for ts in itertools.product(*ranges):
+        energies = [t * r - e for t, e in zip(ts, etas)]
+        prefixes = list(itertools.accumulate(energies))
+        if sum(energies) == 0 and all(p >= 0 for p in prefixes[:-1]):
+            out.append(ts)
+    return out
+
+
+def test_balanced_t_tuples_match_filtered_product():
+    rng = random.Random(7)
+    for _ in range(400):
+        r = rng.randint(1, 4)
+        n = rng.randint(0, 4)
+        etas = [rng.randrange(r) for _ in range(n)]
+        ranges = []
+        for _ in range(n):
+            start = rng.randint(-4, 2)
+            ranges.append(range(start, start + rng.randint(0, 6)))
+        assert list(_balanced_t_tuples(ranges, etas, r)) == \
+            filtered_product(ranges, etas, r), (ranges, etas, r)
+
+
+def test_balanced_t_tuples_on_block_ranges():
+    # the ranges disconnected_block_series builds, for a few profiles
+    for r, mus in [(1, (1, 1, 1, 1)), (2, (3, 2, 1)), (3, (4, 2, 3)), (2, (5, 1, 1, 1))]:
+        nus = [m // r for m in mus]
+        etas = [m % r for m in mus]
+        ranges = [range(-nus[i], (sum(etas) + r * (sum(nus) - nus[i])) // r + 1)
+                  for i in range(len(mus))]
+        assert list(_balanced_t_tuples(ranges, etas, r)) == \
+            filtered_product(ranges, etas, r), (r, mus)
+
+
+def test_fock_matches_character_on_six_ones():
+    # (1^6) at r = 1, the six-part profile the route benchmark leaves out
+    mus = (1,) * 6
+    for kind in ALL_KINDS:
+        character = connected_series_character(kind, 1, mus, 5)
+        for b in range(6):
+            assert fock_shifted_coefficient(kind, 1, mus, b, True) == \
+                character.coefficient(u=b), (kind, b)

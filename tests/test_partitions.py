@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -14,8 +15,45 @@ from hurwitz.partitions import (
     contents,
     dimension,
     enumerate_partitions,
-    set_partitions,
 )
+from hurwitz.series import TruncatedSeries
+
+
+def set_partitions(items):
+    """All set partitions of items, blocks as tuples in insertion order."""
+    items = list(items)
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for sub in set_partitions(rest):
+        for i in range(len(sub)):
+            yield sub[:i] + [(first,) + sub[i]] + sub[i + 1:]
+        yield [(first,)] + sub
+
+
+def moebius_weight(block_count):
+    """Partition-lattice Moebius factor (-1)^(m-1) (m-1)!."""
+    return (-1) ** (block_count - 1) * factorial(block_count - 1)
+
+
+def set_partition_sum(blocks):
+    """Reference connected value: sum_pi (-1)^{|pi|-1} (|pi|-1)! prod_B blocks[B]."""
+    n = len(frozenset().union(*blocks))
+    total = None
+    for pi in set_partitions(range(n)):
+        prod = None
+        for block in pi:
+            value = blocks[frozenset(block)]
+            prod = value if prod is None else prod * value
+        term = moebius_weight(len(pi)) * prod
+        total = term if total is None else total + term
+    return total
+
+
+def all_subsets(n):
+    return [frozenset(sub) for size in range(1, n + 1)
+            for sub in itertools.combinations(range(n), size)]
 
 
 def partition_count_recurrence(n):
@@ -190,6 +228,33 @@ def test_connected_of_multiplicative_data_vanishes():
                     val *= fs[i]
                 blocks[frozenset(sub)] = val
         assert connected_from_disconnected(blocks) == 0
+
+
+def test_connected_recursion_matches_set_partition_sum_on_rationals():
+    rng = random.Random(11)
+    for n in range(1, 8):
+        for _ in range(3):
+            blocks = {sub: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                      for sub in all_subsets(n)}
+            assert connected_from_disconnected(blocks) == set_partition_sum(blocks)
+
+
+def test_connected_recursion_matches_set_partition_sum_on_series():
+    # u-series blocks shaped like the genus series: a block of size s is known
+    # through u^(K + n - s) and may start at u^(-s)
+    rng = random.Random(12)
+    for n in range(1, 6):
+        k_hi = 2
+        blocks = {}
+        for sub in all_subsets(n):
+            top = k_hi + n - len(sub)
+            terms = {(e,): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                     for e in range(-len(sub), top + 1)}
+            blocks[sub] = TruncatedSeries(("u",), terms, {"u": top})
+        got = connected_from_disconnected(blocks)
+        want = set_partition_sum(blocks)
+        assert got.orders == want.orders == {"u": k_hi}
+        assert got.terms == want.terms
 
 
 def test_connected_missing_subset_errors():
