@@ -8,14 +8,16 @@ identities.
 """
 
 from .counts import (
+    METHODS,
     HurwitzRequest,
     Profile,
     connected_series_character,
     disconnected_series_character,
     hurwitz_number,
     oracle_group_algebra,
+    route_series,
 )
-from .fock import EOpSpec, a_correlator, a_operator_terms, vacuum_expectation
+from .fock import EOpSpec, a_correlator, vacuum_expectation
 from .kinds import ALL_KINDS, HurwitzKind
 from .partitions import (
     character,
@@ -26,7 +28,6 @@ from .partitions import (
 )
 from .polycheck import prefactor, verify_quasipolynomiality
 from .polynomials import MultiPolynomial, interpolate_on_grid
-from .rationals import ExtendedRational, pochhammer_shifted
 from .series import TruncatedSeries, elementary_series, series_reversion
 from .spectral import (
     check_F01,
@@ -45,14 +46,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_KINDS",
     "EOpSpec",
-    "ExtendedRational",
     "HurwitzKind",
     "HurwitzRequest",
+    "METHODS",
     "MultiPolynomial",
     "Profile",
     "TruncatedSeries",
     "a_correlator",
-    "a_operator_terms",
     "character",
     "check_F01",
     "check_bergman02",
@@ -68,8 +68,8 @@ __all__ = [
     "hurwitz_number",
     "interpolate_on_grid",
     "oracle_group_algebra",
-    "pochhammer_shifted",
     "prefactor",
+    "route_series",
     "series_reversion",
     "stirling",
     "sym_poly",

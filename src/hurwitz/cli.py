@@ -10,24 +10,21 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 
 from . import __version__
 from .counts import (
+    METHODS,
+    DegreeCapError,
     HurwitzRequest,
     ORACLE_DEGREE_CAP,
-    connected_series_character,
-    connected_series_oracle,
-    disconnected_series_character,
-    fock_shifted_coefficient,
     hurwitz_number,
-    oracle_series,
     request_status,
     result_record,
+    route_series,
 )
 from .kinds import ALL_KINDS, HurwitzKind
-from .partitions import active_cache, configure_cache, enumerate_partitions
+from .partitions import enumerate_partitions
 from .polycheck import admissible_residue_classes, verify_quasipolynomiality
 from .spectral import (
     check_F01,
@@ -36,8 +33,6 @@ from .spectral import (
     xi_derivative_coefficient,
     xi_series,
 )
-
-METHODS = ("character", "fock", "oracle")
 
 
 def _parse_mu(text: str) -> tuple[int, ...]:
@@ -65,13 +60,6 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
     return parse
-
-
-def default_cache_dir() -> str:
-    env = os.environ.get("HURWITZ_CACHE_DIR")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "hurwitz")
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -151,19 +139,8 @@ def cmd_series(args) -> dict:
     kind = HurwitzKind.parse(args.kind)
     mus = _parse_mu(args.mu)
     connected = not args.disconnected
-    if args.method == "character":
-        series = (connected_series_character if connected
-                  else disconnected_series_character)(kind, args.r, mus, args.order)
-        coeff = lambda b: series.coefficient(u=b)
-    elif args.method == "oracle":
-        series = (connected_series_oracle if connected
-                  else oracle_series)(kind, args.r, mus, args.order)
-        coeff = lambda b: series.coefficient(u=b)
-    elif args.method == "fock":
-        coeff = lambda b: fock_shifted_coefficient(kind, args.r, mus, b, connected)
-    else:
-        raise ValueError(f"unknown method {args.method!r}")
-    results = [{"b": b, "value": str(coeff(b))} for b in range(args.order + 1)]
+    coeffs = route_series(args.method, kind, args.r, mus, args.order, connected)
+    results = [{"b": b, "value": str(c)} for b, c in enumerate(coeffs)]
     return {"command": "series",
             "params": {"kind": kind.value, "r": args.r, "mu": list(mus),
                        "connected": connected, "method": args.method,
@@ -190,12 +167,15 @@ def cmd_verify_quasipoly(args) -> dict:
 
 def cmd_xi(args) -> dict:
     kind = HurwitzKind.parse(args.kind)
+    start = 1 if kind is HurwitzKind.STRICT else 0
+    if args.order - args.derivative < start:
+        raise ValueError(f"--derivative {args.derivative} leaves no exponent "
+                         f"to check at --order {args.order}")
     series = xi_series(kind, args.r, args.i, args.order)
     for _ in range(args.derivative):
         from .spectral import _apply_d_dx
         series = _apply_d_dx(kind, series)
     results, ok = [], True
-    start = 1 if kind is HurwitzKind.STRICT else 0
     for mu in range(start, args.order + 1 - args.derivative):
         got = series.coefficient(q=mu)
         closed = xi_derivative_coefficient(kind, args.r, args.i, args.derivative, mu)
@@ -235,6 +215,11 @@ def cmd_unstable_check(args) -> dict:
             "results": results, "status": "PASS" if ok else "FAIL"}
 
 
+# (route, checked route, connected): cross-validate reports the first b at
+# which they differ, and marks the checked route skipped past its degree cap
+CROSS_CHECKS = (("character", "oracle", False), ("character", "fock", True))
+
+
 def cmd_cross_validate(args) -> dict:
     kinds = ALL_KINDS if args.kind == "all" else (HurwitzKind.parse(args.kind),)
     results, ok = [], True
@@ -245,20 +230,18 @@ def cmd_cross_validate(args) -> dict:
             for mus in enumerate_partitions(d):
                 record = {"kind": kind.value, "r": args.r, "mu": list(mus)}
                 witnesses = []
-                char_disc = disconnected_series_character(kind, args.r, mus, args.max_b)
-                orac_disc = oracle_series(kind, args.r, mus, args.max_b)
-                for b in range(args.max_b + 1):
-                    cv, ov = char_disc.coefficient(u=b), orac_disc.coefficient(u=b)
-                    if cv != ov:
-                        witnesses.append(_witness("character", cv, "oracle", ov, b=b))
-                        break
-                char_conn = connected_series_character(kind, args.r, mus, args.max_b)
-                for b in range(args.max_b + 1):
-                    cv = char_conn.coefficient(u=b)
-                    fv = fock_shifted_coefficient(kind, args.r, mus, b, True)
-                    if cv != fv:
-                        witnesses.append(_witness("character", cv, "fock", fv, b=b))
-                        break
+                for route_a, route_b, connected in CROSS_CHECKS:
+                    try:
+                        checked = route_series(route_b, kind, args.r, mus,
+                                               args.max_b, connected)
+                    except DegreeCapError:
+                        record[route_b] = "skipped"
+                        continue
+                    pairs = zip(route_series(route_a, kind, args.r, mus,
+                                             args.max_b, connected), checked)
+                    witnesses.extend(
+                        [_witness(route_a, va, route_b, vb, b=b)
+                         for b, (va, vb) in enumerate(pairs) if va != vb][:1])
                 if witnesses:
                     record["disagreements"] = witnesses
                 record["status"] = "FAIL" if witnesses else "PASS"
@@ -270,26 +253,6 @@ def cmd_cross_validate(args) -> dict:
             "results": results, "status": "PASS" if ok else "FAIL"}
 
 
-def cmd_cache(args) -> dict:
-    cache = active_cache()
-    results = []
-    if args.action == "info":
-        results.append({"path": cache.path, "entries": len(cache)})
-    elif args.action == "clear":
-        cache.clear()
-        cache.save()
-        results.append({"path": cache.path, "entries": len(cache)})
-    elif args.action == "warm":
-        for d in range(1, args.d + 1):
-            for lam in enumerate_partitions(d):
-                for rho in enumerate_partitions(d):
-                    cache.compute(lam, rho)
-        results.append({"path": cache.path, "entries": len(cache),
-                        "warmed_through": args.d})
-    return {"command": "cache", "params": {"action": args.action},
-            "results": results, "status": "PASS"}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hurwitz",
@@ -297,9 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "Hurwitz numbers, with built-in cross-validation.")
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    parser.add_argument("--cache-dir", default=None,
-                        help="character cache directory (default: "
-                             "$HURWITZ_CACHE_DIR or ~/.cache/hurwitz)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_kind_r(p, kinds=("monotone", "strict", "usual")):
@@ -329,14 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eta", default=None, help="residue class (default: all admissible)")
     p.add_argument("--grid-base", type=int, default=1)
-    p.add_argument("--holdouts", type=int, default=3)
+    p.add_argument("--holdouts", type=_int_at_least(1), default=3)
     p.set_defaults(func=cmd_verify_quasipoly)
 
     p = sub.add_parser("xi", help="xi basis expansion vs closed form")
     add_kind_r(p)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--order", type=_int_at_least(0), required=True)
-    p.add_argument("--derivative", type=int, default=0)
+    p.add_argument("--derivative", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_xi)
 
     p = sub.add_parser("unstable-check", help="(0,1) and (0,2) identities")
@@ -350,29 +310,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-d", type=_int_at_least(0), default=6)
     p.add_argument("--max-b", type=_int_at_least(0), default=5)
     p.set_defaults(func=cmd_cross_validate)
-
-    p = sub.add_parser("cache", help="character table cache maintenance")
-    p.add_argument("action", choices=("info", "clear", "warm"))
-    p.add_argument("--d", type=int, default=6)
-    p.set_defaults(func=cmd_cache)
     return parser
 
 
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache_dir = args.cache_dir or default_cache_dir()
-    cache = configure_cache(os.path.join(cache_dir, "characters.txt"))
     try:
         payload = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        try:
-            cache.save()
-        except OSError as exc:
-            print(f"warning: could not save character cache: {exc}", file=sys.stderr)
     _emit(payload, args.format)
     return 0 if payload["status"] == "PASS" else 1
 

@@ -15,6 +15,10 @@ b = 2g - 2 + len(mu) + |mu|/r.
 The independent oracle multiplies the orbifold class sum against symmetric
 polynomials in the Jucys-Murphy elements inside Q[S_d] and reads off the
 coefficient of one fixed permutation of cycle type mu.
+
+`route_series` is the one dispatch over these two routes and the fock route
+(module `fock`); `hurwitz_number`, the verifiers and the CLI reach the
+routes only through it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Sequence
 
 from .kinds import HurwitzKind
 from .partitions import (
-    connected_from_disconnected,
+    connected_from_subprofiles,
     contents,
     character,
     enumerate_partitions,
@@ -37,6 +41,14 @@ from .series import TruncatedSeries
 from .symfunc import complete_coeffs, elementary_coeffs
 
 ORACLE_DEGREE_CAP = 6
+
+
+class DegreeCapError(ValueError):
+    """The profile's degree is beyond what the route computes."""
+
+
+# the three independent routes, in the order the CLI reports them
+METHODS = ("character", "fock", "oracle")
 
 
 @dataclass(frozen=True)
@@ -132,13 +144,8 @@ def disconnected_series_character(kind: HurwitzKind, r: int, mus: Sequence[int],
 def connected_series_character(kind: HurwitzKind, r: int, mus: Sequence[int],
                                u_order: int) -> TruncatedSeries:
     """Connected genus series via the inclusion-exclusion over sub-profiles."""
-    mus = tuple(mus)
-    blocks = {}
-    for size in range(1, len(mus) + 1):
-        for sub in itertools.combinations(range(len(mus)), size):
-            blocks[frozenset(sub)] = disconnected_series_character(
-                kind, r, tuple(mus[i] for i in sub), u_order)
-    return connected_from_disconnected(blocks)
+    return connected_from_subprofiles(
+        mus, lambda sub: disconnected_series_character(kind, r, sub, u_order))
 
 
 # -- group-algebra oracle ----------------------------------------------------
@@ -250,7 +257,7 @@ def oracle_group_algebra(kind: HurwitzKind, r: int, b: int, mus: Sequence[int],
     mus = tuple(mus)
     d = sum(mus)
     if d > degree_cap:
-        raise ValueError(f"degree {d} exceeds the oracle cap {degree_cap}")
+        raise DegreeCapError(f"degree {d} exceeds the oracle cap {degree_cap}")
     if b < 0:
         raise ValueError("b must be nonnegative")
     if d % r != 0:
@@ -275,13 +282,8 @@ def oracle_series(kind: HurwitzKind, r: int, mus: Sequence[int],
 
 def connected_series_oracle(kind: HurwitzKind, r: int, mus: Sequence[int],
                             u_order: int, degree_cap: int = ORACLE_DEGREE_CAP) -> TruncatedSeries:
-    mus = tuple(mus)
-    blocks = {}
-    for size in range(1, len(mus) + 1):
-        for sub in itertools.combinations(range(len(mus)), size):
-            blocks[frozenset(sub)] = oracle_series(
-                kind, r, tuple(mus[i] for i in sub), u_order, degree_cap)
-    return connected_from_disconnected(blocks)
+    return connected_from_subprofiles(
+        mus, lambda sub: oracle_series(kind, r, sub, u_order, degree_cap))
 
 
 # -- dispatch ----------------------------------------------------------------
@@ -301,44 +303,44 @@ def request_status(req: HurwitzRequest) -> str | None:
     return None
 
 
+def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
+                 b_max: int, connected: bool) -> tuple[Fraction, ...]:
+    """h_0..h_{b_max} of the (dis)connected genus series by one route.
+
+    The only dispatch over METHODS.  The fock series counts 2g-2+n, so its
+    coefficients are shifted by d/r onto the simple ramification count b.
+    """
+    mus = tuple(mus)
+    if route == "fock":
+        d = sum(mus)
+        shift = d // r
+        if d % r or b_max - shift < -len(mus):
+            return (Fraction(0),) * (b_max + 1)
+        from .fock import fock_genus_series
+        series = fock_genus_series(kind, r, mus, b_max - shift, connected=connected)
+        return tuple(series.coefficient(u=b - shift) for b in range(b_max + 1))
+    if route == "character":
+        build = connected_series_character if connected else disconnected_series_character
+    elif route == "oracle":
+        build = connected_series_oracle if connected else oracle_series
+    else:
+        raise ValueError(f"unknown method {route!r}")
+    series = build(kind, r, mus, b_max)
+    return tuple(series.coefficient(u=b) for b in range(b_max + 1))
+
+
 def hurwitz_number(req: HurwitzRequest) -> Fraction:
     """Evaluate one Hurwitz number; structurally-vanishing requests give 0."""
     if request_status(req) is not None:
         return Fraction(0)
     b = int(req.branch_count())
-    if req.method == "character":
-        series = (connected_series_character if req.connected
-                  else disconnected_series_character)(req.kind, req.r, req.mus, b)
-    elif req.method == "oracle":
-        series = (connected_series_oracle if req.connected
-                  else oracle_series)(req.kind, req.r, req.mus, b)
-    elif req.method == "fock":
-        from .fock import fock_genus_series
-        k = b - sum(req.mus) // req.r
-        series = fock_genus_series(req.kind, req.r, req.mus, k,
-                                   connected=req.connected)
-        return series.coefficient(u=k)
-    else:
-        raise ValueError(f"unknown method {req.method!r}")
-    return series.coefficient(u=b)
+    return route_series(req.method, req.kind, req.r, req.mus, b, req.connected)[b]
 
 
 def fock_shifted_coefficient(kind: HurwitzKind, r: int, mus: Sequence[int],
                              b: int, connected: bool) -> Fraction:
-    """[u^b] of the fock-route genus series (graded like the character route).
-
-    The A-correlator series counts 2g-2+n; this shifts by d/r so that the
-    exponent is the simple ramification count b.
-    """
-    mus = tuple(mus)
-    d = sum(mus)
-    if d % r != 0:
-        return Fraction(0)
-    k = b - d // r
-    if k < -len(mus):
-        return Fraction(0)
-    from .fock import fock_genus_series
-    return fock_genus_series(kind, r, mus, k, connected=connected).coefficient(u=k)
+    """[u^b] of the fock-route genus series (graded like the character route)."""
+    return route_series("fock", kind, r, mus, b, connected)[b]
 
 
 def result_record(req: HurwitzRequest, value: Fraction) -> dict:

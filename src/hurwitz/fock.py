@@ -22,7 +22,6 @@ solved for) rather than filtered out of the full product.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,8 +29,7 @@ from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 from .kinds import HurwitzKind
-from .partitions import connected_from_disconnected
-from .rationals import ExtendedRational, inv_factorial, pochhammer_shifted
+from .partitions import connected_from_subprofiles
 from .series import TruncatedSeries, elementary_series, exp_linear, mul, s_power
 
 Partition = tuple[int, ...]
@@ -216,28 +214,21 @@ def vacuum_expectation(ops: Sequence[EOpSpec], orders: Mapping[str, int],
 # -- A-operators -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ATerm:
-    """One (t, v) term of an A-operator.
-
-    `scalar` is the bare Pochhammer ratio of the operator; `folded` is the
-    same scalar multiplied by the kind's per-entry prefactor, which is always
-    a finite factorial ratio (the bare scalar can be infinite at r = 1 for
-    the strictly monotone kind, where the prefactor vanishes).
-    `s_uz_power` and `s_ruz_power` are the exponents of S(uz) and S(ruz);
-    the energy of the attached E-operator is t*r - <mu>.
-    """
-
-    t: int
-    v: int
-    energy: int
-    scalar: ExtendedRational
-    folded: Fraction
-    s_uz_power: int
-    s_ruz_power: int
+def inv_factorial(n: int) -> Fraction:
+    """1/n! with the convention that 1/n! = 0 for negative n."""
+    if n < 0:
+        return Fraction(0)
+    return Fraction(1, factorial(n))
 
 
 def _folded_scalar(kind: HurwitzKind, r: int, mu: int, t: int, v: int) -> Fraction:
+    """The (t, v) scalar of one A-operator times the kind's per-entry prefactor.
+
+    Folding in the prefactor keeps it a finite factorial ratio (the bare
+    Pochhammer ratio is infinite for the strictly monotone kind at r = 1,
+    where the prefactor vanishes); it is 0 for t < -[mu] and, strictly
+    monotone, for v > mu - [mu].
+    """
     nu = mu // r
     if kind is HurwitzKind.MONOTONE:
         top = mu + nu + v - 1
@@ -248,54 +239,6 @@ def _folded_scalar(kind: HurwitzKind, r: int, mu: int, t: int, v: int) -> Fracti
         return (factorial(mu - 1) * inv_factorial(mu - nu - v)
                 * inv_factorial(nu + t))
     return Fraction(mu) ** (nu + t - 1) * inv_factorial(nu + t)
-
-
-def _bare_scalar(kind: HurwitzKind, r: int, mu: int, t: int, v: int) -> ExtendedRational:
-    nu = mu // r
-    denom = pochhammer_shifted(nu, t)
-    if kind is HurwitzKind.MONOTONE:
-        num = pochhammer_shifted(nu + mu, v - 1)
-    elif kind is HurwitzKind.STRICT:
-        num = pochhammer_shifted(mu - nu - v, v - 1)
-    else:
-        num = ExtendedRational(Fraction(mu) ** (t - 1))
-    return num * denom.reciprocal()
-
-
-def a_operator_terms(kind: HurwitzKind, r: int, mu: int, u_budget: int,
-                     min_t: int | None = None, max_t: int | None = None) -> list[ATerm]:
-    """The finite list of (t, v) terms of one A-operator.
-
-    `u_budget` caps the u-power v - t a term may contribute.  Terms whose
-    folded scalar vanishes are dropped (the Pochhammer cuts t >= -[mu] and,
-    for the strictly monotone kind, v <= mu - [mu]); v - t = -1 terms are
-    kept only at zero energy, where the 1/zeta pole supplies the u^{-1}.
-    The usual kind has no v-sum: one term per t, with v = t.
-    """
-    if mu < 1 or r < 1:
-        raise ValueError("mu and r must be positive")
-    nu, eta = divmod(mu, r)
-    lo_t = max(-nu, min_t) if min_t is not None else -nu
-    hi_t = max_t if max_t is not None else nu + max(u_budget, 0) + 2
-    s_uz = (mu - 1 if kind is HurwitzKind.MONOTONE
-            else -mu - 1 if kind is HurwitzKind.STRICT else 0)
-    out = []
-    for t in range(lo_t, hi_t + 1):
-        energy = t * r - eta
-        ks = (t,) if kind is HurwitzKind.USUAL else range(t - 1, t + u_budget + 1)
-        for v in ks:
-            if kind is not HurwitzKind.USUAL and v == t - 1 and energy != 0:
-                continue
-            folded = _folded_scalar(kind, r, mu, t, v)
-            if folded == 0:
-                continue
-            out.append(ATerm(t=t, v=v, energy=energy,
-                             scalar=_bare_scalar(kind, r, mu, t, v),
-                             folded=folded, s_uz_power=s_uz, s_ruz_power=t + nu))
-    return out
-
-
-# -- correlator assembly ------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -419,13 +362,8 @@ def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
 def connected_genus_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
                            k_hi: int) -> TruncatedSeries:
     n = len(mus)
-    blocks = {}
-    for size in range(1, n + 1):
-        for sub in itertools.combinations(range(n), size):
-            sub_mus = tuple(mus[i] for i in sub)
-            blocks[frozenset(sub)] = disconnected_block_series(
-                kind, r, sub_mus, k_hi + (n - size))
-    return connected_from_disconnected(blocks)
+    return connected_from_subprofiles(
+        mus, lambda sub: disconnected_block_series(kind, r, sub, k_hi + n - len(sub)))
 
 
 def fock_genus_series(kind: HurwitzKind, r: int, mus: Sequence[int], k_max: int,

@@ -2,21 +2,17 @@
 
 Partitions are tuples of weakly decreasing positive integers. Characters are
 computed by the Murnaghan-Nakayama rule on beta-sets (first-column hook
-lengths), memoized globally; the memo can be mirrored to a versioned text
-cache file, one record per line.
+lengths), memoized in memory for the life of the process.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
+import itertools
 from functools import lru_cache
 from math import factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 Partition = tuple[int, ...]
-
-CACHE_VERSION = "hurwitz-characters-v1"
 
 
 def check_partition(parts: Sequence[int]) -> Partition:
@@ -90,73 +86,22 @@ def border_strip_removals(lam: Partition, k: int) -> list[tuple[Partition, int]]
 
 
 class CharacterCache:
-    """Pure memo table for characters, optionally file-backed.
+    """In-memory memo table of Murnaghan-Nakayama characters.
 
-    File format: a version header line, then one record per line,
-    "d; lam; rho; value" with comma-separated parts. Rewrites are atomic.
+    Nothing is persisted: `save` is a no-op kept because the benchmark
+    tracer (perfbench/tracer.py) wraps it.
     """
 
-    def __init__(self, path: str | os.PathLike | None = None):
-        self.path = os.fspath(path) if path is not None else None
+    def __init__(self):
         self.table: dict[tuple[Partition, Partition], int] = {}
-        self._loaded = path is None
-        self._dirty = 0
-
-    def _ensure_loaded(self) -> None:
-        if self._loaded:
-            return
-        self._loaded = True
-        try:
-            with open(self.path, encoding="ascii") as fh:
-                header = fh.readline().strip()
-                if header != CACHE_VERSION:
-                    return  # unknown version: ignore, will be rewritten
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    _, lam_s, rho_s, val_s = line.split(";")
-                    lam = tuple(int(x) for x in lam_s.split(",") if x.strip())
-                    rho = tuple(int(x) for x in rho_s.split(",") if x.strip())
-                    self.table[(lam, rho)] = int(val_s)
-        except FileNotFoundError:
-            pass
 
     def save(self) -> None:
-        """Atomically rewrite the cache file (no-op without a path)."""
-        if self.path is None or not self._dirty:
-            return
-        self._ensure_loaded()
-        directory = os.path.dirname(self.path) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".characters-")
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                fh.write(CACHE_VERSION + "\n")
-                for (lam, rho) in sorted(self.table):
-                    value = self.table[(lam, rho)]
-                    fh.write(f"{sum(lam)}; {','.join(map(str, lam))}; "
-                             f"{','.join(map(str, rho))}; {value}\n")
-            os.replace(tmp, self.path)
-            self._dirty = 0
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        """Persist nothing; the table lives only as long as the process."""
 
     def __len__(self) -> int:
-        self._ensure_loaded()
         return len(self.table)
 
-    def clear(self) -> None:
-        self._loaded = True  # discard any file contents instead of reloading
-        self.table.clear()
-        self._dirty = 1
-
     def compute(self, lam: Partition, rho: Partition) -> int:
-        self._ensure_loaded()
-        return self._mn(lam, rho)
-
-    def _mn(self, lam: Partition, rho: Partition) -> int:
         if not rho:
             return 1
         key = (lam, rho)
@@ -166,20 +111,12 @@ class CharacterCache:
         k, rest = rho[0], rho[1:]
         total = 0
         for smaller, sign in border_strip_removals(lam, k):
-            total += sign * self._mn(smaller, rest)
+            total += sign * self.compute(smaller, rest)
         self.table[key] = total
-        self._dirty += 1
         return total
 
 
 _active_cache = CharacterCache()
-
-
-def configure_cache(path: str | os.PathLike | None) -> CharacterCache:
-    """Point the global character memo at a file (None: in-memory only)."""
-    global _active_cache
-    _active_cache = CharacterCache(path)
-    return _active_cache
 
 
 def active_cache() -> CharacterCache:
@@ -193,12 +130,6 @@ def character(lam: Sequence[int], rho: Sequence[int]) -> int:
     if sum(lam) != sum(rho):
         raise ValueError(f"size mismatch: |lam|={sum(lam)} vs |rho|={sum(rho)}")
     return _active_cache.compute(lam, tuple(sorted(rho, reverse=True)))
-
-
-def dimension(lam: Sequence[int]) -> int:
-    """Dimension of the irreducible, chi^lam at the identity class."""
-    lam = check_partition(lam)
-    return character(lam, (1,) * sum(lam)) if lam else 1
 
 
 def connected_from_disconnected(blocks: dict):
@@ -238,3 +169,17 @@ def connected_from_disconnected(blocks: dict):
             value = value - connected[sub | 1] * disconnected[rest ^ sub]
         connected[mask] = value
     return connected[full]
+
+
+def connected_from_subprofiles(mus: Sequence[int], block: Callable):
+    """Connected value of the profile mus from the disconnected sub-profiles.
+
+    `block(sub)` gives the disconnected value of each nonempty sub-profile
+    `sub` (a tuple of parts of mus, in their order); the values are keyed by
+    their index sets for connected_from_disconnected.
+    """
+    n = len(mus)
+    blocks = {frozenset(sub): block(tuple(mus[i] for i in sub))
+              for size in range(1, n + 1)
+              for sub in itertools.combinations(range(n), size)}
+    return connected_from_disconnected(blocks)

@@ -87,18 +87,6 @@ class TruncatedSeries:
         key = tuple(wanted.get(v, 0) for v in self.vars)
         return self.terms.get(key, Fraction(0))
 
-    def coefficients_of(self, var: str) -> dict:
-        """Map exponent-of-var -> TruncatedSeries in the remaining variables."""
-        if var not in self.vars:
-            raise ValueError(f"unknown variable {var!r}")
-        i = self.vars.index(var)
-        rest = tuple(v for v in self.vars if v != var)
-        rest_orders = {v: n for v, n in self.orders.items() if v != var}
-        sliced: dict[int, dict] = {}
-        for exp, c in self.terms.items():
-            sliced.setdefault(exp[i], {})[exp[:i] + exp[i + 1:]] = c
-        return {e: TruncatedSeries(rest, t, rest_orders) for e, t in sliced.items()}
-
     # -- alignment ---------------------------------------------------------
 
     def _aligned_to(self, vs: tuple) -> dict:
@@ -232,33 +220,6 @@ class TruncatedSeries:
         i = self.vars.index(var)
         terms = {exp: coeff * c ** exp[i] for exp, coeff in self.terms.items()}
         return TruncatedSeries(self.vars, terms, self.orders)
-
-    def substitute_merge(self, scales: Mapping[str, object], target: str) -> "TruncatedSeries":
-        """Substitute every variable v -> scales[v] * target, summing exponents.
-
-        The target order is min_i (N_i + sum_{j != i} val_j), the exact window
-        for the merged variable.
-        """
-        if set(scales) != set(self.vars):
-            raise ValueError("scales must cover exactly the series variables")
-        if self.is_zero():
-            return TruncatedSeries((target,), {}, {})
-        vals = [self.valuation(v) for v in self.vars]
-        total_val = sum(vals)
-        order = min(self._effective_order(v) + total_val - vals[i]
-                    for i, v in enumerate(self.vars))
-        cs = [_as_fraction(scales[v]) for v in self.vars]
-        terms: dict[tuple, Fraction] = {}
-        for exp, coeff in self.terms.items():
-            tot = sum(exp)
-            if tot > order:
-                continue
-            for c, e in zip(cs, exp):
-                coeff = coeff * c ** e
-            key = (tot,)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        orders = {target: order} if order < _BIG else {}
-        return TruncatedSeries((target,), terms, orders)
 
     def differentiate(self, var: str) -> "TruncatedSeries":
         if var not in self.vars:

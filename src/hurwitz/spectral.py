@@ -252,30 +252,16 @@ def check_case_identities(r: int, mu1: int, mu2: int) -> CheckReport:
     if (mu1 + mu2) % r != 0:
         raise ValueError("r must divide mu1 + mu2")
     nu1, e1 = divmod(mu1, r)
-    nu2, e2 = divmod(mu2, r)
+    nu2 = mu2 // r
     params = {"r": r, "mu1": mu1, "mu2": mu2,
               "case": "I" if e1 else "II"}
     binoms = Fraction(comb(mu1 + nu1, mu1) * comb(mu2 + nu2, mu2))
+    s = two_point_monotone(r, mu1, mu2)
     if e1 != 0:
-        s = Fraction(0)
-        for t in range(1, nu2 + 2):
-            s += (Fraction(factorial(mu1 + nu1 + t - 1),
-                           factorial(mu1) * factorial(nu1 + t))
-                  * (t * r - e1)
-                  * Fraction(factorial(mu2 + nu2 - t),
-                             factorial(mu2) * factorial(nu2 + 1 - t)))
-        lhs = (mu1 + mu2) * s
-        rhs = r * binoms
+        lhs, rhs = (mu1 + mu2) * s, r * binoms
     else:
-        s = Fraction(0)
-        for t in range(1, nu2 + 1):
-            s += (Fraction(factorial(mu1 + nu1 + t - 1),
-                           factorial(mu1) * factorial(nu1 + t))
-                  * t
-                  * Fraction(factorial(mu2 + nu2 - t - 1),
-                             factorial(mu2) * factorial(nu2 - t)))
-        lhs = (mu1 + mu2) * s
-        rhs = binoms / (r + 1)
+        # two_point_monotone weights the Case II t-sum by t*r
+        lhs, rhs = (mu1 + mu2) * s / r, binoms / (r + 1)
     if lhs != rhs:
         return CheckReport("case_identity", params, False,
                            {"lhs": str(lhs), "rhs": str(rhs)})

@@ -3,14 +3,6 @@ import json
 import pytest
 
 from hurwitz.cli import run
-from hurwitz.partitions import configure_cache
-
-
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("HURWITZ_CACHE_DIR", str(tmp_path / "cache"))
-    yield
-    configure_cache(None)
 
 
 def invoke(capsys, *argv):
@@ -92,6 +84,19 @@ def test_cross_validate_small(capsys):
     assert all(rec["status"] == "PASS" for rec in data["results"])
 
 
+def test_cross_validate_past_the_oracle_cap(capsys):
+    code, out, _ = invoke(capsys, "cross-validate", "--kind", "monotone", "--r", "4",
+                          "--max-d", "8", "--max-b", "5")
+    assert code == 0
+    data = json.loads(out)
+    assert data["status"] == "PASS"
+    for rec in data["results"]:
+        assert rec["status"] == "PASS"
+        assert ("oracle" in rec) == (sum(rec["mu"]) > 6)
+        assert rec.get("oracle", "skipped") == "skipped"
+    assert {sum(rec["mu"]) for rec in data["results"]} == {4, 8}
+
+
 def test_deterministic_output(capsys):
     args = ("compute", "--kind", "strict", "--r", "2", "--g", "1", "--mu", "2,4",
             "--method", "all")
@@ -119,6 +124,13 @@ def test_invalid_flags_exit_nonzero(capsys):
     ("xi", "--kind", "monotone", "--r", "2", "--i", "1", "--order", "-1"),
     ("unstable-check", "--kind", "monotone", "--r", "2", "--order", "-3"),
     ("compute", "--kind", "monotone", "--r", "2", "--g", "0", "--mu", "2,-2"),
+    ("verify-quasipoly", "--kind", "monotone", "--r", "2", "--g", "1", "--n", "1",
+     "--holdouts", "0"),
+    ("verify-quasipoly", "--kind", "monotone", "--r", "2", "--g", "1", "--n", "1",
+     "--holdouts", "-1"),
+    ("xi", "--kind", "monotone", "--r", "2", "--i", "1", "--order", "3", "--derivative", "5"),
+    ("xi", "--kind", "strict", "--r", "2", "--i", "1", "--order", "3", "--derivative", "3"),
+    ("xi", "--kind", "monotone", "--r", "2", "--i", "1", "--order", "3", "--derivative", "-1"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     try:
@@ -133,14 +145,14 @@ def test_bad_input_is_a_usage_error(capsys, argv):
 
 
 def test_compute_failure_names_the_routes(capsys, monkeypatch):
-    import hurwitz.cli as cli
+    import hurwitz.counts as counts
 
-    def wrong_fock(req):
-        value = hurwitz_number(req)
-        return value + 1 if req.method == "fock" else value
+    def wrong_fock(route, kind, r, mus, b_max, connected):
+        coeffs = route_series(route, kind, r, mus, b_max, connected)
+        return coeffs[:-1] + (coeffs[-1] + (route == "fock"),)
 
-    hurwitz_number = cli.hurwitz_number
-    monkeypatch.setattr(cli, "hurwitz_number", wrong_fock)
+    route_series = counts.route_series
+    monkeypatch.setattr(counts, "route_series", wrong_fock)
     code, out, _ = invoke(capsys, "compute", "--kind", "monotone", "--r", "2",
                           "--g", "0", "--mu", "1,3", "--method", "all")
     assert code == 1
@@ -157,19 +169,15 @@ def test_compute_failure_names_the_routes(capsys, monkeypatch):
 
 def test_cross_validate_failure_keeps_both_witnesses(capsys, monkeypatch):
     import hurwitz.cli as cli
-    from hurwitz.series import TruncatedSeries
 
-    oracle_series = cli.oracle_series
-    fock_shifted_coefficient = cli.fock_shifted_coefficient
+    route_series = cli.route_series
+    wrong_at = {"oracle": 2, "fock": 1}
 
-    def wrong_oracle(kind, r, mus, u_order):
-        return oracle_series(kind, r, mus, u_order) + TruncatedSeries.monomial("u", 2)
+    def wrong_routes(route, kind, r, mus, b_max, connected):
+        coeffs = route_series(route, kind, r, mus, b_max, connected)
+        return tuple(c + (b == wrong_at.get(route)) for b, c in enumerate(coeffs))
 
-    def wrong_fock(kind, r, mus, b, connected):
-        return fock_shifted_coefficient(kind, r, mus, b, connected) + (b == 1)
-
-    monkeypatch.setattr(cli, "oracle_series", wrong_oracle)
-    monkeypatch.setattr(cli, "fock_shifted_coefficient", wrong_fock)
+    monkeypatch.setattr(cli, "route_series", wrong_routes)
     code, out, _ = invoke(capsys, "cross-validate", "--kind", "monotone", "--r", "2",
                           "--max-d", "2", "--max-b", "3")
     assert code == 1
@@ -195,20 +203,14 @@ def test_csv_and_text_formats(capsys):
     assert "status=PASS" in out
 
 
-def test_cache_commands(tmp_path, capsys):
-    cache_dir = str(tmp_path / "explicit")
-    code, out, _ = invoke(capsys, "--cache-dir", cache_dir, "cache", "warm", "--d", "4")
+def test_compute_writes_no_files(tmp_path, capsys, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    monkeypatch.setenv("HURWITZ_CACHE_DIR", str(cache_dir))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = invoke(capsys, "compute", "--kind", "monotone", "--r", "2",
+                          "--g", "0", "--mu", "2,2", "--method", "all")
     assert code == 0
-    assert json.loads(out)["results"][0]["entries"] >= 25
-    code, out, _ = invoke(capsys, "--cache-dir", cache_dir, "cache", "info")
-    data = json.loads(out)
-    assert data["results"][0]["entries"] >= 25
-    assert data["results"][0]["path"].endswith("characters.txt")
-    code, out, _ = invoke(capsys, "--cache-dir", cache_dir, "cache", "clear")
-    assert code == 0
-    code, out, _ = invoke(capsys, "--cache-dir", cache_dir, "cache", "info")
-    assert json.loads(out)["results"][0]["entries"] == 0
-    # computing still works against the (now empty) persistent cache
-    code, out, _ = invoke(capsys, "--cache-dir", cache_dir, "compute", "--kind",
-                          "monotone", "--r", "1", "--g", "1", "--mu", "3")
-    assert code == 0
+    assert json.loads(out)["results"][0]["value"] == "3/2"
+    assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+    assert list(cache_dir.iterdir()) == []

@@ -1,10 +1,11 @@
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 
 from hurwitz.counts import (
+    METHODS,
     HurwitzRequest,
     Profile,
     canonical_permutation,
@@ -16,6 +17,7 @@ from hurwitz.counts import (
     oracle_group_algebra,
     request_status,
     result_record,
+    route_series,
 )
 from hurwitz.kinds import ALL_KINDS, HurwitzKind as K
 from hurwitz.partitions import enumerate_partitions
@@ -124,6 +126,63 @@ def test_connected_vs_fock_small():
             for b in range(5):
                 assert ch.coefficient(u=b) == fock_shifted_coefficient(kind, r, mus, b, True), \
                     (kind, r, mus, b)
+
+
+@pytest.mark.parametrize("route", METHODS)
+def test_route_series_matches_per_b_answers(route):
+    # one series through b = 5 against each b computed on its own, and
+    # against hurwitz_number wherever b gives an integral genus
+    b_max = 5
+    for kind in ALL_KINDS:
+        for r in (1, 2, 3):
+            for d in range(1, 6):
+                for mus in enumerate_partitions(d):
+                    for connected in (True, False):
+                        coeffs = route_series(route, kind, r, mus, b_max, connected)
+                        assert len(coeffs) == b_max + 1
+                        for b, value in enumerate(coeffs):
+                            where = (kind, r, mus, connected, b)
+                            assert value == route_series(
+                                route, kind, r, mus, b, connected)[b], where
+                            two_g = b + 2 - len(mus) - Fraction(d, r)
+                            if two_g.denominator == 1 and two_g % 2 == 0:
+                                req = HurwitzRequest(kind, r, int(two_g) // 2, mus,
+                                                     connected, route)
+                                assert hurwitz_number(req) == value, where
+
+
+def test_route_series_rejects_unknown_route():
+    with pytest.raises(ValueError):
+        route_series("abacus", K.MONOTONE, 1, (2,), 2, True)
+
+
+def genus_zero_closed_form(kind, mus):
+    """r = 1, g = 0 numbers by formulas independent of all three routes.
+
+    Usual: d^(n-3) prod mu^mu/mu! (Hurwitz's formula divided by b!).
+    Monotone: (2d+1)^rising(n-3) prod C(2mu, mu) (Goulden, Guay-Paquet and
+    Novak, divided by d!), where the rising factorial of negative index -k
+    is 1/((x-1)...(x-k)).
+    """
+    d, n = sum(mus), len(mus)
+    if kind is K.USUAL:
+        return Fraction(d) ** (n - 3) * prod(Fraction(m ** m, factorial(m)) for m in mus)
+    x = 2 * d + 1
+    rising = (Fraction(prod(range(x, x + n - 3))) if n >= 3
+              else Fraction(1, prod(range(x - 3 + n, x))))
+    return rising * prod(comb(2 * m, m) for m in mus)
+
+
+def test_genus_zero_closed_forms_at_r_1():
+    # the trivial cover: 1/((3-1)(3-2)) * C(2, 1) = 1
+    assert genus_zero_closed_form(K.MONOTONE, (1,)) == 1
+    for kind in (K.USUAL, K.MONOTONE):
+        for d in range(1, 11):
+            for mus in enumerate_partitions(d):
+                if len(mus) <= 4:
+                    b = len(mus) + d - 2
+                    got = route_series("character", kind, 1, mus, b, True)[b]
+                    assert got == genus_zero_closed_form(kind, mus), (kind, mus)
 
 
 def test_symmetry_under_permutation():

@@ -9,12 +9,13 @@ from hurwitz.fock import (
     EnergyCapError,
     EOpSpec,
     _balanced_t_tuples,
+    _scalar_table,
     a_correlator,
-    a_operator_terms,
     apply_E,
     apply_E_diagonal,
     disconnected_block_series,
     fock_genus_series,
+    inv_factorial,
     vacuum_expectation,
 )
 from hurwitz.kinds import ALL_KINDS, HurwitzKind as K
@@ -146,23 +147,30 @@ def test_commutation_rule_opposite_energies():
 
 
 def test_a_operator_terms_monotone_01():
-    # for the one-point genus-zero budget the only term is t=0, v=-1
-    terms = a_operator_terms(K.MONOTONE, 2, 2, u_budget=-1)
-    assert len(terms) == 1
-    term = terms[0]
-    assert (term.t, term.v, term.energy) == (0, -1, 0)
-    assert term.scalar == Fraction(1, 6)  # ([mu]+mu+1)_{-2} = 1/(3*2)
-    assert term.folded == Fraction(1, 2)  # binom(3,2)/6
+    # for the one-point genus-zero budget the only term is t=0, v=-1 (k=-1)
+    tables = {t: _scalar_table(K.MONOTONE, 2, 2, t, -1) for t in range(-4, 5)}
+    assert {t: tb for t, tb in tables.items() if tb} == {0: {-1: Fraction(1, 2)}}
+    # folded scalar: ([mu]+mu+1)_{-2} = 1/(3*2) times binom(3,2)
 
 
 def test_a_operator_terms_cuts():
     # t < -[mu] excluded
     for kind in K:
-        for term in a_operator_terms(kind, 2, 5, u_budget=3, min_t=-10):
-            assert term.t >= -2
-    # strictly monotone: no term with v > mu - [mu]
-    for term in a_operator_terms(K.STRICT, 2, 3, u_budget=6):
-        assert term.v <= 3 - 1
+        live = [t for t in range(-10, 6) if _scalar_table(kind, 2, 5, t, 3)]
+        assert live and min(live) == -2, kind
+    # strictly monotone: no term with v = t + k > mu - [mu]
+    for t in range(-1, 3):
+        table = _scalar_table(K.STRICT, 2, 3, t, 6)
+        assert table and all(t + k <= 3 - 1 for k in table), t
+    # v - t = -1 only at zero energy (mu = 5, r = 2: energy 2t - 1 is never 0)
+    for kind in (K.MONOTONE, K.STRICT):
+        assert not any(-1 in _scalar_table(kind, 2, 5, t, 3) for t in range(-2, 6))
+
+
+def test_inv_factorial():
+    assert inv_factorial(3) == Fraction(1, 6)
+    assert inv_factorial(0) == 1
+    assert inv_factorial(-1) == 0
 
 
 def test_a_correlator_examples():

@@ -6,14 +6,11 @@ from math import factorial
 import pytest
 
 from hurwitz.partitions import (
-    CharacterCache,
     border_strip_removals,
     character,
     class_size,
-    configure_cache,
     connected_from_disconnected,
     contents,
-    dimension,
     enumerate_partitions,
 )
 from hurwitz.series import TruncatedSeries
@@ -177,8 +174,11 @@ def test_column_orthogonality():
 
 
 def test_dimension_sum_of_squares():
+    # the dimension of an irreducible is its character at the identity class
     for d in range(1, 9):
-        assert sum(dimension(lam) ** 2 for lam in enumerate_partitions(d)) == factorial(d)
+        identity = (1,) * d
+        assert sum(character(lam, identity) ** 2
+                   for lam in enumerate_partitions(d)) == factorial(d)
 
 
 def test_border_strip_removals():
@@ -262,25 +262,3 @@ def test_connected_missing_subset_errors():
         connected_from_disconnected({frozenset({0}): Fraction(1),
                                      frozenset({1}): Fraction(1)})
 
-
-def test_character_cache_roundtrip(tmp_path):
-    path = tmp_path / "chars.txt"
-    cache = CharacterCache(path)
-    val = cache.compute((2, 1), (3,))
-    assert val == -1
-    cache.save()
-    text = path.read_text()
-    assert text.splitlines()[0] == "hurwitz-characters-v1"
-    assert any("2,1" in line and "3" in line for line in text.splitlines()[1:])
-    fresh = CharacterCache(path)
-    assert fresh.compute((2, 1), (3,)) == -1
-    assert len(fresh) >= 1
-
-
-def test_configure_cache(tmp_path):
-    path = tmp_path / "chars.txt"
-    cache = configure_cache(path)
-    assert character((3, 1), (2, 2)) == 0 or True  # just exercise the path
-    cache.save()
-    configure_cache(None)
-    assert path.exists()
