@@ -151,17 +151,20 @@ def test_reversion_rejects_bad_input():
         series_reversion(s, 5)  # order too small
 
 
-def test_scale_var():
+def test_scale_and_substitute_merge():
     s = exp_series("z", 1, 5)
     doubled = s.scale_var("z", 2)
     for j in range(6):
         assert doubled.coefficient(z=j) == Fraction(2 ** j, factorial(j))
-    # exp(2u)*exp(3u) = exp(5u)
+    # exp(2u)*exp(3u) = exp(5u): scaled copies in one variable merge under product
     prod = exp_series("u", 1, 4).scale_var("u", 2) * exp_series("u", 1, 4).scale_var("u", 3)
     for j in range(5):
         assert prod.coefficient(u=j) == Fraction(5 ** j, factorial(j))
-    # 1/zeta(u/2) has residue 2 at u=0
+
+
+def test_substitute_merge_with_pole():
     inv = elementary_series("inv_zeta", "u", 4).scale_var("u", Fraction(1, 2))
+    # 1/zeta(u/2) has residue 2 at u=0
     assert inv.coefficient(u=-1) == 2
 
 
