@@ -10,14 +10,13 @@ identities.
 from .counts import (
     METHODS,
     HurwitzRequest,
-    Profile,
     connected_series_character,
     disconnected_series_character,
     hurwitz_number,
     oracle_group_algebra,
     route_series,
 )
-from .fock import EOpSpec, a_correlator, vacuum_expectation
+from .fock import EOpSpec, vacuum_expectation
 from .kinds import ALL_KINDS, HurwitzKind
 from .partitions import (
     character,
@@ -50,9 +49,7 @@ __all__ = [
     "HurwitzRequest",
     "METHODS",
     "MultiPolynomial",
-    "Profile",
     "TruncatedSeries",
-    "a_correlator",
     "character",
     "check_F01",
     "check_bergman02",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
 from . import __version__
@@ -27,6 +28,7 @@ from .kinds import ALL_KINDS, HurwitzKind
 from .partitions import enumerate_partitions
 from .polycheck import admissible_residue_classes, verify_quasipolynomiality
 from .spectral import (
+    _apply_d_dx,
     check_F01,
     check_bergman02,
     check_case_identities,
@@ -173,7 +175,6 @@ def cmd_xi(args) -> dict:
                          f"to check at --order {args.order}")
     series = xi_series(kind, args.r, args.i, args.order)
     for _ in range(args.derivative):
-        from .spectral import _apply_d_dx
         series = _apply_d_dx(kind, series)
     results, ok = [], True
     for mu in range(start, args.order + 1 - args.derivative):
@@ -184,6 +185,9 @@ def cmd_xi(args) -> dict:
         if got or closed:
             results.append({"exponent": mu, "value": str(got),
                             "closed_form": str(closed), "match": match})
+    if not results:
+        raise ValueError(f"no exponent up to --order {args.order} has a nonzero "
+                         f"coefficient to compare for --r {args.r} --i {args.i}")
     return {"command": "xi",
             "params": {"kind": kind.value, "r": args.r, "i": args.i,
                        "order": args.order, "derivative": args.derivative},
@@ -326,7 +330,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: exit as SIGPIPE would, without a
+        # traceback, and let the flush at interpreter exit go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)  # 128 + SIGPIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,24 +1,27 @@
-"""Hurwitz numbers by the character route and the group-algebra oracle.
+"""Hurwitz numbers by three routes behind one dispatch.
 
-The disconnected genus series for a ramification profile mu over an
-r-orbifold point is the partition sum
+Every route gives the disconnected genus series of a ramification profile
+mu over an r-orbifold point as a u-series on [0, b_max], where the exponent
+of u counts simple ramifications b = 2g - 2 + len(mu) + |mu|/r; each takes
+(kind, r, mus, b_max).
+
+The character route (`disconnected_series_character`) is the partition sum
 
     H(u) = sum_{lam |- d} chi^lam((r^m)) / (r^m m!) * W_lam(u) * chi^lam(mu) / prod(mu)
 
 with m = d/r and W_lam the content weight of the chosen kind: the complete
 (monotone) or elementary (strictly monotone) symmetric generating series in
-the contents, or exp(u * sum of contents) in the usual case.  Connected
-numbers come from the connected-from-disconnected recursion at the level of
-u-series; the exponent of u counts simple ramifications
-b = 2g - 2 + len(mu) + |mu|/r.
+the contents, or exp(u * sum of contents) in the usual case.
 
-The independent oracle multiplies the orbifold class sum against symmetric
-polynomials in the Jucys-Murphy elements inside Q[S_d] and reads off the
-coefficient of one fixed permutation of cycle type mu.
+The oracle (`oracle_series`) multiplies the orbifold class sum against
+symmetric polynomials in the Jucys-Murphy elements inside Q[S_d] and reads
+off the coefficient of one fixed permutation of cycle type mu.  The fock
+route is `fock.disconnected_block_series`.
 
-`route_series` is the one dispatch over these two routes and the fock route
-(module `fock`); `hurwitz_number`, the verifiers and the CLI reach the
-routes only through it.
+`route_series` is the one dispatch over the three: it takes a connected
+series from the route's disconnected series of the sub-profiles by one
+inclusion-exclusion, shared by all routes.  `hurwitz_number`, the verifiers
+and the CLI reach the routes only through it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Sequence
 
+from .fock import disconnected_block_series
 from .kinds import HurwitzKind
 from .partitions import (
     connected_from_subprofiles,
@@ -52,31 +56,6 @@ METHODS = ("character", "fock", "oracle")
 
 
 @dataclass(frozen=True)
-class Profile:
-    """A tuple of positive integers with its euclidean data mod r."""
-
-    mus: tuple[int, ...]
-    r: int
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("r must be positive")
-        if not self.mus or any(m < 1 for m in self.mus):
-            raise ValueError("profile entries must be positive integers")
-        object.__setattr__(self, "mus", tuple(self.mus))
-
-    @property
-    def degree(self) -> int:
-        return sum(self.mus)
-
-    def quotients(self) -> tuple[int, ...]:
-        return tuple(m // self.r for m in self.mus)
-
-    def residues(self) -> tuple[int, ...]:
-        return tuple(m % self.r for m in self.mus)
-
-
-@dataclass(frozen=True)
 class HurwitzRequest:
     kind: HurwitzKind
     r: int
@@ -86,7 +65,12 @@ class HurwitzRequest:
     method: str = "character"
 
     def __post_init__(self):
-        object.__setattr__(self, "mus", Profile(self.mus, self.r).mus)
+        if self.r < 1:
+            raise ValueError("r must be positive")
+        mus = tuple(self.mus)
+        if not mus or any(m < 1 for m in mus):
+            raise ValueError("profile entries must be positive integers")
+        object.__setattr__(self, "mus", mus)
 
     def branch_count(self) -> Fraction:
         """b = 2g - 2 + n + d/r; integrality is a vanishing condition."""
@@ -143,9 +127,8 @@ def disconnected_series_character(kind: HurwitzKind, r: int, mus: Sequence[int],
 
 def connected_series_character(kind: HurwitzKind, r: int, mus: Sequence[int],
                                u_order: int) -> TruncatedSeries:
-    """Connected genus series via the inclusion-exclusion over sub-profiles."""
-    return connected_from_subprofiles(
-        mus, lambda sub: disconnected_series_character(kind, r, sub, u_order))
+    """Connected genus series of the character route, as `route_series` builds it."""
+    return _genus_series("character", kind, r, tuple(mus), u_order, True)
 
 
 # -- group-algebra oracle ----------------------------------------------------
@@ -280,12 +263,6 @@ def oracle_series(kind: HurwitzKind, r: int, mus: Sequence[int],
     return TruncatedSeries(("u",), terms, {"u": u_order})
 
 
-def connected_series_oracle(kind: HurwitzKind, r: int, mus: Sequence[int],
-                            u_order: int, degree_cap: int = ORACLE_DEGREE_CAP) -> TruncatedSeries:
-    return connected_from_subprofiles(
-        mus, lambda sub: oracle_series(kind, r, sub, u_order, degree_cap))
-
-
 # -- dispatch ----------------------------------------------------------------
 
 
@@ -303,29 +280,32 @@ def request_status(req: HurwitzRequest) -> str | None:
     return None
 
 
+def _genus_series(route: str, kind: HurwitzKind, r: int, mus: tuple[int, ...],
+                  b_max: int, connected: bool) -> TruncatedSeries:
+    """The (dis)connected u-series in b on [0, b_max] by one route.
+
+    The route functions are looked up by name at each call, so a rebound
+    module attribute is the one that runs.
+    """
+    def disconnected(sub: tuple[int, ...]) -> TruncatedSeries:
+        if route == "character":
+            return disconnected_series_character(kind, r, sub, b_max)
+        if route == "fock":
+            return disconnected_block_series(kind, r, sub, b_max)
+        if route == "oracle":
+            return oracle_series(kind, r, sub, b_max)
+        raise ValueError(f"unknown method {route!r}")
+
+    return connected_from_subprofiles(mus, disconnected) if connected else disconnected(mus)
+
+
 def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
                  b_max: int, connected: bool) -> tuple[Fraction, ...]:
     """h_0..h_{b_max} of the (dis)connected genus series by one route.
 
-    The only dispatch over METHODS.  The fock series counts 2g-2+n, so its
-    coefficients are shifted by d/r onto the simple ramification count b.
+    The only dispatch over METHODS.
     """
-    mus = tuple(mus)
-    if route == "fock":
-        d = sum(mus)
-        shift = d // r
-        if d % r or b_max - shift < -len(mus):
-            return (Fraction(0),) * (b_max + 1)
-        from .fock import fock_genus_series
-        series = fock_genus_series(kind, r, mus, b_max - shift, connected=connected)
-        return tuple(series.coefficient(u=b - shift) for b in range(b_max + 1))
-    if route == "character":
-        build = connected_series_character if connected else disconnected_series_character
-    elif route == "oracle":
-        build = connected_series_oracle if connected else oracle_series
-    else:
-        raise ValueError(f"unknown method {route!r}")
-    series = build(kind, r, mus, b_max)
+    series = _genus_series(route, kind, r, tuple(mus), b_max, connected)
     return tuple(series.coefficient(u=b) for b in range(b_max + 1))
 
 
@@ -339,7 +319,7 @@ def hurwitz_number(req: HurwitzRequest) -> Fraction:
 
 def fock_shifted_coefficient(kind: HurwitzKind, r: int, mus: Sequence[int],
                              b: int, connected: bool) -> Fraction:
-    """[u^b] of the fock-route genus series (graded like the character route)."""
+    """[u^b] of the fock-route genus series."""
     return route_series("fock", kind, r, mus, b, connected)[b]
 
 

@@ -1,4 +1,4 @@
-"""Truncated semi-infinite wedge evaluation and A-operator correlators.
+"""The fock route: semi-infinite wedge evaluation of A-operator correlators.
 
 Charge-zero basis states are partitions; the occupied half-integer slots of
 v_lam are lam_j - j + 1/2, encoded here by the integers m = lam_j - j + 1
@@ -14,10 +14,15 @@ only poles are the simple 1/zeta poles, one per variable at most.
 The series an operator needs depend only on its argument and the truncation
 window, so they are built once and shared: the weights e^{c*w} and the
 scaled 1/zeta are memoized, like the elementary series under them
-(TruncatedSeries values are immutable).  A disconnected block sums over
-t-tuples; only the energy-balanced ones can reach the vacuum, and they are
-enumerated directly (prefix energies stay nonnegative, the last t is
-solved for) rather than filtered out of the full product.
+(TruncatedSeries values are immutable).
+
+`disconnected_block_series` is the route's one entry point: the disconnected
+Hurwitz series of a profile, graded like the other routes by the number b
+of simple ramifications.  It sums the correlators over t-tuples; only the
+energy-balanced ones can reach the vacuum, and they are enumerated directly
+(prefix energies stay nonnegative, the last t is solved for) rather than
+filtered out of the full product.  Connected series are taken from these in
+`counts.route_series`.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 from .kinds import HurwitzKind
-from .partitions import connected_from_subprofiles
 from .series import TruncatedSeries, elementary_series, exp_linear, mul, s_power
 
 Partition = tuple[int, ...]
@@ -299,100 +303,66 @@ def _balanced_t_tuples(ranges: Sequence[range], etas: Sequence[int],
 
 @lru_cache(maxsize=None)
 def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
-                              k_hi: int) -> TruncatedSeries:
-    """Disconnected A-correlator block as a u-series on [-len(mus), k_hi].
+                              b_max: int) -> TruncatedSeries:
+    """The fock route's disconnected u-series in b on [0, b_max].
 
-    The per-entry binomial/power prefactors are folded into the term scalars,
-    so [u^{b - d/r}] of this series is the disconnected Hurwitz number h_b.
+    The A-operator correlator is graded by k = 2g - 2 + len(mus); with the
+    per-entry binomial/power prefactors folded into the term scalars, its
+    [u^k] is the disconnected Hurwitz number h_b at b = k + d/r.  Every k is
+    at least -len(mus), so the series is zero when r does not divide d or
+    when b_max - d/r < -len(mus).
     """
-    n = len(mus)
+    n, d = len(mus), sum(mus)
+    shift = d // r
+    k_hi = b_max - shift
+    if d % r or k_hi < -n:
+        return TruncatedSeries(("u",), {}, {"u": b_max})
     nus = [m // r for m in mus]
     etas = [m % r for m in mus]
+    k_budget = k_hi + (n - 1)
+    var_order = max(k_budget, 0) + 1
+    names = [f"w{i}" for i in range(n)]
+    orders = {v: var_order for v in names}
+    eta_sum = sum(etas)
+    nu_sum = sum(nus)
+    ranges = [range(-nus[i], (eta_sum + r * (nu_sum - nus[i])) // r + 1)
+              for i in range(n)]
+    usual = kind is HurwitzKind.USUAL
     out: dict[int, Fraction] = {}
-    if sum(mus) % r == 0:
-        k_budget = k_hi + (n - 1)
-        var_order = max(k_budget, 0) + 1
-        names = [f"w{i}" for i in range(n)]
-        orders = {v: var_order for v in names}
-        eta_sum = sum(etas)
-        nu_sum = sum(nus)
-        ranges = [range(-nus[i], (eta_sum + r * (nu_sum - nus[i])) // r + 1)
-                  for i in range(n)]
-        for ts in _balanced_t_tuples(ranges, etas, r):
-            energies = [t * r - e for t, e in zip(ts, etas)]
-            tables = [_scalar_table(kind, r, mus[i], ts[i], k_budget)
-                      for i in range(n)]
-            if any(not tb for tb in tables):
+    for ts in _balanced_t_tuples(ranges, etas, r):
+        energies = [t * r - e for t, e in zip(ts, etas)]
+        tables = [_scalar_table(kind, r, mus[i], ts[i], k_budget) for i in range(n)]
+        if any(not tb for tb in tables):
+            continue
+        ops = [EOpSpec.single(a, v) for a, v in zip(energies, names)]
+        series = vacuum_expectation(ops, orders, total_cap=k_hi)
+        if series.is_zero():
+            continue
+        for i, v in enumerate(names):
+            if not usual:
+                series = mul(series, s_power(v, 1, 1, mus[i] - 1
+                                             if kind is HurwitzKind.MONOTONE
+                                             else -mus[i] - 1, var_order), k_hi)
+            q = ts[i] + nus[i]
+            if q:
+                series = mul(series, s_power(v, r, 1, q, var_order), k_hi)
+        pos = [series.vars.index(v) for v in names]
+        for exp, coeff in series.terms.items():
+            total = sum(exp)
+            if total > k_hi or total < -n:
                 continue
-            ops = [EOpSpec.single(a, v) for a, v in zip(energies, names)]
-            series = vacuum_expectation(ops, orders, total_cap=k_hi)
-            if series.is_zero():
-                continue
-            for i, v in enumerate(names):
-                if kind is not HurwitzKind.USUAL:
-                    series = mul(series, s_power(v, 1, 1, mus[i] - 1
-                                                 if kind is HurwitzKind.MONOTONE
-                                                 else -mus[i] - 1, var_order), k_hi)
-                q = ts[i] + nus[i]
-                if q:
-                    series = mul(series, s_power(v, r, 1, q, var_order), k_hi)
-            pos = [series.vars.index(v) for v in names]
-            usual = kind is HurwitzKind.USUAL
-            for exp, coeff in series.terms.items():
-                total = sum(exp)
-                if total > k_hi or total < -n:
-                    continue
-                weight = coeff
-                for i in range(n):
-                    e = exp[pos[i]]
-                    if usual:
-                        # substitute w_i -> mu_i * u and attach the t-scalar
-                        weight = weight * tables[i][None] * Fraction(mus[i]) ** e
-                    else:
-                        scal = tables[i].get(e)
-                        if scal is None:
-                            weight = None
-                            break
-                        weight = weight * scal
-                if weight:
-                    out[total] = out.get(total, Fraction(0)) + weight
-    return TruncatedSeries(("u",), {(k,): c for k, c in out.items()}, {"u": k_hi})
-
-
-def connected_genus_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
-                           k_hi: int) -> TruncatedSeries:
-    n = len(mus)
-    return connected_from_subprofiles(
-        mus, lambda sub: disconnected_block_series(kind, r, sub, k_hi + n - len(sub)))
-
-
-def fock_genus_series(kind: HurwitzKind, r: int, mus: Sequence[int], k_max: int,
-                      connected: bool = True) -> TruncatedSeries:
-    """Hurwitz genus series from the A-operator route, graded by 2g-2+n."""
-    mus = tuple(mus)
-    if connected:
-        return connected_genus_series(kind, r, mus, k_max)
-    return disconnected_block_series(kind, r, mus, k_max)
-
-
-def a_correlator(kind: HurwitzKind, r: int, mus: Sequence[int], g: int,
-                 connected: bool = True) -> Fraction:
-    """[u^{2g-2+n}] of the (dis)connected A-operator correlator.
-
-    The correlator excludes the per-entry prefactors, so this is the Hurwitz
-    number divided by prod_i prefactor(kind, r, mu_i); it is undefined when a
-    prefactor vanishes (strictly monotone at r = 1).
-    """
-    from .polycheck import prefactor
-
-    mus = tuple(mus)
-    k = 2 * g - 2 + len(mus)
-    value = fock_genus_series(kind, r, mus, k, connected=connected).coefficient(u=k)
-    denom = Fraction(1)
-    for mu in mus:
-        p = prefactor(kind, r, mu)
-        if p == 0:
-            raise ValueError("correlator undefined: vanishing prefactor "
-                             f"for mu={mu}, r={r} ({kind.value})")
-        denom *= p
-    return value / denom
+            weight = coeff
+            for i in range(n):
+                e = exp[pos[i]]
+                if usual:
+                    # substitute w_i -> mu_i * u and attach the t-scalar
+                    weight = weight * tables[i][None] * Fraction(mus[i]) ** e
+                else:
+                    scal = tables[i].get(e)
+                    if scal is None:
+                        weight = None
+                        break
+                    weight = weight * scal
+            if weight:
+                out[total + shift] = out.get(total + shift, Fraction(0)) + weight
+    return TruncatedSeries(("u",), {(b,): c for b, c in out.items()}, {"u": b_max})

@@ -10,7 +10,7 @@ held-out lattice points.
 
 from __future__ import annotations
 
-import json
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
@@ -71,9 +71,6 @@ class QuasiPolyReport:
                           "ok": ok} for p, e, q, ok in self.holdouts],
         }
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 def _normalized_value(kind: HurwitzKind, r: int, g: int, mus: tuple[int, ...],
                       method: str) -> Fraction | None:
@@ -115,7 +112,7 @@ def verify_quasipolynomiality(kind: HurwitzKind, r: int, g: int, n: int,
 
     width = degree_bound + 1
     axes = [range(grid_base, grid_base + width)] * n
-    grid_points = [tuple(p) for p in _product(axes)]
+    grid_points = [tuple(p) for p in itertools.product(*axes)]
     samples = {}
     for point in grid_points:
         value = _normalized_value(kind, r, g, mu_of(point), method)
@@ -153,12 +150,8 @@ def verify_quasipolynomiality(kind: HurwitzKind, r: int, g: int, n: int,
 def admissible_residue_classes(r: int, n: int):
     """All residue tuples with sum divisible by r (the nonvanishing classes)."""
     out = []
-    for combo in _product([range(r)] * n):
+    for combo in itertools.product(range(r), repeat=n):
         if sum(combo) % r == 0:
             out.append(tuple(combo))
     return out
 
-
-def _product(axes):
-    import itertools
-    return itertools.product(*axes)

@@ -25,24 +25,6 @@ from .kinds import HurwitzKind
 from .series import TruncatedSeries, compose_univariate, series_reversion
 
 
-@dataclass(frozen=True)
-class CurveSpec:
-    kind: HurwitzKind
-    r: int
-
-    @property
-    def defining_function(self) -> str:
-        return {HurwitzKind.MONOTONE: "x = z(1 - z^r)",
-                HurwitzKind.STRICT: "x = z^(r-1) + z^(-1)",
-                HurwitzKind.USUAL: "x = log z - z^r"}[self.kind]
-
-    @property
-    def expansion_variable(self) -> str:
-        return {HurwitzKind.MONOTONE: "x",
-                HurwitzKind.STRICT: "1/x",
-                HurwitzKind.USUAL: "e^x"}[self.kind]
-
-
 @lru_cache(maxsize=None)
 def curve_inverse_series(kind: HurwitzKind, r: int, order: int) -> TruncatedSeries:
     """z as an exact series in the curve's expansion variable q.

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +135,8 @@ def test_invalid_flags_exit_nonzero(capsys):
     ("xi", "--kind", "monotone", "--r", "2", "--i", "1", "--order", "3", "--derivative", "5"),
     ("xi", "--kind", "strict", "--r", "2", "--i", "1", "--order", "3", "--derivative", "3"),
     ("xi", "--kind", "monotone", "--r", "2", "--i", "1", "--order", "3", "--derivative", "-1"),
+    # no exponent up to the order has a nonzero coefficient in the class i mod r
+    ("xi", "--kind", "monotone", "--r", "4", "--i", "3", "--order", "2"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     try:
@@ -214,3 +220,21 @@ def test_compute_writes_no_files(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["results"][0]["value"] == "3/2"
     assert [p.name for p in tmp_path.iterdir()] == ["cache"]
     assert list(cache_dir.iterdir()) == []
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader is gone before the CLI writes: exit 141 (128 + SIGPIPE), no traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hurwitz.cli", "compute", "--kind", "monotone",
+             "--r", "2", "--g", "0", "--mu", "2,2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

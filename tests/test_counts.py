@@ -7,7 +7,6 @@ import pytest
 from hurwitz.counts import (
     METHODS,
     HurwitzRequest,
-    Profile,
     canonical_permutation,
     connected_series_character,
     cycle_type,
@@ -28,15 +27,6 @@ def one_point_closed(kind, r, quotient):
     if kind is K.MONOTONE:
         return Fraction(factorial(mu + nu - 2), factorial(mu) * factorial(nu))
     return Fraction(factorial(mu - 1), factorial(mu - nu + 1) * factorial(nu))
-
-
-def test_profile():
-    p = Profile((5, 3, 2), 2)
-    assert p.degree == 10
-    assert p.quotients() == (2, 1, 1)
-    assert p.residues() == (1, 1, 0)
-    with pytest.raises(ValueError):
-        Profile((0,), 2)
 
 
 def test_branch_count_and_status():

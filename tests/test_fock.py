@@ -1,24 +1,25 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from hurwitz.counts import connected_series_character, fock_shifted_coefficient
+from hurwitz.counts import connected_series_character, fock_shifted_coefficient, route_series
 from hurwitz.fock import (
     EnergyCapError,
     EOpSpec,
     _balanced_t_tuples,
     _scalar_table,
-    a_correlator,
     apply_E,
     apply_E_diagonal,
     disconnected_block_series,
-    fock_genus_series,
     inv_factorial,
     vacuum_expectation,
 )
 from hurwitz.kinds import ALL_KINDS, HurwitzKind as K
+from hurwitz.partitions import enumerate_partitions
+from hurwitz.polycheck import prefactor
 from hurwitz.series import TruncatedSeries, compose_univariate, elementary_series
 
 
@@ -173,26 +174,56 @@ def test_inv_factorial():
     assert inv_factorial(-1) == 0
 
 
-def test_a_correlator_examples():
-    assert a_correlator(K.MONOTONE, 2, (2,), 0) == Fraction(1, 6)
-    assert a_correlator(K.MONOTONE, 2, (1, 3), 0) == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        a_correlator(K.STRICT, 1, (3,), 0)  # vanishing prefactor
+def test_fock_route_correlator_values():
+    # the connected genus-0 A-operator correlator is the fock-route number
+    # divided by the per-entry prefactors
+    for mus, b, correlator in [((2,), 0, Fraction(1, 6)), ((1, 3), 2, Fraction(1, 2))]:
+        h = route_series("fock", K.MONOTONE, 2, mus, b, True)[b]
+        assert h / prod(prefactor(K.MONOTONE, 2, mu) for mu in mus) == correlator, mus
 
 
 def test_fock_vanishing_off_lattice():
-    # r does not divide |mu|: identically zero
-    s = fock_genus_series(K.MONOTONE, 2, (1,), 2)
-    assert s.is_zero()
+    # r does not divide |mu|: identically zero, for every b up to b_max
+    s = disconnected_block_series(K.MONOTONE, 2, (1,), 2)
+    assert s.is_zero() and s.order_of("u") == 2
+    # b_max - d/r < -len(mu): below every term the correlator has
+    assert disconnected_block_series(K.USUAL, 1, (2, 2, 2, 2), 3).is_zero()
 
 
 def test_block_symmetry():
-    # the disconnected correlator is symmetric under permutations of mu
+    # the disconnected series is symmetric under permutations of mu
     for kind in K:
-        a = disconnected_block_series(kind, 2, (1, 3), 2)
-        b = disconnected_block_series(kind, 2, (3, 1), 2)
-        for e in range(-2, 3):
+        a = disconnected_block_series(kind, 2, (1, 3), 4)
+        b = disconnected_block_series(kind, 2, (3, 1), 4)
+        for e in range(5):
             assert a.coefficient(u=e) == b.coefficient(u=e), (kind, e)
+
+
+def test_block_has_no_term_below_b_zero():
+    # the correlator reaches down to k = -len(mu), which lies below b = 0
+    # whenever len(mu) > d/r; those coefficients must vanish
+    below = 0
+    for kind in ALL_KINDS:
+        for r in (1, 2, 3):
+            for d in range(r, 7, r):
+                for mus in enumerate_partitions(d):
+                    below += len(mus) > d // r
+                    s = disconnected_block_series(kind, r, mus, 3)
+                    assert all(b >= 0 for (b,) in s.terms), (kind, r, mus)
+    assert below > 20
+
+
+@pytest.mark.parametrize("r, mus", [
+    (1, (3, 2, 1)), (1, (4, 1, 1)), (1, (2, 2, 1, 1)), (1, (3, 3)),
+    (2, (4, 2)), (2, (2, 2, 2)), (3, (4, 2)),
+])
+def test_fock_matches_character_connected_and_disconnected(r, mus):
+    # each sub-profile's block is truncated at b_max itself, not at a budget
+    # set by the rest of the profile
+    for kind in ALL_KINDS:
+        for connected in (False, True):
+            assert route_series("fock", kind, r, mus, 8, connected) == \
+                route_series("character", kind, r, mus, 8, connected), (kind, connected)
 
 
 def test_zero_energy_requires_single_variable_argument():

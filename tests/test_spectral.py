@@ -6,7 +6,6 @@ import pytest
 from hurwitz.counts import HurwitzRequest, hurwitz_number
 from hurwitz.kinds import HurwitzKind as K
 from hurwitz.spectral import (
-    CurveSpec,
     check_F01,
     check_bergman02,
     check_case_identities,
@@ -17,12 +16,6 @@ from hurwitz.spectral import (
     xi_derivative_coefficient,
     xi_series,
 )
-
-
-def test_curve_spec_strings():
-    assert CurveSpec(K.MONOTONE, 2).defining_function == "x = z(1 - z^r)"
-    assert CurveSpec(K.STRICT, 2).expansion_variable == "1/x"
-    assert CurveSpec(K.USUAL, 3).expansion_variable == "e^x"
 
 
 def test_monotone_inverse_catalan():
