@@ -13,6 +13,14 @@ with m = d/r and W_lam the content weight of the chosen kind: the complete
 (monotone) or elementary (strictly monotone) symmetric generating series in
 the contents, or exp(u * sum of contents) in the usual case.
 
+The contents are integers, so the sum runs in Python integers: for each b
+it accumulates chi^lam((r^m)) * chi^lam(mu) * W_lam[b], with h_b, sigma_b or
+(sum of contents)^b as the integer weight, and divides once, by
+r^m m! prod(mu) (times b! in the usual case).  The weights are streamed
+over lam and skipped wherever a character vanishes.  Each (kind, r, profile)
+keeps one memo entry, the longest series computed for it; a shorter order is
+a slice of it.
+
 The oracle (`oracle_series`) multiplies the orbifold class sum against
 symmetric polynomials in the Jucys-Murphy elements inside Q[S_d] and reads
 off the coefficient of one fixed permutation of cycle type mu.  The fock
@@ -27,6 +35,7 @@ and the CLI reach the routes only through it.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,9 +45,9 @@ from typing import Sequence
 from .fock import disconnected_block_series
 from .kinds import HurwitzKind
 from .partitions import (
+    active_cache,
     connected_from_subprofiles,
     contents,
-    character,
     enumerate_partitions,
 )
 from .series import TruncatedSeries
@@ -77,44 +86,58 @@ class HurwitzRequest:
         return 2 * self.g - 2 + len(self.mus) + Fraction(sum(self.mus), self.r)
 
 
-def _weight_coeffs(kind: HurwitzKind, lam: tuple[int, ...], order: int) -> list[Fraction]:
+def _weight_coeffs(kind: HurwitzKind, lam: tuple[int, ...], order: int) -> list[int]:
+    """Integer content weights of lam on [0, order]; the usual kind's lack 1/b!."""
     cs = contents(lam)
     if kind is HurwitzKind.MONOTONE:
         return complete_coeffs(cs, order)
     if kind is HurwitzKind.STRICT:
         return elementary_coeffs(cs, order)
     total = sum(cs)
-    out, power = [], Fraction(1)
-    for b in range(order + 1):
-        if b:
-            power = power * total / b
-        out.append(power)
-    return out
+    return [total ** b for b in range(order + 1)]
 
 
-@lru_cache(maxsize=None)
-def _disconnected_coeffs(kind: HurwitzKind, r: int, mus: tuple[int, ...],
-                         order: int) -> tuple[Fraction, ...]:
-    d = sum(mus)
+def _partition_sum(kind: HurwitzKind, r: int, rho: tuple[int, ...],
+                   order: int) -> tuple[Fraction, ...]:
+    """h_0..h_order of the character route at the sorted profile rho, uncached."""
+    d = sum(rho)
     if d % r != 0:
         return (Fraction(0),) * (order + 1)
     m = d // r
     orb = (r,) * m
-    acc = [Fraction(0)] * (order + 1)
-    rho = tuple(sorted(mus, reverse=True))
-    norm = Fraction(1, r ** m * factorial(m) * prod(mus))
+    chars = active_cache()
+    acc = [0] * (order + 1)
     for lam in enumerate_partitions(d):
-        chi_orb = character(lam, orb)
-        if chi_orb == 0:
+        chi = chars.compute(lam, orb)
+        if chi == 0:
             continue
-        chi_mu = character(lam, rho)
-        if chi_mu == 0:
+        chi *= chars.compute(lam, rho)
+        if chi == 0:
             continue
-        scale = norm * chi_orb * chi_mu
-        for b, w in enumerate(_weight_coeffs(kind, lam, order)):
-            if w:
-                acc[b] += scale * w
-    return tuple(acc)
+        acc = [a + chi * w for a, w in zip(acc, _weight_coeffs(kind, lam, order))]
+    norm = r ** m * factorial(m) * prod(rho)
+    if kind is HurwitzKind.USUAL:
+        return tuple(Fraction(a, norm * factorial(b)) for b, a in enumerate(acc))
+    return tuple(Fraction(a, norm) for a in acc)
+
+
+# (kind, r, sorted profile) -> the longest coefficient tuple computed for it;
+# the lock makes "only ever replaced by a longer prefix" hold across threads
+_CHARACTER_SERIES: dict[tuple, tuple[Fraction, ...]] = {}
+_CHARACTER_SERIES_LOCK = threading.Lock()
+
+
+def _disconnected_coeffs(kind: HurwitzKind, r: int, mus: tuple[int, ...],
+                         order: int) -> tuple[Fraction, ...]:
+    rho = tuple(sorted(mus, reverse=True))
+    key = (kind, r, rho)
+    coeffs = _CHARACTER_SERIES.get(key, ())
+    if len(coeffs) <= order:
+        coeffs = _partition_sum(kind, r, rho, order)
+        with _CHARACTER_SERIES_LOCK:
+            if len(coeffs) > len(_CHARACTER_SERIES.get(key, ())):
+                _CHARACTER_SERIES[key] = coeffs
+    return coeffs[:order + 1]
 
 
 def disconnected_series_character(kind: HurwitzKind, r: int, mus: Sequence[int],

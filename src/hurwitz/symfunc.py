@@ -16,15 +16,18 @@ def sym_poly(kind: str, k: int, values: Sequence) -> Fraction:
         raise ValueError("k must be nonnegative")
     vals = [Fraction(v) for v in values]
     if kind == "complete":
-        return complete_coeffs(vals, k)[k]
+        return Fraction(complete_coeffs(vals, k)[k])
     if kind == "elementary":
-        return elementary_coeffs(vals, k)[k]
+        return Fraction(elementary_coeffs(vals, k)[k])
     raise ValueError(f"unknown symmetric polynomial kind: {kind!r}")
 
 
 def complete_coeffs(values: Sequence, order: int) -> list:
-    """Coefficients [h_0, ..., h_order] of prod 1/(1 - u*x_i)."""
-    coeffs = [Fraction(1)] + [Fraction(0)] * order
+    """Coefficients [h_0, ..., h_order] of prod 1/(1 - u*x_i).
+
+    Starts from the ints 1 and 0, so integer values give integer coefficients.
+    """
+    coeffs = [1] + [0] * order
     for x in values:
         if x == 0:
             continue
@@ -35,8 +38,11 @@ def complete_coeffs(values: Sequence, order: int) -> list:
 
 
 def elementary_coeffs(values: Sequence, order: int) -> list:
-    """Coefficients [sigma_0, ..., sigma_order] of prod (1 + u*x_i)."""
-    coeffs = [Fraction(1)] + [Fraction(0)] * order
+    """Coefficients [sigma_0, ..., sigma_order] of prod (1 + u*x_i).
+
+    Starts from the ints 1 and 0, so integer values give integer coefficients.
+    """
+    coeffs = [1] + [0] * order
     for x in values:
         if x == 0:
             continue

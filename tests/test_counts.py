@@ -1,9 +1,12 @@
 import itertools
+import sys
+import threading
 from fractions import Fraction
 from math import comb, factorial, prod
 
 import pytest
 
+from hurwitz import counts
 from hurwitz.counts import (
     METHODS,
     HurwitzRequest,
@@ -19,7 +22,7 @@ from hurwitz.counts import (
     route_series,
 )
 from hurwitz.kinds import ALL_KINDS, HurwitzKind as K
-from hurwitz.partitions import enumerate_partitions
+from hurwitz.partitions import character, contents, enumerate_partitions
 
 
 def one_point_closed(kind, r, quotient):
@@ -61,6 +64,115 @@ def test_one_point_closed_forms():
             for q in (1, 2):
                 got = hurwitz_number(HurwitzRequest(kind, r, 0, (r * q,)))
                 assert got == one_point_closed(kind, r, q), (kind, r, q)
+
+
+def fraction_weights(kind, lam, order):
+    """W_lam[0..order] in Fractions: h_b, sigma_b or (sum of contents)^b / b!."""
+    cs = [Fraction(c) for c in contents(lam)]
+    if kind is K.USUAL:
+        out, power = [], Fraction(1)
+        for b in range(order + 1):
+            if b:
+                power = power * sum(cs) / b
+            out.append(power)
+        return out
+    coeffs = [Fraction(1)] + [Fraction(0)] * order
+    for x in cs:
+        if kind is K.MONOTONE:
+            for j in range(1, order + 1):
+                coeffs[j] += x * coeffs[j - 1]
+        else:
+            for j in range(min(order, len(cs)), 0, -1):
+                coeffs[j] += x * coeffs[j - 1]
+    return coeffs
+
+
+def fraction_partition_sum(kind, r, mus, order):
+    """The character-route sum term by term in Fractions: the reference.
+
+    sum_lam chi^lam(r^m) chi^lam(mu) W_lam[b] / (r^m m! prod mu), with every
+    term scaled and added as a Fraction.
+    """
+    d = sum(mus)
+    if d % r != 0:
+        return (Fraction(0),) * (order + 1)
+    m = d // r
+    orb = (r,) * m
+    rho = tuple(sorted(mus, reverse=True))
+    norm = Fraction(1, r ** m * factorial(m) * prod(mus))
+    acc = [Fraction(0)] * (order + 1)
+    for lam in enumerate_partitions(d):
+        chi_orb = character(lam, orb)
+        if chi_orb == 0:
+            continue
+        chi_mu = character(lam, rho)
+        if chi_mu == 0:
+            continue
+        scale = norm * chi_orb * chi_mu
+        for b, w in enumerate(fraction_weights(kind, lam, order)):
+            acc[b] += scale * w
+    return tuple(acc)
+
+
+def test_character_sum_matches_fraction_reference():
+    b_max = 8
+    for kind in ALL_KINDS:
+        for r in (1, 2, 3):
+            for d in range(1, 9):
+                for mus in enumerate_partitions(d):
+                    expected = fraction_partition_sum(kind, r, mus, b_max)
+                    for profile in (mus, mus[::-1]):
+                        series = disconnected_series_character(kind, r, profile, b_max)
+                        got = tuple(series.coefficient(u=b) for b in range(b_max + 1))
+                        assert got == expected, (kind, r, profile)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("orders", [(3, 8, 5), (5, 8, 3), (3, 4)])
+def test_character_memo_keeps_the_longest_series(kind, orders, monkeypatch):
+    # one entry per profile: a shorter order is a slice of the longest
+    # series so far, and a longer one (even by one) replaces it
+    monkeypatch.setattr(counts, "_CHARACTER_SERIES", {})
+    mus = (3, 2, 1)
+    longest = 0
+    for order in orders:
+        got = disconnected_series_character(kind, 2, mus[::-1], order)
+        fresh = counts._partition_sum(kind, 2, mus, order)
+        assert tuple(got.coefficient(u=b) for b in range(order + 1)) == fresh
+        assert got.orders == {"u": order}
+        longest = max(longest, order)
+        assert counts._CHARACTER_SERIES == {
+            (kind, 2, mus): counts._partition_sum(kind, 2, mus, longest)}
+
+
+def test_character_memo_under_threads(monkeypatch):
+    # concurrent requests at mixed orders: every answer is a prefix of the
+    # longest series, and that series is the entry left behind
+    monkeypatch.setattr(counts, "_CHARACTER_SERIES", {})
+    mus = (2, 2, 1, 1)
+    expected = counts._partition_sum(K.MONOTONE, 2, mus, 8)
+    results = []
+
+    def ask(order):
+        series = disconnected_series_character(K.MONOTONE, 2, mus, order)
+        results.append((order, tuple(series.coefficient(u=b) for b in range(order + 1))))
+
+    threads = [threading.Thread(target=ask, args=(order,))
+               for order in [1, 6, 3, 8, 2, 5, 7, 4] * 2]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == len(threads)
+    for order, got in results:
+        assert got == expected[:order + 1], order
+    assert counts._CHARACTER_SERIES == {(K.MONOTONE, 2, mus): expected}
 
 
 def test_oracle_examples():

@@ -157,6 +157,23 @@ def test_two_point_matches_character_route():
                 assert two_point_monotone(r, m1, m2) == expected, (r, m1, m2)
 
 
+def test_closed_forms_against_character_route_at_degree_20_to_30():
+    # past where the small sweeps reach: one-point genus 0 for both monotone
+    # kinds at 20 <= r*q <= 30, two-point monotone genus 0 at d = 20, 24
+    for kind in (K.MONOTONE, K.STRICT):
+        for r in (1, 2, 3):
+            for q in range(-(-20 // r), 30 // r + 1):
+                got = hurwitz_number(HurwitzRequest(kind, r, 0, (r * q,)))
+                assert got == one_point_genus_zero(kind, r, q), (kind, r, q)
+    for d in (20, 24):
+        for r in (1, 2, 3):
+            if d % r:
+                continue
+            for m1 in (1, 5, d // 2):
+                got = hurwitz_number(HurwitzRequest(K.MONOTONE, r, 0, (m1, d - m1)))
+                assert got == two_point_monotone(r, m1, d - m1), (d, r, m1)
+
+
 def test_case_identities():
     # worked examples: both sides 8 and both sides 3
     rep = check_case_identities(2, 1, 3)

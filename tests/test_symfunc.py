@@ -4,7 +4,7 @@ from math import comb, factorial, prod
 
 from hypothesis import given, settings, strategies as st
 
-from hurwitz.symfunc import sym_poly, stirling
+from hurwitz.symfunc import complete_coeffs, elementary_coeffs, sym_poly, stirling
 
 
 def h_bruteforce(k, values):
@@ -28,6 +28,18 @@ def test_sym_poly_against_bruteforce():
     for k in range(6):
         assert sym_poly("complete", k, values) == h_bruteforce(k, values)
         assert sym_poly("elementary", k, values) == sigma_bruteforce(k, values)
+
+
+def test_integer_inputs_give_integer_coefficients():
+    for values in ([], [0], [3], [-1, 0, 2], [-3, -2, -1, 0, 1, 2], [5, 5, -7, 1]):
+        fractions = [Fraction(v) for v in values]
+        for coeffs in (complete_coeffs, elementary_coeffs):
+            ints = coeffs(values, 7)
+            assert all(type(c) is int for c in ints), (coeffs, values)
+            assert ints == coeffs(fractions, 7), (coeffs, values)
+        for k in range(8):
+            for kind in ("complete", "elementary"):
+                assert type(sym_poly(kind, k, values)) is Fraction, (kind, k, values)
 
 
 def test_stirling_examples():
