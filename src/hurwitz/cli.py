@@ -152,8 +152,15 @@ def cmd_series(args) -> dict:
 
 def cmd_verify_quasipoly(args) -> dict:
     kind = HurwitzKind.parse(args.kind)
-    classes = ([_parse_eta(args.eta)] if args.eta is not None
-               else admissible_residue_classes(args.r, args.n))
+    if args.eta is not None:
+        eta = _parse_eta(args.eta)
+        if sum(eta) % args.r:
+            raise ValueError(f"--eta {args.eta} is not admissible: its residues sum to "
+                             f"{sum(eta)}, and only classes with sum = 0 mod r = "
+                             f"{args.r} carry nonzero numbers")
+        classes = [eta]
+    else:
+        classes = admissible_residue_classes(args.r, args.n)
     results, ok = [], True
     for residues in classes:
         report = verify_quasipolynomiality(kind, args.r, args.g, args.n, residues,
@@ -226,6 +233,9 @@ CROSS_CHECKS = (("character", "oracle", False), ("character", "fock", True))
 
 def cmd_cross_validate(args) -> dict:
     kinds = ALL_KINDS if args.kind == "all" else (HurwitzKind.parse(args.kind),)
+    if args.max_d < args.r:
+        raise ValueError(f"--max-d {args.max_d} leaves no degree divisible by "
+                         f"r = {args.r}: nothing to cross-validate")
     results, ok = [], True
     for kind in kinds:
         for d in range(1, args.max_d + 1):

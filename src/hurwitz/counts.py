@@ -308,9 +308,15 @@ def _genus_series(route: str, kind: HurwitzKind, r: int, mus: tuple[int, ...],
     """The (dis)connected u-series in b on [0, b_max] by one route.
 
     The route functions are looked up by name at each call, so a rebound
-    module attribute is the one that runs.
+    module attribute is the one that runs.  A proper sub-profile with no
+    cover in range is zero without asking its route: r does not divide its
+    degree, or b_max is below |sub|/r - len(sub), the least b of a possibly
+    disconnected cover (each part its own genus-0 component).  The profile
+    itself always reaches the route, which may reject it.
     """
     def disconnected(sub: tuple[int, ...]) -> TruncatedSeries:
+        if len(sub) < len(mus) and (sum(sub) % r or b_max < sum(sub) // r - len(sub)):
+            return TruncatedSeries(("u",), {}, {"u": b_max})
         if route == "character":
             return disconnected_series_character(kind, r, sub, b_max)
         if route == "fock":

@@ -4,34 +4,46 @@ Charge-zero basis states are partitions; the occupied half-integer slots of
 v_lam are lam_j - j + 1/2, encoded here by the integers m = lam_j - j + 1
 (so the vacuum occupies m <= 0).  The operator E_a(z) acts by moving one
 occupied slot m to m - a with weight e^{z(m - 1/2 - a/2)} and the usual
-wedge reordering sign, plus the scalar 1/zeta(z) when a = 0.
+wedge reordering sign, plus the scalar 1/zeta(z) when a = 0.  So every term
+multiplies a state's coefficient by one *atom* of z: an exponential
+e^{c z}, the diagonal eigenvalue (a signed sum of them) or 1/zeta(z).
 
 State propagation is exact: every operator shifts the state energy
 deterministically, so the support after each step consists of partitions of
-one fixed size.  Vacuum expectations are multivariate Laurent series whose
-only poles are the simple 1/zeta poles, one per variable at most.
+one fixed size.  `_step` is the one propagation step; it takes the ring of
+the coefficients as two parameters, the weight of an atom and the product,
+and serves two callers:
 
-The series an operator needs depend only on its argument and the truncation
-window, so they are built once and shared: the weights e^{c*w} and the
-scaled 1/zeta are memoized, like the elementary series under them
-(TruncatedSeries values are immutable).
+- `apply_E` and `vacuum_expectation`, the general operator calculus, carry
+  multivariate TruncatedSeries in the operators' arguments.  Their vacuum
+  expectations are Laurent series whose only poles are the simple 1/zeta
+  poles, one per variable at most; the weights e^{c*w} and the scaled
+  1/zeta are memoized.
+- `disconnected_block_series`, the route's one entry point, gives the
+  disconnected Hurwitz series of a profile, graded like the other routes by
+  the number b of simple ramifications.  Its operators each have their own
+  variable w_i, and what follows the correlator (the A-operator's S-powers
+  and its scalar table, read off per exponent of w_i) is linear in each w_i
+  on its own.  So each (operator slot, atom) pair folds into one memoized
+  polynomial in the grading variable u (`_slot_weight`), and the wedge
+  states carry u-polynomials: a move multiplies by one of them, and the
+  vacuum coefficient is the answer, shifted by d/r.  These run in
+  integers, over one common denominator per slot, with one exact division
+  at the vacuum.
 
-`disconnected_block_series` is the route's one entry point: the disconnected
-Hurwitz series of a profile, graded like the other routes by the number b
-of simple ramifications.  It sums the correlators over t-tuples; only the
-energy-balanced ones can reach the vacuum, and they are enumerated directly
-(prefix energies stay nonnegative, the last t is solved for) rather than
-filtered out of the full product.  Connected series are taken from these in
-`counts.route_series`.
+The block sums over t-tuples; only the energy-balanced ones can reach the
+vacuum, and they are enumerated directly (prefix energies stay nonnegative,
+the last t is solved for) rather than filtered out of the full product.
+Connected series are taken from these in `counts.route_series`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
-from typing import Iterator, Mapping, Sequence
+from functools import lru_cache, partial
+from math import factorial, lcm, prod
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .kinds import HurwitzKind
 from .series import TruncatedSeries, elementary_series, exp_linear, mul, s_power
@@ -79,7 +91,8 @@ def _to_partition(occ: Sequence[int]) -> Partition:
     return tuple(parts)
 
 
-def _moves(lam: Partition, a: int) -> list[tuple[Fraction, int, Partition]]:
+@lru_cache(maxsize=None)
+def _moves(lam: Partition, a: int) -> tuple[tuple[Fraction, int, Partition], ...]:
     """All single-fermion moves m -> m-a: (weight exponent, sign, new state)."""
     size = len(lam)
     lo = -size - abs(a) - 2
@@ -94,17 +107,53 @@ def _moves(lam: Partition, a: int) -> list[tuple[Fraction, int, Partition]]:
         new_occ.discard(m)
         new_occ.add(target)
         out.append((Fraction(2 * m - 1 - a, 2), (-1) ** between, _to_partition(new_occ)))
-    return out
+    return tuple(out)
 
 
-def _diagonal_exponents(lam: Partition) -> list[tuple[Fraction, int]]:
+def _diagonal_exponents(lam: Partition) -> tuple[tuple[Fraction, int], ...]:
     """(k, sign) pairs for Etilde_0: occupied k > 0 minus empty k < 0."""
     size = len(lam)
     explicit = {lam[j] - j for j in range(size)}
     out = [(Fraction(2 * m - 1, 2), 1) for m in explicit if m >= 1]
     out.extend((Fraction(2 * m - 1, 2), -1)
                for m in range(-size + 1, 1) if m not in explicit)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _transitions(lam: Partition, energy: int, pole: bool) -> tuple:
+    """(atom, sign, new state) for every term of E_energy acting on v_lam.
+
+    An atom is the exponent c of e^{c z}, a tuple of (c, sign) pairs for the
+    diagonal eigenvalue sum(sign * e^{c z}) (absent on the vacuum), or None
+    for the scalar 1/zeta(z), present at energy 0 when `pole` is set.
+    """
+    if energy:
+        return _moves(lam, energy)
+    diagonal = _diagonal_exponents(lam)
+    out = ((diagonal, 1, lam),) if diagonal else ()
+    return (out + ((None, 1, lam),)) if pole else out
+
+
+def _step(energy: int, state: dict, weight: Callable, muladd: Callable,
+          pole: bool = True) -> dict:
+    """Apply E_energy to a state vector whose coefficients lie in any ring.
+
+    `weight(atom)` is the ring element of an atom, and
+    `muladd(acc, coeff, w, sign)` returns acc + sign * coeff * w, where acc
+    is None for a state not reached yet; it may return None for a zero sum.
+    Entries whose sum is zero are left for the caller to drop.
+    """
+    out: dict = {}
+    for lam, coeff in state.items():
+        for atom, sign, new in _transitions(lam, energy, pole):
+            acc = muladd(out.get(new), coeff, weight(atom), sign)
+            if acc is not None:
+                out[new] = acc
     return out
+
+
+# -- multivariate series coefficients ----------------------------------------
 
 
 def _window(form: Mapping[str, Fraction], orders: Mapping[str, int]) -> tuple:
@@ -124,37 +173,52 @@ def _inv_zeta(var: str, scale: Fraction, order: int) -> TruncatedSeries:
     return elementary_series("inv_zeta", var, order).scale_var(var, scale)
 
 
-def _accumulate(out: StateVector, lam: Partition, term: TruncatedSeries) -> None:
-    out[lam] = out[lam] + term if lam in out else term
+def _series_weight(form: Mapping[str, Fraction], orders: Mapping[str, int]) -> Callable:
+    """The atoms of E(L) for the linear form L, as multivariate series."""
+    window = _window(form, orders)
+
+    def exp_weight(c: Fraction) -> TruncatedSeries:
+        return _exp_weight(tuple(sorted((v, s * c) for v, s in form.items())), window)
+
+    def weight(atom) -> TruncatedSeries:
+        if atom is None:
+            if len(form) != 1:
+                raise ValueError("the 1/zeta scalar requires a single-variable argument")
+            (var, scale), = form.items()
+            return _inv_zeta(var, scale, orders[var])
+        if isinstance(atom, tuple):
+            eig = None
+            for c, sign in atom:
+                piece = exp_weight(c) if sign > 0 else -exp_weight(c)
+                eig = piece if eig is None else eig + piece
+            return eig
+        return exp_weight(atom)
+
+    return weight
+
+
+def _series_muladd(total_cap: int | None, acc, a: TruncatedSeries, b: TruncatedSeries,
+                   sign: int):
+    """acc + sign * a * b on multivariate series.
+
+    A product that is zero is not added: its truncation orders would
+    still lower those of the sum.
+    """
+    term = mul(a, b, total_cap)
+    if term.is_zero():
+        return acc
+    if sign < 0:
+        term = -term
+    return term if acc is None else acc + term
 
 
 def apply_E_diagonal(arg: Mapping[str, object], state: StateVector,
                      orders: Mapping[str, int]) -> StateVector:
     """Apply Etilde_0(L), the diagonal part without the 1/zeta scalar."""
     form = {v: Fraction(c) for v, c in arg.items()}
-    window = _window(form, orders)
-    out: StateVector = {}
-    for lam, coeff in state.items():
-        eig = None
-        for k, sign in _diagonal_exponents(lam):
-            piece = _exp_weight(tuple(sorted((v, c * k) for v, c in form.items())), window)
-            if sign < 0:
-                piece = -piece
-            eig = piece if eig is None else eig + piece
-        if eig is None:
-            continue
-        term = coeff * eig
-        if not term.is_zero():
-            _accumulate(out, lam, term)
+    out = _step(0, state, _series_weight(form, orders), partial(_series_muladd, None),
+                pole=False)
     return {lam: s for lam, s in out.items() if not s.is_zero()}
-
-
-def _inv_zeta_of(arg: Mapping[str, object], orders: Mapping[str, int]) -> TruncatedSeries:
-    form = {v: Fraction(c) for v, c in arg.items()}
-    if len(form) != 1:
-        raise ValueError("the 1/zeta scalar requires a single-variable argument")
-    (var, scale), = form.items()
-    return _inv_zeta(var, scale, orders[var])
 
 
 def apply_E(energy: int, arg: Mapping[str, object], state: StateVector,
@@ -162,29 +226,13 @@ def apply_E(energy: int, arg: Mapping[str, object], state: StateVector,
             total_cap: int | None = None) -> StateVector:
     """Apply E_energy(L) to a state vector (with the energy-0 pole split)."""
     form = {v: Fraction(c) for v, c in arg.items()}
-    if energy == 0:
-        result = apply_E_diagonal(form, state, orders)
-        pole = _inv_zeta_of(form, orders)
-        for lam, coeff in state.items():
-            term = coeff * pole
-            if not term.is_zero():
-                _accumulate(result, lam, term)
-    else:
-        window = _window(form, orders)
-        result = {}
-        for lam, coeff in state.items():
-            if energy_cap is not None and sum(lam) - energy > energy_cap:
+    if energy and energy_cap is not None:
+        for lam in state:
+            if sum(lam) - energy > energy_cap:
                 raise EnergyCapError(
                     f"state of energy {sum(lam) - energy} exceeds cap {energy_cap}")
-            for exponent, sign, new_lam in _moves(lam, energy):
-                weight = _exp_weight(
-                    tuple(sorted((v, c * exponent) for v, c in form.items())), window)
-                term = mul(coeff, weight, total_cap)
-                if term.is_zero():
-                    continue
-                _accumulate(result, new_lam, term if sign > 0 else -term)
-    if total_cap is not None:
-        result = {lam: s.truncate_total(total_cap) for lam, s in result.items()}
+    result = _step(energy, state, _series_weight(form, orders),
+                   partial(_series_muladd, total_cap))
     return {lam: s for lam, s in result.items() if not s.is_zero()}
 
 
@@ -194,6 +242,9 @@ def vacuum_expectation(ops: Sequence[EOpSpec], orders: Mapping[str, int],
 
     Zero unless the energies sum to 0; per-variable valuation is at least -1
     (one simple 1/zeta pole per variable at most), enforced as a contract.
+    With `total_cap`, terms of total degree above it are dropped; each step
+    keeps one more degree per energy-0 operator still to apply, since each
+    can lower the total degree by one.
     """
     energies = [op.energy for op in ops]
     if sum(energies) != 0:
@@ -301,6 +352,114 @@ def _balanced_t_tuples(ranges: Sequence[range], etas: Sequence[int],
     yield from extend(0, 0, ())
 
 
+# -- the block: u-polynomials per operator slot --------------------------------
+#
+# The block runs in integers: every u-polynomial of a slot is kept over that
+# slot's one common denominator (`_slot_frame`), the same for all atoms, so
+# a state reached through slots j..n-1 is an integer polynomial over the
+# product of their denominators, divided out once at the vacuum.
+
+
+@lru_cache(maxsize=None)
+def _atom_denominator(order: int) -> int:
+    """A common denominator of [z^j] of every atom, j <= order."""
+    inv = elementary_series("inv_zeta", "z", order)
+    return lcm(2 ** order * factorial(order), *(c.denominator for c in inv.terms.values()))
+
+
+@lru_cache(maxsize=None)
+def _atom_numerators(atom, order: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero (j, [z^j] atom(z) * _atom_denominator(order)), j <= order.
+
+    Atoms are those of `_transitions`; an exponent c of e^{c z} is a
+    half-integer, and [z^j] e^{c z} = (2c)^j / (2^j j!).
+    """
+    den = _atom_denominator(order)
+    if atom is None:
+        inv = elementary_series("inv_zeta", "z", order)
+        return tuple(sorted((j, c.numerator * (den // c.denominator))
+                            for (j,), c in inv.terms.items()))
+    pieces = atom if isinstance(atom, tuple) else ((atom, 1),)
+    out = []
+    for j in range(order + 1):
+        c = (sum(sign * int(2 * x) ** j for x, sign in pieces)
+             * (den // (2 ** j * factorial(j))))
+        if c:
+            out.append((j, c))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _slot_frame(kind: HurwitzKind, r: int, mu: int, t: int,
+                k_budget: int) -> tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """What one operator slot's u-polynomials share: (D, scales, base).
+
+    D is the slot's common denominator.  The slot's scalar is table[e]
+    (mu^e * table[None] for the usual kind) and its S-powers are
+    P(w) * S(r w)^(t + [mu]), where P is S(w)^(mu - 1) monotone,
+    S(w)^(-mu - 1) strictly monotone and 1 usual.  D = L * A * B for L, A
+    and B common denominators of the table, of the atoms and of the
+    S-powers; scales holds (e, table[e] * L) for e in [-1, k_budget] where
+    the scalar is nonzero, and base the coefficients [w^0..w^order] of the
+    S-powers times B.  The slot's t must be live.
+    """
+    table = _scalar_table(kind, r, mu, t, k_budget)
+    order = max(k_budget, 0) + 1
+    scalars = [(e, table[None] * Fraction(mu) ** e if kind is HurwitzKind.USUAL
+                else table.get(e)) for e in range(-1, k_budget + 1)]
+    scalars = [(e, c) for e, c in scalars if c]
+    table_den = lcm(*(c.denominator for _, c in scalars))
+    powers = s_power("w", r, 1, t + mu // r, order)
+    if kind is not HurwitzKind.USUAL:
+        p = mu - 1 if kind is HurwitzKind.MONOTONE else -mu - 1
+        powers = mul(powers, s_power("w", 1, 1, p, order))
+    base = [powers.coefficient(w=j) for j in range(order + 1)]
+    base_den = lcm(*(c.denominator for c in base))
+    return (table_den * _atom_denominator(order) * base_den,
+            tuple((e, c.numerator * (table_den // c.denominator)) for e, c in scalars),
+            tuple(c.numerator * (base_den // c.denominator) for c in base))
+
+
+@lru_cache(maxsize=None)
+def _slot_weight(kind: HurwitzKind, r: int, mu: int, t: int, k_budget: int,
+                 atom) -> tuple[tuple[int, int], ...]:
+    """One operator slot's u-polynomial for one atom, as (e, D * g[e]) by rising e.
+
+    g[e] = table[e] * [w^e] atom(w) * P(w) * S(r w)^(t + [mu]) for e in
+    [-1, k_budget]: the atom, the slot's S-powers and its scalar table
+    folded into one functional, over the slot's denominator D of
+    `_slot_frame`.
+    """
+    _, scales, base = _slot_frame(kind, r, mu, t, k_budget)
+    atom_num = _atom_numerators(atom, max(k_budget, 0) + 1)
+    out = []
+    for e, scale in scales:
+        c = sum(a * base[e - j] for j, a in atom_num if j <= e)
+        if c:
+            out.append((e, scale * c))
+    return tuple(out)
+
+
+def _poly_muladd(cap: int, acc: dict | None, a: dict, b: tuple, sign: int) -> dict:
+    """acc + sign * a * b on u-polynomials, dropping total degree above cap.
+
+    a and acc map exponents to integers; b is (e, coefficient) pairs by
+    rising e.  acc is updated in place.
+    """
+    if acc is None:
+        acc = {}
+    for ea, ca in a.items():
+        if sign < 0:
+            ca = -ca
+        room = cap - ea
+        for eb, cb in b:
+            if eb > room:
+                break
+            e = ea + eb
+            acc[e] = acc.get(e, 0) + ca * cb
+    return acc
+
+
 @lru_cache(maxsize=None)
 def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
                               b_max: int) -> TruncatedSeries:
@@ -311,6 +470,13 @@ def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
     [u^k] is the disconnected Hurwitz number h_b at b = k + d/r.  Every k is
     at least -len(mus), so the series is zero when r does not divide d or
     when b_max - d/r < -len(mus).
+
+    Per energy-balanced t-tuple, the wedge states are propagated from the
+    right as integer u-polynomials, each move multiplying by its slot's
+    `_slot_weight`, and the vacuum coefficient is divided once by the
+    product of the slots' denominators.  A state keeps total degree k_hi
+    plus one per energy-0 slot still to apply (each can lower the degree by
+    one through 1/zeta).
     """
     n, d = len(mus), sum(mus)
     shift = d // r
@@ -319,50 +485,28 @@ def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
         return TruncatedSeries(("u",), {}, {"u": b_max})
     nus = [m // r for m in mus]
     etas = [m % r for m in mus]
+    # a slot's exponent is at most k_hi plus one per other slot
     k_budget = k_hi + (n - 1)
-    var_order = max(k_budget, 0) + 1
-    names = [f"w{i}" for i in range(n)]
-    orders = {v: var_order for v in names}
     eta_sum = sum(etas)
     nu_sum = sum(nus)
     ranges = [range(-nus[i], (eta_sum + r * (nu_sum - nus[i])) // r + 1)
               for i in range(n)]
-    usual = kind is HurwitzKind.USUAL
     out: dict[int, Fraction] = {}
     for ts in _balanced_t_tuples(ranges, etas, r):
+        if not all(_scalar_table(kind, r, mus[i], ts[i], k_budget) for i in range(n)):
+            continue
         energies = [t * r - e for t, e in zip(ts, etas)]
-        tables = [_scalar_table(kind, r, mus[i], ts[i], k_budget) for i in range(n)]
-        if any(not tb for tb in tables):
-            continue
-        ops = [EOpSpec.single(a, v) for a, v in zip(energies, names)]
-        series = vacuum_expectation(ops, orders, total_cap=k_hi)
-        if series.is_zero():
-            continue
-        for i, v in enumerate(names):
-            if not usual:
-                series = mul(series, s_power(v, 1, 1, mus[i] - 1
-                                             if kind is HurwitzKind.MONOTONE
-                                             else -mus[i] - 1, var_order), k_hi)
-            q = ts[i] + nus[i]
-            if q:
-                series = mul(series, s_power(v, r, 1, q, var_order), k_hi)
-        pos = [series.vars.index(v) for v in names]
-        for exp, coeff in series.terms.items():
-            total = sum(exp)
-            if total > k_hi or total < -n:
-                continue
-            weight = coeff
-            for i in range(n):
-                e = exp[pos[i]]
-                if usual:
-                    # substitute w_i -> mu_i * u and attach the t-scalar
-                    weight = weight * tables[i][None] * Fraction(mus[i]) ** e
-                else:
-                    scal = tables[i].get(e)
-                    if scal is None:
-                        weight = None
-                        break
-                    weight = weight * scal
-            if weight:
-                out[total + shift] = out.get(total + shift, Fraction(0)) + weight
+        den = prod(_slot_frame(kind, r, mus[i], ts[i], k_budget)[0] for i in range(n))
+        state = {(): {0: 1}}
+        for j in range(n - 1, -1, -1):
+            poles_left = energies[:j].count(0)
+            state = _step(energies[j], state,
+                          partial(_slot_weight, kind, r, mus[j], ts[j], k_budget),
+                          partial(_poly_muladd, k_hi + poles_left))
+            state = {lam: q for lam, p in state.items()
+                     if (q := {e: c for e, c in p.items() if c})}
+            if not state:
+                break
+        for k, c in state.get((), {}).items():
+            out[k + shift] = out.get(k + shift, 0) + Fraction(c, den)
     return TruncatedSeries(("u",), {(b,): c for b, c in out.items()}, {"u": b_max})

@@ -137,6 +137,12 @@ def test_invalid_flags_exit_nonzero(capsys):
     ("xi", "--kind", "monotone", "--r", "2", "--i", "1", "--order", "3", "--derivative", "-1"),
     # no exponent up to the order has a nonzero coefficient in the class i mod r
     ("xi", "--kind", "monotone", "--r", "4", "--i", "3", "--order", "2"),
+    # nothing to check: no degree up to --max-d is divisible by r
+    ("cross-validate", "--r", "5", "--max-d", "4"),
+    ("cross-validate", "--r", "1", "--max-d", "0"),
+    # a residue class with sum(eta) not divisible by r
+    ("verify-quasipoly", "--kind", "monotone", "--r", "2", "--g", "0", "--n", "3",
+     "--eta", "1,0,0"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     try:

@@ -17,12 +17,19 @@ from hurwitz.counts import (
     fock_shifted_coefficient,
     hurwitz_number,
     oracle_group_algebra,
+    oracle_series,
     request_status,
     result_record,
     route_series,
 )
+from hurwitz.fock import disconnected_block_series
 from hurwitz.kinds import ALL_KINDS, HurwitzKind as K
-from hurwitz.partitions import character, contents, enumerate_partitions
+from hurwitz.partitions import (
+    character,
+    connected_from_subprofiles,
+    contents,
+    enumerate_partitions,
+)
 
 
 def one_point_closed(kind, r, quotient):
@@ -256,6 +263,39 @@ def test_route_series_matches_per_b_answers(route):
 def test_route_series_rejects_unknown_route():
     with pytest.raises(ValueError):
         route_series("abacus", K.MONOTONE, 1, (2,), 2, True)
+
+
+@pytest.mark.parametrize("route", METHODS)
+def test_connected_series_unchanged_by_skipping_zero_blocks(route):
+    # the same inclusion-exclusion with every sub-profile asking its route
+    disconnected = {"character": disconnected_series_character,
+                    "fock": disconnected_block_series,
+                    "oracle": oracle_series}[route]
+    b_max = 3 if route == "oracle" else 5
+    for kind in ALL_KINDS:
+        for r in (1, 2, 3):
+            for d in range(1, 7):
+                for mus in enumerate_partitions(d):
+                    want = connected_from_subprofiles(
+                        mus, lambda sub: disconnected(kind, r, sub, b_max))
+                    assert route_series(route, kind, r, mus, b_max, True) == \
+                        tuple(want.coefficient(u=b) for b in range(b_max + 1)), \
+                        (kind, r, mus)
+
+
+def test_connected_fock_skips_zero_blocks(monkeypatch):
+    seen = []
+
+    def recording(kind, r, sub, b_max):
+        seen.append(sub)
+        return disconnected_block_series(kind, r, sub, b_max)
+
+    monkeypatch.setattr(counts, "disconnected_block_series", recording)
+    disconnected_block_series.cache_clear()
+    route_series("fock", K.MONOTONE, 2, (3, 2, 1), 5, True)
+    # only the sub-profiles of even degree reach the route and its cache
+    assert sorted(seen) == [(2,), (3, 1), (3, 2, 1)]
+    assert disconnected_block_series.cache_info().currsize == 3
 
 
 def genus_zero_closed_form(kind, mus):

@@ -11,6 +11,8 @@ from hurwitz.fock import (
     EOpSpec,
     _balanced_t_tuples,
     _scalar_table,
+    _slot_frame,
+    _slot_weight,
     apply_E,
     apply_E_diagonal,
     disconnected_block_series,
@@ -20,7 +22,14 @@ from hurwitz.fock import (
 from hurwitz.kinds import ALL_KINDS, HurwitzKind as K
 from hurwitz.partitions import enumerate_partitions
 from hurwitz.polycheck import prefactor
-from hurwitz.series import TruncatedSeries, compose_univariate, elementary_series
+from hurwitz.series import (
+    TruncatedSeries,
+    compose_univariate,
+    elementary_series,
+    exp_series,
+    mul,
+    s_power,
+)
 
 
 def vacuum():
@@ -280,3 +289,127 @@ def test_fock_matches_character_on_six_ones():
         for b in range(6):
             assert fock_shifted_coefficient(kind, 1, mus, b, True) == \
                 character.coefficient(u=b), (kind, b)
+
+
+# -- the block on multivariate series, kept as the reference -------------------
+
+
+def reference_block_series(kind, r, mus, b_max):
+    """disconnected_block_series through the general operator calculus.
+
+    Every operator gets its own variable w_i; the vacuum expectation is a
+    series in all of them, multiplied by each slot's S-powers, and the
+    scalar tables are read off monomial by monomial.
+    """
+    n, d = len(mus), sum(mus)
+    shift = d // r
+    k_hi = b_max - shift
+    if d % r or k_hi < -n:
+        return TruncatedSeries(("u",), {}, {"u": b_max})
+    nus = [m // r for m in mus]
+    etas = [m % r for m in mus]
+    k_budget = k_hi + (n - 1)
+    var_order = max(k_budget, 0) + 1
+    names = [f"w{i}" for i in range(n)]
+    orders = {v: var_order for v in names}
+    ranges = [range(-nus[i], (sum(etas) + r * (sum(nus) - nus[i])) // r + 1)
+              for i in range(n)]
+    usual = kind is K.USUAL
+    out = {}
+    for ts in _balanced_t_tuples(ranges, etas, r):
+        energies = [t * r - e for t, e in zip(ts, etas)]
+        tables = [_scalar_table(kind, r, mus[i], ts[i], k_budget) for i in range(n)]
+        if any(not tb for tb in tables):
+            continue
+        ops = [EOpSpec.single(a, v) for a, v in zip(energies, names)]
+        series = vacuum_expectation(ops, orders, total_cap=k_hi)
+        if series.is_zero():
+            continue
+        for i, v in enumerate(names):
+            if not usual:
+                power = mus[i] - 1 if kind is K.MONOTONE else -mus[i] - 1
+                series = mul(series, s_power(v, 1, 1, power, var_order), k_hi)
+            q = ts[i] + nus[i]
+            if q:
+                series = mul(series, s_power(v, r, 1, q, var_order), k_hi)
+        pos = [series.vars.index(v) for v in names]
+        for exp, coeff in series.terms.items():
+            total = sum(exp)
+            if total > k_hi or total < -n:
+                continue
+            weight = coeff
+            for i in range(n):
+                e = exp[pos[i]]
+                if usual:
+                    weight = weight * tables[i][None] * Fraction(mus[i]) ** e
+                else:
+                    scal = tables[i].get(e)
+                    if scal is None:
+                        weight = None
+                        break
+                    weight = weight * scal
+            if weight:
+                out[total + shift] = out.get(total + shift, Fraction(0)) + weight
+    return TruncatedSeries(("u",), {(b,): c for b, c in out.items()}, {"u": b_max})
+
+
+def test_block_matches_multivariate_reference():
+    checked = 0
+    for kind in ALL_KINDS:
+        for r in (1, 2, 3):
+            for d in range(1, 7):
+                for mus in enumerate_partitions(d):
+                    if len(mus) > 5:
+                        continue
+                    for b_max in (3, 5, 7):
+                        got = disconnected_block_series(kind, r, mus, b_max)
+                        want = reference_block_series(kind, r, mus, b_max)
+                        assert got.terms == want.terms, (kind, r, mus, b_max)
+                        assert got.order_of("u") == b_max
+                        checked += bool(want.terms)
+    assert checked > 300
+
+
+def test_slot_weight_folds_atom_s_powers_and_table():
+    # g[e] = table[e] * [w^e] atom(w) * P(w) * S(r w)^(t + [mu]), read off
+    # the product of the series it folds; the slot keeps D * g[e]
+    order = 6
+    for kind, r, mu, t in [(K.MONOTONE, 2, 3, 1), (K.STRICT, 2, 5, 0),
+                           (K.USUAL, 3, 4, 2), (K.MONOTONE, 1, 2, 0)]:
+        k_budget = order - 1
+        table = _scalar_table(kind, r, mu, t, k_budget)
+        power = {K.MONOTONE: mu - 1, K.STRICT: -mu - 1, K.USUAL: 0}[kind]
+        rest = mul(s_power("w", 1, 1, power, order),
+                   s_power("w", r, 1, t + mu // r, order))
+        for atom, series in [(Fraction(3, 2), exp_series("w", Fraction(3, 2), order)),
+                             (Fraction(-1, 2), exp_series("w", Fraction(-1, 2), order)),
+                             (None, elementary_series("inv_zeta", "w", order)),
+                             # the diagonal eigenvalue e^{w/2} - e^{-w/2} of (1)
+                             (((Fraction(1, 2), 1), (Fraction(-1, 2), -1)),
+                              elementary_series("zeta", "w", order))]:
+            folded = mul(series, rest)
+            want = []
+            for e in range(-1, k_budget + 1):
+                if kind is K.USUAL:
+                    scal = table[None] * Fraction(mu) ** e
+                else:
+                    scal = table.get(e, 0)
+                if scal * folded.coefficient(w=e):
+                    want.append((e, scal * folded.coefficient(w=e)))
+            assert want
+            den = _slot_frame(kind, r, mu, t, k_budget)[0]
+            got = tuple((e, Fraction(c, den))
+                        for e, c in _slot_weight(kind, r, mu, t, k_budget, atom))
+            assert got == tuple(want), (kind, r, mu, t, atom)
+
+
+@pytest.mark.parametrize("r, d", [(2, 10), (1, 8)])
+def test_fock_matches_character_through_genus_two(r, d):
+    # connected series through genus 2, b = 2g - 2 + n + d/r at g = 2
+    for kind in ALL_KINDS:
+        for mus in enumerate_partitions(d):
+            if len(mus) > 4:
+                continue
+            b_max = len(mus) + 2 + d // r
+            assert route_series("fock", kind, r, mus, b_max, True) == \
+                route_series("character", kind, r, mus, b_max, True), (kind, mus)
