@@ -1,11 +1,11 @@
 """Hurwitz numbers by three routes behind one dispatch.
 
 Every route gives the disconnected genus series of a ramification profile
-mu over an r-orbifold point as a u-series on [0, b_max], where the exponent
-of u counts simple ramifications b = 2g - 2 + len(mu) + |mu|/r; each takes
-(kind, r, mus, b_max).
+mu over an r-orbifold point as the tuple h_0..h_{b_max} of Fractions, where
+b = 2g - 2 + len(mu) + |mu|/r counts simple ramifications; each takes
+(kind, r, mus sorted decreasingly, b_max).
 
-The character route (`disconnected_series_character`) is the partition sum
+The character route (`_disconnected_coeffs`) is the partition sum
 
     H(u) = sum_{lam |- d} chi^lam((r^m)) / (r^m m!) * W_lam(u) * chi^lam(mu) / prod(mu)
 
@@ -27,9 +27,9 @@ off the coefficient of one fixed permutation of cycle type mu.  The fock
 route is `fock.disconnected_block_series`.
 
 `route_series` is the one dispatch over the three: it takes a connected
-series from the route's disconnected series of the sub-profiles by one
-inclusion-exclusion, shared by all routes.  `hurwitz_number`, the verifiers
-and the CLI reach the routes only through it.
+series from the route's disconnected series of the sub-multisets of mu by
+one inclusion-exclusion, shared by all routes.  `hurwitz_number`, the
+verifiers and the CLI reach the routes only through it.
 """
 
 from __future__ import annotations
@@ -76,6 +76,8 @@ class HurwitzRequest:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("r must be positive")
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
         mus = tuple(self.mus)
         if not mus or any(m < 1 for m in mus):
             raise ValueError("profile entries must be positive integers")
@@ -127,9 +129,8 @@ _CHARACTER_SERIES: dict[tuple, tuple[Fraction, ...]] = {}
 _CHARACTER_SERIES_LOCK = threading.Lock()
 
 
-def _disconnected_coeffs(kind: HurwitzKind, r: int, mus: tuple[int, ...],
+def _disconnected_coeffs(kind: HurwitzKind, r: int, rho: tuple[int, ...],
                          order: int) -> tuple[Fraction, ...]:
-    rho = tuple(sorted(mus, reverse=True))
     key = (kind, r, rho)
     coeffs = _CHARACTER_SERIES.get(key, ())
     if len(coeffs) <= order:
@@ -143,15 +144,15 @@ def _disconnected_coeffs(kind: HurwitzKind, r: int, mus: tuple[int, ...],
 def disconnected_series_character(kind: HurwitzKind, r: int, mus: Sequence[int],
                                   u_order: int) -> TruncatedSeries:
     """Genus series of disconnected Hurwitz numbers, sum_b h_b u^b."""
-    coeffs = _disconnected_coeffs(kind, r, tuple(mus), u_order)
-    return TruncatedSeries(("u",), {(b,): c for b, c in enumerate(coeffs)},
-                           {"u": u_order})
+    coeffs = _disconnected_coeffs(kind, r, tuple(sorted(mus, reverse=True)), u_order)
+    return TruncatedSeries(("u",), {(b,): c for b, c in enumerate(coeffs)}, {"u": u_order})
 
 
 def connected_series_character(kind: HurwitzKind, r: int, mus: Sequence[int],
                                u_order: int) -> TruncatedSeries:
     """Connected genus series of the character route, as `route_series` builds it."""
-    return _genus_series("character", kind, r, tuple(mus), u_order, True)
+    coeffs = route_series("character", kind, r, mus, u_order, True)
+    return TruncatedSeries(("u",), {(b,): c for b, c in enumerate(coeffs)}, {"u": u_order})
 
 
 # -- group-algebra oracle ----------------------------------------------------
@@ -232,29 +233,20 @@ def _phi(kind: HurwitzKind, d: int, b: int) -> dict:
         power = _elem_mul(_phi(kind, d, b - 1), j_total) if b > 1 else j_total
         return {p: c / b for p, c in power.items()}
     table = [ident] + [{} for _ in range(b)]
+    # h feeds the already-updated lower row back in (repeats allowed);
+    # sigma updates from the top, so each J_k is used at most once
+    rows = range(1, b + 1) if kind is HurwitzKind.MONOTONE else range(b, 0, -1)
     for k in range(2, d + 1):
         jk = _jucys_murphy(d, k)
-        if kind is HurwitzKind.MONOTONE:
-            # h: repeats allowed, so feed the already-updated lower row back in
-            for j in range(1, b + 1):
-                extra = _elem_mul(table[j - 1], jk)
-                merged = dict(table[j])
-                for p, c in extra.items():
-                    merged[p] = merged.get(p, Fraction(0)) + c
-                table[j] = {p: c for p, c in merged.items() if c}
-        else:
-            # sigma: each J_k used at most once
-            for j in range(b, 0, -1):
-                extra = _elem_mul(table[j - 1], jk)
-                merged = dict(table[j])
-                for p, c in extra.items():
-                    merged[p] = merged.get(p, Fraction(0)) + c
-                table[j] = {p: c for p, c in merged.items() if c}
+        for j in rows:
+            merged = dict(table[j])
+            for p, c in _elem_mul(table[j - 1], jk).items():
+                merged[p] = merged.get(p, Fraction(0)) + c
+            table[j] = {p: c for p, c in merged.items() if c}
     return table[b]
 
 
-def oracle_group_algebra(kind: HurwitzKind, r: int, b: int, mus: Sequence[int],
-                         degree_cap: int = ORACLE_DEGREE_CAP) -> Fraction:
+def oracle_group_algebra(kind: HurwitzKind, r: int, b: int, mus: Sequence[int]) -> Fraction:
     """Disconnected [u^b] via exact multiplication in Q[S_d].
 
     Coefficient of one fixed permutation of cycle type mus in
@@ -262,8 +254,8 @@ def oracle_group_algebra(kind: HurwitzKind, r: int, b: int, mus: Sequence[int],
     """
     mus = tuple(mus)
     d = sum(mus)
-    if d > degree_cap:
-        raise DegreeCapError(f"degree {d} exceeds the oracle cap {degree_cap}")
+    if d > ORACLE_DEGREE_CAP:
+        raise DegreeCapError(f"degree {d} exceeds the oracle cap {ORACLE_DEGREE_CAP}")
     if b < 0:
         raise ValueError("b must be nonnegative")
     if d % r != 0:
@@ -276,14 +268,9 @@ def oracle_group_algebra(kind: HurwitzKind, r: int, b: int, mus: Sequence[int],
     return total / prod(mus)
 
 
-def oracle_series(kind: HurwitzKind, r: int, mus: Sequence[int],
-                  u_order: int, degree_cap: int = ORACLE_DEGREE_CAP) -> TruncatedSeries:
-    terms = {}
-    for b in range(u_order + 1):
-        c = oracle_group_algebra(kind, r, b, mus, degree_cap)
-        if c:
-            terms[(b,)] = c
-    return TruncatedSeries(("u",), terms, {"u": u_order})
+def oracle_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
+                  b_max: int) -> tuple[Fraction, ...]:
+    return tuple(oracle_group_algebra(kind, r, b, mus) for b in range(b_max + 1))
 
 
 # -- dispatch ----------------------------------------------------------------
@@ -303,39 +290,28 @@ def request_status(req: HurwitzRequest) -> str | None:
     return None
 
 
-def _genus_series(route: str, kind: HurwitzKind, r: int, mus: tuple[int, ...],
-                  b_max: int, connected: bool) -> TruncatedSeries:
-    """The (dis)connected u-series in b on [0, b_max] by one route.
-
-    The route functions are looked up by name at each call, so a rebound
-    module attribute is the one that runs.  A proper sub-profile with no
-    cover in range is zero without asking its route: r does not divide its
-    degree, or b_max is below |sub|/r - len(sub), the least b of a possibly
-    disconnected cover (each part its own genus-0 component).  The profile
-    itself always reaches the route, which may reject it.
-    """
-    def disconnected(sub: tuple[int, ...]) -> TruncatedSeries:
-        if len(sub) < len(mus) and (sum(sub) % r or b_max < sum(sub) // r - len(sub)):
-            return TruncatedSeries(("u",), {}, {"u": b_max})
-        if route == "character":
-            return disconnected_series_character(kind, r, sub, b_max)
-        if route == "fock":
-            return disconnected_block_series(kind, r, sub, b_max)
-        if route == "oracle":
-            return oracle_series(kind, r, sub, b_max)
-        raise ValueError(f"unknown method {route!r}")
-
-    return connected_from_subprofiles(mus, disconnected) if connected else disconnected(mus)
-
-
 def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
                  b_max: int, connected: bool) -> tuple[Fraction, ...]:
     """h_0..h_{b_max} of the (dis)connected genus series by one route.
 
-    The only dispatch over METHODS.
+    The only dispatch over METHODS; the route functions are looked up by
+    name at each call, so a rebound module attribute is the one that runs.
+    A proper sub-profile is zero without asking its route when r does not
+    divide its degree or b_max is below |sub|/r - len(sub), the least b of
+    a cover (each part its own genus-0 component).
     """
-    series = _genus_series(route, kind, r, tuple(mus), b_max, connected)
-    return tuple(series.coefficient(u=b) for b in range(b_max + 1))
+    routes = {"character": _disconnected_coeffs, "fock": disconnected_block_series,
+              "oracle": oracle_series}
+    if route not in routes:
+        raise ValueError(f"unknown method {route!r}")
+    mus = tuple(sorted(mus, reverse=True))
+
+    def disconnected(sub: tuple[int, ...]) -> tuple[Fraction, ...]:
+        if len(sub) < len(mus) and (sum(sub) % r or b_max < sum(sub) // r - len(sub)):
+            return (Fraction(0),) * (b_max + 1)
+        return routes[route](kind, r, sub, b_max)
+
+    return connected_from_subprofiles(mus, disconnected) if connected else disconnected(mus)
 
 
 def hurwitz_number(req: HurwitzRequest) -> Fraction:

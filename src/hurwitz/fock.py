@@ -20,20 +20,20 @@ and serves two callers:
   poles, one per variable at most; the weights e^{c*w} and the scaled
   1/zeta are memoized.
 - `disconnected_block_series`, the route's one entry point, gives the
-  disconnected Hurwitz series of a profile, graded like the other routes by
-  the number b of simple ramifications.  Its operators each have their own
-  variable w_i, and what follows the correlator (the A-operator's S-powers
-  and its scalar table, read off per exponent of w_i) is linear in each w_i
-  on its own.  So each (operator slot, atom) pair folds into one memoized
-  polynomial in the grading variable u (`_slot_weight`), and the wedge
-  states carry u-polynomials: a move multiplies by one of them, and the
-  vacuum coefficient is the answer, shifted by d/r.  These run in
-  integers, over one common denominator per slot, with one exact division
-  at the vacuum.
+  disconnected numbers h_0..h_{b_max} of a profile as a tuple, like the
+  other routes.  Its operators each have their own variable w_i, and what
+  follows the correlator (the A-operator's S-powers and its scalar table,
+  read off per exponent of w_i) is linear in each w_i on its own.  So
+  each (operator slot, atom) pair folds into one memoized polynomial in
+  the grading variable u (`_slot_weight`), and the wedge states carry
+  u-polynomials: a move multiplies by one of them, and the vacuum
+  coefficient is the answer, shifted by d/r.  These run in integers, over
+  one common denominator per slot, with one exact division at the vacuum.
 
 The block sums over t-tuples; only the energy-balanced ones can reach the
 vacuum, and they are enumerated directly (prefix energies stay nonnegative,
 the last t is solved for) rather than filtered out of the full product.
+A nonzero vacuum term below b = 0 raises instead of being dropped.
 Connected series are taken from these in `counts.route_series`.
 """
 
@@ -197,14 +197,13 @@ def _series_weight(form: Mapping[str, Fraction], orders: Mapping[str, int]) -> C
     return weight
 
 
-def _series_muladd(total_cap: int | None, acc, a: TruncatedSeries, b: TruncatedSeries,
-                   sign: int):
+def _series_muladd(acc, a: TruncatedSeries, b: TruncatedSeries, sign: int):
     """acc + sign * a * b on multivariate series.
 
     A product that is zero is not added: its truncation orders would
     still lower those of the sum.
     """
-    term = mul(a, b, total_cap)
+    term = mul(a, b)
     if term.is_zero():
         return acc
     if sign < 0:
@@ -216,14 +215,12 @@ def apply_E_diagonal(arg: Mapping[str, object], state: StateVector,
                      orders: Mapping[str, int]) -> StateVector:
     """Apply Etilde_0(L), the diagonal part without the 1/zeta scalar."""
     form = {v: Fraction(c) for v, c in arg.items()}
-    out = _step(0, state, _series_weight(form, orders), partial(_series_muladd, None),
-                pole=False)
+    out = _step(0, state, _series_weight(form, orders), _series_muladd, pole=False)
     return {lam: s for lam, s in out.items() if not s.is_zero()}
 
 
 def apply_E(energy: int, arg: Mapping[str, object], state: StateVector,
-            orders: Mapping[str, int], energy_cap: int | None = None,
-            total_cap: int | None = None) -> StateVector:
+            orders: Mapping[str, int], energy_cap: int | None = None) -> StateVector:
     """Apply E_energy(L) to a state vector (with the energy-0 pole split)."""
     form = {v: Fraction(c) for v, c in arg.items()}
     if energy and energy_cap is not None:
@@ -231,20 +228,15 @@ def apply_E(energy: int, arg: Mapping[str, object], state: StateVector,
             if sum(lam) - energy > energy_cap:
                 raise EnergyCapError(
                     f"state of energy {sum(lam) - energy} exceeds cap {energy_cap}")
-    result = _step(energy, state, _series_weight(form, orders),
-                   partial(_series_muladd, total_cap))
+    result = _step(energy, state, _series_weight(form, orders), _series_muladd)
     return {lam: s for lam, s in result.items() if not s.is_zero()}
 
 
-def vacuum_expectation(ops: Sequence[EOpSpec], orders: Mapping[str, int],
-                       total_cap: int | None = None) -> TruncatedSeries:
+def vacuum_expectation(ops: Sequence[EOpSpec], orders: Mapping[str, int]) -> TruncatedSeries:
     """<0| prod_i E_{a_i}(L_i) |0> as a truncated Laurent series.
 
     Zero unless the energies sum to 0; per-variable valuation is at least -1
     (one simple 1/zeta pole per variable at most), enforced as a contract.
-    With `total_cap`, terms of total degree above it are dropped; each step
-    keeps one more degree per energy-0 operator still to apply, since each
-    can lower the total degree by one.
     """
     energies = [op.energy for op in ops]
     if sum(energies) != 0:
@@ -252,11 +244,7 @@ def vacuum_expectation(ops: Sequence[EOpSpec], orders: Mapping[str, int],
     cap = sum(max(0, -a) for a in energies)
     state: StateVector = {(): TruncatedSeries.constant(1)}
     for j in range(len(ops) - 1, -1, -1):
-        op = ops[j]
-        poles_left = sum(1 for i in range(j) if ops[i].energy == 0)
-        step_cap = None if total_cap is None else total_cap + poles_left
-        state = apply_E(op.energy, op.form(), state, orders,
-                        energy_cap=cap, total_cap=step_cap)
+        state = apply_E(ops[j].energy, ops[j].form(), state, orders, energy_cap=cap)
         if not state:
             break
     result = state.get((), TruncatedSeries(tuple(sorted(orders)), {}, dict(orders)))
@@ -462,8 +450,8 @@ def _poly_muladd(cap: int, acc: dict | None, a: dict, b: tuple, sign: int) -> di
 
 @lru_cache(maxsize=None)
 def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
-                              b_max: int) -> TruncatedSeries:
-    """The fock route's disconnected u-series in b on [0, b_max].
+                              b_max: int) -> tuple[Fraction, ...]:
+    """The fock route's disconnected h_0..h_{b_max}.
 
     The A-operator correlator is graded by k = 2g - 2 + len(mus); with the
     per-entry binomial/power prefactors folded into the term scalars, its
@@ -482,7 +470,7 @@ def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
     shift = d // r
     k_hi = b_max - shift
     if d % r or k_hi < -n:
-        return TruncatedSeries(("u",), {}, {"u": b_max})
+        return (Fraction(0),) * (b_max + 1)
     nus = [m // r for m in mus]
     etas = [m % r for m in mus]
     # a slot's exponent is at most k_hi plus one per other slot
@@ -509,4 +497,6 @@ def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
                 break
         for k, c in state.get((), {}).items():
             out[k + shift] = out.get(k + shift, 0) + Fraction(c, den)
-    return TruncatedSeries(("u",), {(b,): c for b, c in out.items()}, {"u": b_max})
+    if any(c for b, c in out.items() if b < 0):
+        raise ArithmeticError(f"nonzero coefficient below b = 0 at mu = {mus}")
+    return tuple(out.get(b, Fraction(0)) for b in range(b_max + 1))

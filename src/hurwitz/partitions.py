@@ -2,14 +2,16 @@
 
 Partitions are tuples of weakly decreasing positive integers. Characters are
 computed by the Murnaghan-Nakayama rule on beta-sets (first-column hook
-lengths), memoized in memory for the life of the process.
+lengths), memoized in memory for the life of the process.  Connected values
+come from disconnected ones by inclusion-exclusion over sub-multisets
+(`connected_from_subprofiles`) or, as its reference, over index subsets.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, prod
 from typing import Callable, Sequence
 
 Partition = tuple[int, ...]
@@ -171,15 +173,51 @@ def connected_from_disconnected(blocks: dict):
     return connected[full]
 
 
-def connected_from_subprofiles(mus: Sequence[int], block: Callable):
-    """Connected value of the profile mus from the disconnected sub-profiles.
+def _sub_mul(acc: list, w: int, a: tuple, b: tuple) -> None:
+    """acc -= w * a * b on coefficient tuples, truncated; zeros are skipped."""
+    top = len(acc)
+    b_nonzero = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        x *= w
+        for j, y in b_nonzero:
+            if i + j >= top:
+                break
+            acc[i + j] -= x * y
 
-    `block(sub)` gives the disconnected value of each nonempty sub-profile
-    `sub` (a tuple of parts of mus, in their order); the values are keyed by
-    their index sets for connected_from_disconnected.
+
+def connected_from_subprofiles(mus: Sequence[int], block: Callable) -> tuple:
+    """Connected coefficients of the profile mus from its sub-multisets.
+
+    `block(sub)` gives the disconnected coefficients h_0..h_{b_max} of a
+    nonempty sub-multiset `sub` of mus (its parts decreasing) as a tuple.
+    They depend only on the multiset, so the recursion of
+    connected_from_disconnected runs over multiplicity vectors, splitting
+    off the component of one fixed copy of the least part a:
+
+        C(M) = D(M) - sum_{a in N, N a proper sub-multiset of M} w(N) C(N) D(M - N),
+
+    w(N) = prod_v binom(m_v - [v = a], n_v - [v = a]) counting the index
+    subsets with multiset N that hold that copy.  D and C are memoized per
+    vector, so each distinct sub-multiset reaches `block` once.
     """
-    n = len(mus)
-    blocks = {frozenset(sub): block(tuple(mus[i] for i in sub))
-              for size in range(1, n + 1)
-              for sub in itertools.combinations(range(n), size)}
-    return connected_from_disconnected(blocks)
+    values = sorted(set(mus), reverse=True)
+    full = tuple(list(mus).count(v) for v in values)
+    vectors = list(itertools.product(*(range(m + 1) for m in full)))[1:]
+    disconnected = {n: block(tuple(v for v, c in zip(values, n) for _ in range(c)))
+                    for n in vectors}
+    # the vectors holding a, in product order: each comes after its sub-vectors
+    connected = {}
+    for n in vectors:
+        if not n[-1]:
+            continue
+        acc = list(disconnected[n])
+        for p, c_p in connected.items():
+            if any(x > y for x, y in zip(p, n)):
+                continue
+            w = comb(n[-1] - 1, p[-1] - 1) * prod(comb(y, x) for x, y in zip(p[:-1], n))
+            rest = tuple(y - x for x, y in zip(p, n))
+            _sub_mul(acc, w, c_p, disconnected[rest])
+        connected[n] = tuple(acc)
+    return connected[full]

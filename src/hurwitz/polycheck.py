@@ -72,10 +72,9 @@ class QuasiPolyReport:
         }
 
 
-def _normalized_value(kind: HurwitzKind, r: int, g: int, mus: tuple[int, ...],
-                      method: str) -> Fraction | None:
+def _normalized_value(kind: HurwitzKind, r: int, g: int, mus: tuple[int, ...]) -> Fraction | None:
     """h / prod(prefactor); None flags h != 0 against a vanishing prefactor."""
-    h = hurwitz_number(HurwitzRequest(kind, r, g, mus, connected=True, method=method))
+    h = hurwitz_number(HurwitzRequest(kind, r, g, mus))
     denom = Fraction(1)
     for mu in mus:
         denom *= prefactor(kind, r, mu)
@@ -86,8 +85,7 @@ def _normalized_value(kind: HurwitzKind, r: int, g: int, mus: tuple[int, ...],
 
 def verify_quasipolynomiality(kind: HurwitzKind, r: int, g: int, n: int,
                               residues, grid_base: int = 1,
-                              holdout_count: int = 3,
-                              method: str = "character") -> QuasiPolyReport:
+                              holdout_count: int = 3) -> QuasiPolyReport:
     """Interpolate normalized numbers in the quotients and check the degree bound.
 
     PASS requires interpolant total degree <= 3g-3+n and exact prediction of
@@ -115,7 +113,7 @@ def verify_quasipolynomiality(kind: HurwitzKind, r: int, g: int, n: int,
     grid_points = [tuple(p) for p in itertools.product(*axes)]
     samples = {}
     for point in grid_points:
-        value = _normalized_value(kind, r, g, mu_of(point), method)
+        value = _normalized_value(kind, r, g, mu_of(point))
         if value is None:
             report.passed = False
             report.reason = f"nonzero number against vanishing prefactor at {point}"
@@ -133,7 +131,7 @@ def verify_quasipolynomiality(kind: HurwitzKind, r: int, g: int, n: int,
     for j in range(holdout_count):
         axis, bump = j % n, grid_base + width + j // n
         point = tuple(bump if i == axis else grid_base for i in range(n))
-        expected = _normalized_value(kind, r, g, mu_of(point), method)
+        expected = _normalized_value(kind, r, g, mu_of(point))
         if expected is None:
             report.passed = False
             report.reason = f"nonzero number against vanishing prefactor at {point}"

@@ -248,8 +248,8 @@ class TruncatedSeries:
         return "TruncatedSeries(" + " + ".join(bits) + ")"
 
 
-def mul(a: TruncatedSeries, b: TruncatedSeries, total_cap: int | None = None) -> TruncatedSeries:
-    """Truncated product; optional total-degree cap prunes the output."""
+def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """Truncated product."""
     vs = tuple(sorted(set(a.vars) | set(b.vars)))
     ta, tb = a._aligned_to(vs), b._aligned_to(vs)
     if not ta or not tb:
@@ -279,8 +279,6 @@ def mul(a: TruncatedSeries, b: TruncatedSeries, total_cap: int | None = None) ->
         for eb, cb in tb.items():
             exp = tuple(x + y for x, y in zip(ea, eb))
             if any(e > n for e, n in zip(exp, caps)):
-                continue
-            if total_cap is not None and sum(exp) > total_cap:
                 continue
             out[exp] = out.get(exp, Fraction(0)) + ca * cb
     return TruncatedSeries(vs, out, orders)

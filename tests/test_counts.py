@@ -26,10 +26,11 @@ from hurwitz.fock import disconnected_block_series
 from hurwitz.kinds import ALL_KINDS, HurwitzKind as K
 from hurwitz.partitions import (
     character,
-    connected_from_subprofiles,
+    connected_from_disconnected,
     contents,
     enumerate_partitions,
 )
+from hurwitz.series import TruncatedSeries
 
 
 def one_point_closed(kind, r, quotient):
@@ -265,22 +266,35 @@ def test_route_series_rejects_unknown_route():
         route_series("abacus", K.MONOTONE, 1, (2,), 2, True)
 
 
+def route_block(route, kind, r, sub, b_max):
+    """The disconnected u-series of one sub-profile, asked of its route directly."""
+    rho = tuple(sorted(sub, reverse=True))
+    if route == "character":
+        return disconnected_series_character(kind, r, rho, b_max)
+    route_fn = {"fock": disconnected_block_series, "oracle": oracle_series}[route]
+    coeffs = route_fn(kind, r, rho, b_max)
+    assert len(coeffs) == b_max + 1
+    return TruncatedSeries(("u",), {(b,): c for b, c in enumerate(coeffs)}, {"u": b_max})
+
+
 @pytest.mark.parametrize("route", METHODS)
 def test_connected_series_unchanged_by_skipping_zero_blocks(route):
-    # the same inclusion-exclusion with every sub-profile asking its route
-    disconnected = {"character": disconnected_series_character,
-                    "fock": disconnected_block_series,
-                    "oracle": oracle_series}[route]
+    # the index-subset inclusion-exclusion on u-series, with every sub-profile
+    # asking its route; the character route also through genus 1 on every
+    # mu |- 8 with at most 7 parts at r = 1, 2
     b_max = 3 if route == "oracle" else 5
-    for kind in ALL_KINDS:
-        for r in (1, 2, 3):
-            for d in range(1, 7):
-                for mus in enumerate_partitions(d):
-                    want = connected_from_subprofiles(
-                        mus, lambda sub: disconnected(kind, r, sub, b_max))
-                    assert route_series(route, kind, r, mus, b_max, True) == \
-                        tuple(want.coefficient(u=b) for b in range(b_max + 1)), \
-                        (kind, r, mus)
+    cases = [(kind, r, mus, b_max) for kind in ALL_KINDS for r in (1, 2, 3)
+             for d in range(1, 7) for mus in enumerate_partitions(d)]
+    if route == "character":
+        cases += [(kind, r, mus, len(mus) + 8 // r) for kind in ALL_KINDS for r in (1, 2)
+                  for mus in enumerate_partitions(8) if len(mus) <= 7]
+    for kind, r, mus, b_max in cases:
+        blocks = {frozenset(sub): route_block(route, kind, r, [mus[i] for i in sub], b_max)
+                  for size in range(1, len(mus) + 1)
+                  for sub in itertools.combinations(range(len(mus)), size)}
+        want = connected_from_disconnected(blocks)
+        assert route_series(route, kind, r, mus, b_max, True) == \
+            tuple(want.coefficient(u=b) for b in range(b_max + 1)), (kind, r, mus)
 
 
 def test_connected_fock_skips_zero_blocks(monkeypatch):
@@ -318,13 +332,14 @@ def genus_zero_closed_form(kind, mus):
 def test_genus_zero_closed_forms_at_r_1():
     # the trivial cover: 1/((3-1)(3-2)) * C(2, 1) = 1
     assert genus_zero_closed_form(K.MONOTONE, (1,)) == 1
+    # (1^12) and (2, 1^10): many parts, few distinct sub-multisets
+    many_parts = [(1,) * 12, (2,) + (1,) * 10]
     for kind in (K.USUAL, K.MONOTONE):
-        for d in range(1, 11):
-            for mus in enumerate_partitions(d):
-                if len(mus) <= 4:
-                    b = len(mus) + d - 2
-                    got = route_series("character", kind, 1, mus, b, True)[b]
-                    assert got == genus_zero_closed_form(kind, mus), (kind, mus)
+        for mus in [mus for d in range(1, 11) for mus in enumerate_partitions(d)
+                    if len(mus) <= 4] + many_parts:
+            b = len(mus) + sum(mus) - 2
+            got = route_series("character", kind, 1, mus, b, True)[b]
+            assert got == genus_zero_closed_form(kind, mus), (kind, mus)
 
 
 def test_symmetry_under_permutation():
@@ -375,6 +390,10 @@ def test_request_rejects_bad_inputs():
     for r, mus in [(0, (2,)), (-2, (2,)), (2, (2, 0)), (2, (-1,)), (2, ())]:
         with pytest.raises(ValueError):
             HurwitzRequest(K.MONOTONE, r, 0, mus)
+    # a misspelled route is an error, not a silent zero
+    for g in (0, -1):
+        with pytest.raises(ValueError):
+            HurwitzRequest(K.USUAL, 3, g, (2, 2), method="abacus")
     assert HurwitzRequest(K.MONOTONE, 2, 0, [1, 3]).mus == (1, 3)
 
 

@@ -10,6 +10,7 @@ from hurwitz.partitions import (
     character,
     class_size,
     connected_from_disconnected,
+    connected_from_subprofiles,
     contents,
     enumerate_partitions,
 )
@@ -255,6 +256,38 @@ def test_connected_recursion_matches_set_partition_sum_on_series():
         want = set_partition_sum(blocks)
         assert got.orders == want.orders == {"u": k_hi}
         assert got.terms == want.terms
+
+
+def test_subprofile_recursion_matches_set_partition_sum():
+    # random coefficient tuples per sub-multiset of profiles with repeated
+    # parts, some of them zero, against the set-partition sum over index sets
+    rng = random.Random(13)
+    top = 4
+    for n in range(1, 8):
+        for _ in range(3):
+            mus = tuple(sorted((rng.randint(1, 3) for _ in range(n)), reverse=True))
+            table = {}
+
+            def block(sub):
+                assert list(sub) == sorted(sub, reverse=True)
+                assert sub not in table, sub  # each sub-multiset is asked once
+                zero = rng.random() < 0.2
+                table[sub] = tuple(Fraction(0 if zero else rng.randint(-4, 4),
+                                            rng.randint(1, 3)) for _ in range(top + 1))
+                return table[sub]
+
+            got = connected_from_subprofiles(mus, block)
+            distinct = 1
+            for v in set(mus):
+                distinct *= mus.count(v) + 1
+            assert len(table) == distinct - 1
+            series = {}
+            for sub in all_subsets(n):
+                coeffs = table[tuple(sorted((mus[i] for i in sub), reverse=True))]
+                series[sub] = TruncatedSeries(
+                    ("u",), {(b,): c for b, c in enumerate(coeffs)}, {"u": top})
+            want = set_partition_sum(series)
+            assert got == tuple(want.coefficient(u=b) for b in range(top + 1)), mus
 
 
 def test_connected_missing_subset_errors():
