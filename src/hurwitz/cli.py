@@ -48,7 +48,10 @@ def _parse_mu(text: str) -> tuple[int, ...]:
 
 
 def _parse_eta(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"--eta expects comma-separated integers, got {text!r}")
 
 
 def _int_at_least(low: int):
@@ -154,6 +157,9 @@ def cmd_verify_quasipoly(args) -> dict:
     kind = HurwitzKind.parse(args.kind)
     if args.eta is not None:
         eta = _parse_eta(args.eta)
+        if len(eta) != args.n or any(not 0 <= e < args.r for e in eta):
+            raise ValueError(f"--eta {args.eta} must be --n {args.n} residues "
+                             f"in [0, {args.r})")
         if sum(eta) % args.r:
             raise ValueError(f"--eta {args.eta} is not admissible: its residues sum to "
                              f"{sum(eta)}, and only classes with sum = 0 mod r = "
@@ -161,6 +167,10 @@ def cmd_verify_quasipoly(args) -> dict:
         classes = [eta]
     else:
         classes = admissible_residue_classes(args.r, args.n)
+    for residues in classes:
+        if args.r * args.grid_base + min(residues) < 1:
+            raise ValueError(f"--grid-base {args.grid_base} gives class {list(residues)} "
+                             "an entry r*nu + eta_i < 1")
     results, ok = [], True
     for residues in classes:
         report = verify_quasipolynomiality(kind, args.r, args.g, args.n, residues,
@@ -300,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                 "quasi-polynomial structure")
     add_kind_r(p)
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--eta", default=None, help="residue class (default: all admissible)")
     p.add_argument("--grid-base", type=int, default=1)
     p.add_argument("--holdouts", type=_int_at_least(1), default=3)

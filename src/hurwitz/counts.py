@@ -13,11 +13,11 @@ with m = d/r and W_lam the content weight of the chosen kind: the complete
 (monotone) or elementary (strictly monotone) symmetric generating series in
 the contents, or exp(u * sum of contents) in the usual case.
 
-The contents are integers, so the sum runs in Python integers: for each b
-it accumulates chi^lam((r^m)) * chi^lam(mu) * W_lam[b], with h_b, sigma_b or
+The sum runs over the smaller support of the two characters, as built by
+`partitions.CharacterCache.at`, and in Python integers: for each b it
+accumulates chi^lam((r^m)) * chi^lam(mu) * W_lam[b], with h_b, sigma_b or
 (sum of contents)^b as the integer weight, and divides once, by
-r^m m! prod(mu) (times b! in the usual case).  The weights are streamed
-over lam and skipped wherever a character vanishes.  Each (kind, r, profile)
+r^m m! prod(mu) (times b! in the usual case).  Each (kind, r, profile)
 keeps one memo entry, the longest series computed for it; a shorter order is
 a slice of it.
 
@@ -44,12 +44,7 @@ from typing import Sequence
 
 from .fock import disconnected_block_series
 from .kinds import HurwitzKind
-from .partitions import (
-    active_cache,
-    connected_from_subprofiles,
-    contents,
-    enumerate_partitions,
-)
+from .partitions import active_cache, connected_from_subprofiles, contents
 from .series import TruncatedSeries
 from .symfunc import complete_coeffs, elementary_coeffs
 
@@ -106,17 +101,13 @@ def _partition_sum(kind: HurwitzKind, r: int, rho: tuple[int, ...],
     if d % r != 0:
         return (Fraction(0),) * (order + 1)
     m = d // r
-    orb = (r,) * m
     chars = active_cache()
+    small, other = sorted((chars.at((r,) * m), chars.at(rho)), key=len)
     acc = [0] * (order + 1)
-    for lam in enumerate_partitions(d):
-        chi = chars.compute(lam, orb)
-        if chi == 0:
-            continue
-        chi *= chars.compute(lam, rho)
-        if chi == 0:
-            continue
-        acc = [a + chi * w for a, w in zip(acc, _weight_coeffs(kind, lam, order))]
+    for lam, chi in small.items():
+        chi *= other.get(lam, 0)
+        if chi:
+            acc = [a + chi * w for a, w in zip(acc, _weight_coeffs(kind, lam, order))]
     norm = r ** m * factorial(m) * prod(rho)
     if kind is HurwitzKind.USUAL:
         return tuple(Fraction(a, norm * factorial(b)) for b, a in enumerate(acc))

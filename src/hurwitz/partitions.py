@@ -1,10 +1,11 @@
 """Integer partitions, symmetric-group characters and connected parts.
 
-Partitions are tuples of weakly decreasing positive integers. Characters are
-computed by the Murnaghan-Nakayama rule on beta-sets (first-column hook
-lengths), memoized in memory for the life of the process.  Connected values
-come from disconnected ones by inclusion-exclusion over sub-multisets
-(`connected_from_subprofiles`) or, as its reference, over index subsets.
+Partitions are tuples of weakly decreasing positive integers.  The nonzero
+characters of a class rho are built together, lam -> chi^lam(rho), by adding
+one border strip per part of rho, and memoized in memory per class.
+Connected values come from disconnected ones by inclusion-exclusion over
+sub-multisets (`connected_from_subprofiles`) or, as its reference, over
+index subsets.
 """
 
 from __future__ import annotations
@@ -60,62 +61,58 @@ def class_size(rho: Sequence[int]) -> int:
     return factorial(d) // z
 
 
-def _beta_set(lam: Partition, length: int) -> list[int]:
-    # distinct descending beta numbers lam_i + (length - 1 - i), padded with 0..
-    return [(lam[i] if i < len(lam) else 0) + (length - 1 - i) for i in range(length)]
+def strip_additions(lam: Partition, k: int) -> list[tuple[Partition, int]]:
+    """Every lam + (border strip of size k), with the Murnaghan-Nakayama sign.
 
-
-def _partition_from_beta(beta: list[int]) -> Partition:
-    length = len(beta)
-    parts = [b - (length - 1 - i) for i, b in enumerate(sorted(beta, reverse=True))]
-    return tuple(p for p in parts if p > 0)
-
-
-def border_strip_removals(lam: Partition, k: int) -> list[tuple[Partition, int]]:
-    """All ways to remove a border strip of size k, with the MN sign."""
-    length = max(len(lam), 1)
-    beta = _beta_set(lam, length)
-    beta_set = set(beta)
+    On the beta-set lam_i - i of lam padded with k zeros (a strip adds at most
+    k rows), the bead b of row i moves to a vacant b + k, jumping the beads of
+    rows top..i-1: the strip fills rows top..i, with sign (-1)^(i - top).
+    """
+    padded = lam + (0,) * k
+    beta = [p - i for i, p in enumerate(padded)]
+    occupied = set(beta)
     out = []
-    for b in beta:
-        nb = b - k
-        if nb < 0 or nb in beta_set:
+    for i, b in enumerate(beta):
+        if b + k in occupied:
             continue
-        crossed = sum(1 for c in beta if nb < c < b)
-        new_beta = [nb if c == b else c for c in beta]
-        out.append((_partition_from_beta(new_beta), (-1) ** crossed))
+        top = i
+        while top and beta[top - 1] < b + k:
+            top -= 1
+        # rows above top keep their parts (no zero row lies above the strip)
+        grown = (lam[:top] + (padded[i] + k - (i - top),)
+                 + tuple(p + 1 for p in padded[top:i]) + lam[i + 1:])
+        out.append((grown, (-1) ** (i - top)))
     return out
 
 
 class CharacterCache:
-    """In-memory memo table of Murnaghan-Nakayama characters.
+    """In-memory memo of lam -> chi^lam(rho) != 0, one dictionary per class rho.
 
-    Nothing is persisted: `save` is a no-op kept because the benchmark
-    tracer (perfbench/tracer.py) wraps it.
+    `at(rho)` extends `at(rho[:-1])` by a strip of size rho[-1] on each lam
+    (p_k s_lam = sum of +-s_(lam + strip), Macdonald ch. I), so sorted classes
+    share prefixes; a dictionary is stored only once complete.  `save` is a
+    no-op kept because the benchmark tracer (perfbench/tracer.py) wraps it.
     """
 
     def __init__(self):
-        self.table: dict[tuple[Partition, Partition], int] = {}
+        self.tables: dict[Partition, dict[Partition, int]] = {(): {(): 1}}
 
     def save(self) -> None:
-        """Persist nothing; the table lives only as long as the process."""
+        """Persist nothing; the tables live only as long as the process."""
 
-    def __len__(self) -> int:
-        return len(self.table)
+    def __len__(self) -> int:  # the nonzero characters stored
+        return sum(len(table) for table in list(self.tables.values()))
 
-    def compute(self, lam: Partition, rho: Partition) -> int:
-        if not rho:
-            return 1
-        key = (lam, rho)
-        cached = self.table.get(key)
-        if cached is not None:
-            return cached
-        k, rest = rho[0], rho[1:]
-        total = 0
-        for smaller, sign in border_strip_removals(lam, k):
-            total += sign * self.compute(smaller, rest)
-        self.table[key] = total
-        return total
+    def at(self, rho: Partition) -> dict[Partition, int]:
+        """lam -> chi^lam(rho) for every lam with a nonzero value."""
+        table = self.tables.get(rho)
+        if table is None:
+            grown: dict[Partition, int] = {}
+            for lam, chi in self.at(rho[:-1]).items():
+                for bigger, sign in strip_additions(lam, rho[-1]):
+                    grown[bigger] = grown.get(bigger, 0) + sign * chi
+            table = self.tables[rho] = {lam: chi for lam, chi in grown.items() if chi}
+        return table
 
 
 _active_cache = CharacterCache()
@@ -131,7 +128,7 @@ def character(lam: Sequence[int], rho: Sequence[int]) -> int:
     rho = check_partition(rho)
     if sum(lam) != sum(rho):
         raise ValueError(f"size mismatch: |lam|={sum(lam)} vs |rho|={sum(rho)}")
-    return _active_cache.compute(lam, tuple(sorted(rho, reverse=True)))
+    return _active_cache.at(rho).get(lam, 0)
 
 
 def connected_from_disconnected(blocks: dict):

@@ -116,6 +116,16 @@ def test_invalid_flags_exit_nonzero(capsys):
     assert "error" in err
 
 
+# bad inputs whose error message must name the flag at fault
+QUASIPOLY = ("verify-quasipoly", "--kind", "monotone", "--r", "2")
+FLAG_AT_FAULT = {
+    QUASIPOLY + ("--g", "0", "--n", "-1"): "--n",
+    QUASIPOLY + ("--g", "1", "--n", "1", "--eta", "x"): "--eta",
+    QUASIPOLY + ("--g", "1", "--n", "2", "--eta", "0"): "--eta",
+    QUASIPOLY + ("--g", "1", "--n", "1", "--eta", "0", "--grid-base", "0"): "--grid-base",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("compute", "--kind", "monotone", "--r", "0", "--g", "0", "--mu", "2"),
     ("compute", "--kind", "monotone", "--r", "-2", "--g", "0", "--mu", "2"),
@@ -143,6 +153,7 @@ def test_invalid_flags_exit_nonzero(capsys):
     # a residue class with sum(eta) not divisible by r
     ("verify-quasipoly", "--kind", "monotone", "--r", "2", "--g", "0", "--n", "3",
      "--eta", "1,0,0"),
+    *FLAG_AT_FAULT,
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     try:
@@ -154,6 +165,9 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     assert "error: " in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+    if argv in FLAG_AT_FAULT:
+        error = captured.err[captured.err.index("error: "):]
+        assert FLAG_AT_FAULT[argv] in error, error
 
 
 def test_compute_failure_names_the_routes(capsys, monkeypatch):

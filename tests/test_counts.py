@@ -24,13 +24,9 @@ from hurwitz.counts import (
 )
 from hurwitz.fock import disconnected_block_series
 from hurwitz.kinds import ALL_KINDS, HurwitzKind as K
-from hurwitz.partitions import (
-    character,
-    connected_from_disconnected,
-    contents,
-    enumerate_partitions,
-)
+from hurwitz.partitions import connected_from_disconnected, contents, enumerate_partitions
 from hurwitz.series import TruncatedSeries
+from test_partitions import mn_character
 
 
 def one_point_closed(kind, r, quotient):
@@ -98,8 +94,9 @@ def fraction_weights(kind, lam, order):
 def fraction_partition_sum(kind, r, mus, order):
     """The character-route sum term by term in Fractions: the reference.
 
-    sum_lam chi^lam(r^m) chi^lam(mu) W_lam[b] / (r^m m! prod mu), with every
-    term scaled and added as a Fraction.
+    sum_lam chi^lam(r^m) chi^lam(mu) W_lam[b] / (r^m m! prod mu) over every
+    lam |- d, with every term scaled and added as a Fraction and the
+    characters from the Murnaghan-Nakayama removal reference.
     """
     d = sum(mus)
     if d % r != 0:
@@ -110,10 +107,10 @@ def fraction_partition_sum(kind, r, mus, order):
     norm = Fraction(1, r ** m * factorial(m) * prod(mus))
     acc = [Fraction(0)] * (order + 1)
     for lam in enumerate_partitions(d):
-        chi_orb = character(lam, orb)
+        chi_orb = mn_character(lam, orb)
         if chi_orb == 0:
             continue
-        chi_mu = character(lam, rho)
+        chi_mu = mn_character(lam, rho)
         if chi_mu == 0:
             continue
         scale = norm * chi_orb * chi_mu

@@ -1,20 +1,62 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
 
 from hurwitz.partitions import (
-    border_strip_removals,
+    CharacterCache,
     character,
     class_size,
     connected_from_disconnected,
     connected_from_subprofiles,
     contents,
     enumerate_partitions,
+    strip_additions,
 )
 from hurwitz.series import TruncatedSeries
+
+
+def _beta_set(lam, length):
+    # distinct descending beta numbers lam_i + (length - 1 - i), padded with 0..
+    return [(lam[i] if i < len(lam) else 0) + (length - 1 - i) for i in range(length)]
+
+
+def _partition_from_beta(beta):
+    length = len(beta)
+    parts = [b - (length - 1 - i) for i, b in enumerate(sorted(beta, reverse=True))]
+    return tuple(p for p in parts if p > 0)
+
+
+def border_strip_removals(lam, k):
+    """All ways to remove a border strip of size k, with the MN sign."""
+    length = max(len(lam), 1)
+    beta = _beta_set(lam, length)
+    beta_set = set(beta)
+    out = []
+    for b in beta:
+        nb = b - k
+        if nb < 0 or nb in beta_set:
+            continue
+        crossed = sum(1 for c in beta if nb < c < b)
+        new_beta = [nb if c == b else c for c in beta]
+        out.append((_partition_from_beta(new_beta), (-1) ** crossed))
+    return out
+
+
+@lru_cache(maxsize=None)
+def mn_character(lam, rho):
+    """Reference chi^lam(rho): the Murnaghan-Nakayama recursion, removing strips.
+
+    lam and rho are partitions of the same size, as tuples; the removal runs
+    over the parts of rho from the first.
+    """
+    if not rho:
+        return 1
+    return sum(sign * mn_character(smaller, rho[1:])
+               for smaller, sign in border_strip_removals(lam, rho[0]))
 
 
 def set_partitions(items):
@@ -189,6 +231,37 @@ def test_border_strip_removals():
     assert border_strip_removals((3, 1), 2) == [((1, 1), 1)]
     # (2,2): two 2-strips, one spanning both rows (height 1, sign -1)
     assert sorted(border_strip_removals((2, 2), 2)) == [((1, 1), -1), ((2,), 1)]
+
+
+def test_strip_additions_invert_border_strip_removals():
+    # lam + strip = mu with sign s exactly when removing that strip from mu
+    # gives lam with sign s
+    for d in range(0, 11):
+        for k in range(1, 8):
+            added = {(lam, mu, sign) for lam in enumerate_partitions(d)
+                     for mu, sign in strip_additions(lam, k)}
+            removed = {(lam, mu, sign) for mu in enumerate_partitions(d + k)
+                       for lam, sign in border_strip_removals(mu, k)}
+            assert added == removed, (d, k)
+
+
+def test_character_matches_mn_reference():
+    for d in range(1, 11):
+        partitions = enumerate_partitions(d)
+        for rho in partitions:
+            for lam in partitions:
+                assert character(lam, rho) == mn_character(lam, rho), (lam, rho)
+
+
+def test_character_cache_keeps_nonzero_values_per_prefix():
+    cache = CharacterCache()
+    rho = (4, 2, 2)
+    table = cache.at(rho)
+    assert set(cache.tables) == {(), (4,), (4, 2), (4, 2, 2)}
+    assert table == {lam: mn_character(lam, rho) for lam in enumerate_partitions(8)
+                     if mn_character(lam, rho)}
+    assert len(cache) == sum(len(t) for t in cache.tables.values())
+    assert cache.at(rho) is table
 
 
 def test_set_partitions_count():
