@@ -30,9 +30,11 @@ and serves two callers:
   coefficient is the answer, shifted by d/r.  These run in integers, over
   one common denominator per slot, with one exact division at the vacuum.
 
-The block sums over t-tuples; only the energy-balanced ones can reach the
-vacuum, and they are enumerated directly (prefix energies stay nonnegative,
-the last t is solved for) rather than filtered out of the full product.
+The block follows the paper's vacuum correlator <A_{mu_1} ... A_{mu_n}>:
+each A-operator is one sum over t, so each slot is applied once, over all
+its live t, to one shared state, and the sum over t-tuples is never
+written out.  A state is moved only while the slots still to apply can
+bring it back to the vacuum.
 A nonzero vacuum term below b = 0 raises instead of being dropped.
 Connected series are taken from these in `counts.route_series`.
 """
@@ -42,8 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial, lcm, prod
-from typing import Callable, Iterator, Mapping, Sequence
+from math import factorial, lcm
+from typing import Callable, Mapping, Sequence
 
 from .kinds import HurwitzKind
 from .series import TruncatedSeries, elementary_series, exp_linear, mul, s_power
@@ -304,48 +306,13 @@ def _scalar_table(kind: HurwitzKind, r: int, mu: int, t: int, k_hi: int) -> dict
     return table
 
 
-def _balanced_t_tuples(ranges: Sequence[range], etas: Sequence[int],
-                       r: int) -> Iterator[tuple[int, ...]]:
-    """The t-tuples of product(*ranges) whose E-operators can reach the vacuum.
-
-    Entry i carries energy t_i * r - etas[i]; a tuple is kept when the
-    energies sum to zero and every proper prefix sum is nonnegative (the
-    operators act from the right, and every state they pass through must
-    have nonnegative energy).
-    Tuples come in itertools.product order.  A prefix is cut as soon as its
-    energy is negative or too large for the remaining entries to cancel, and
-    the last t is solved for instead of searched.
-    """
-    n = len(ranges)
-    if n == 0:
-        yield ()
-        return
-    # room[i]: the most energy entries i+1.. can remove, at their lowest t
-    room = [0] * n
-    for i in range(n - 2, -1, -1):
-        room[i] = room[i + 1] + etas[i + 1] - ranges[i + 1].start * r
-
-    def extend(i: int, prefix: int, head: tuple[int, ...]):
-        if i == n - 1:
-            t, rest = divmod(etas[i] - prefix, r)
-            if not rest and t in ranges[i]:
-                yield head + (t,)
-            return
-        # prefix + t * r - etas[i] must lie in [0, room[i]]
-        lo = max(ranges[i].start, -((prefix - etas[i]) // r))
-        hi = min(ranges[i].stop - 1, (room[i] + etas[i] - prefix) // r)
-        for t in range(lo, hi + 1):
-            yield from extend(i + 1, prefix + t * r - etas[i], head + (t,))
-
-    yield from extend(0, 0, ())
-
-
 # -- the block: u-polynomials per operator slot --------------------------------
 #
-# The block runs in integers: every u-polynomial of a slot is kept over that
-# slot's one common denominator (`_slot_frame`), the same for all atoms, so
-# a state reached through slots j..n-1 is an integer polynomial over the
-# product of their denominators, divided out once at the vacuum.
+# The block runs in integers: every u-polynomial of a slot's t is kept over
+# that t's one common denominator (`_slot_frame`), the same for all atoms, and
+# a slot's results over all its t are brought to the lcm of those, so a state
+# reached through slots j..n-1 is an integer polynomial over the product of
+# their denominators, divided out once at the vacuum.
 
 
 @lru_cache(maxsize=None)
@@ -453,50 +420,59 @@ def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
                               b_max: int) -> tuple[Fraction, ...]:
     """The fock route's disconnected h_0..h_{b_max}.
 
-    The A-operator correlator is graded by k = 2g - 2 + len(mus); with the
-    per-entry binomial/power prefactors folded into the term scalars, its
-    [u^k] is the disconnected Hurwitz number h_b at b = k + d/r.  Every k is
-    at least -len(mus), so the series is zero when r does not divide d or
-    when b_max - d/r < -len(mus).
+    The A-operator correlator <A_{mu_1} ... A_{mu_n}> is graded by
+    k = 2g - 2 + len(mus); with the per-entry binomial/power prefactors
+    folded into the term scalars, its [u^k] is the disconnected Hurwitz
+    number h_b at b = k + d/r.  Every k is at least -len(mus), so the series
+    is zero when r does not divide d or when b_max - d/r < -len(mus).
 
-    Per energy-balanced t-tuple, the wedge states are propagated from the
-    right as integer u-polynomials, each move multiplying by its slot's
-    `_slot_weight`, and the vacuum coefficient is divided once by the
-    product of the slots' denominators.  A state keeps total degree k_hi
-    plus one per energy-0 slot still to apply (each can lower the degree by
-    one through 1/zeta).
+    The A-operators act on one shared state from the right, each once: slot
+    j applies E_{t r - <mu_j>} for each of its live t, each move multiplying
+    by that t's `_slot_weight`, and sums the results over the slot's common
+    denominator.  Energy t r - <mu_j> is at most d - mu_j, so a state is
+    moved only when its size afterwards lies in [0, room], room the most
+    energy slots 0..j-1 can still remove; the vacuum coefficient is divided
+    once by the product of the slots' denominators.  A state keeps total
+    degree k_hi plus one per slot still to apply that can have energy 0
+    (each can lower the degree by one through 1/zeta).
     """
     n, d = len(mus), sum(mus)
     shift = d // r
     k_hi = b_max - shift
     if d % r or k_hi < -n:
         return (Fraction(0),) * (b_max + 1)
-    nus = [m // r for m in mus]
-    etas = [m % r for m in mus]
     # a slot's exponent is at most k_hi plus one per other slot
     k_budget = k_hi + (n - 1)
-    eta_sum = sum(etas)
-    nu_sum = sum(nus)
-    ranges = [range(-nus[i], (eta_sum + r * (nu_sum - nus[i])) // r + 1)
-              for i in range(n)]
-    out: dict[int, Fraction] = {}
-    for ts in _balanced_t_tuples(ranges, etas, r):
-        if not all(_scalar_table(kind, r, mus[i], ts[i], k_budget) for i in range(n)):
-            continue
-        energies = [t * r - e for t, e in zip(ts, etas)]
-        den = prod(_slot_frame(kind, r, mus[i], ts[i], k_budget)[0] for i in range(n))
-        state = {(): {0: 1}}
-        for j in range(n - 1, -1, -1):
-            poles_left = energies[:j].count(0)
-            state = _step(energies[j], state,
-                          partial(_slot_weight, kind, r, mus[j], ts[j], k_budget),
-                          partial(_poly_muladd, k_hi + poles_left))
-            state = {lam: q for lam, p in state.items()
-                     if (q := {e: c for e, c in p.items() if c})}
-            if not state:
-                break
-        for k, c in state.get((), {}).items():
-            out[k + shift] = out.get(k + shift, 0) + Fraction(c, den)
+    room = sum(d - mu for mu in mus)
+    state, den = {(): {0: 1}}, 1
+    for j in range(n - 1, -1, -1):
+        mu, eta = mus[j], mus[j] % r
+        room -= d - mu
+        muladd = partial(_poly_muladd, k_hi + sum(m % r == 0 for m in mus[:j]))
+        moved = []
+        for t in range(-(mu // r), (d - mu + eta) // r + 1):
+            energy = t * r - eta
+            source = {lam: p for lam, p in state.items()
+                      if 0 <= sum(lam) - energy <= room}
+            if not (source and _scalar_table(kind, r, mu, t, k_budget)):
+                continue
+            weight = partial(_slot_weight, kind, r, mu, t, k_budget)
+            moved.append((_slot_frame(kind, r, mu, t, k_budget)[0],
+                          _step(energy, source, weight, muladd)))
+        scale = lcm(*(frame for frame, _ in moved))
+        den *= scale
+        merged: dict = {}
+        for frame, step in moved:
+            factor = scale // frame
+            for lam, p in step.items():
+                acc = merged.setdefault(lam, {})
+                for e, c in p.items():
+                    acc[e] = acc.get(e, 0) + c * factor
+        state = {lam: q for lam, p in merged.items()
+                 if (q := {e: c for e, c in p.items() if c})}
+        if not state:
+            break
+    out = {k + shift: Fraction(c, den) for k, c in state.get((), {}).items()}
     if any(c for b, c in out.items() if b < 0):
         raise ArithmeticError(f"nonzero coefficient below b = 0 at mu = {mus}")
     return tuple(out.get(b, Fraction(0)) for b in range(b_max + 1))

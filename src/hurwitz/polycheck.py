@@ -13,28 +13,24 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
 
 from .counts import HurwitzRequest, hurwitz_number
 from .kinds import HurwitzKind
 from .polynomials import MultiPolynomial, interpolate_on_grid
+from .spectral import xi_closed_coefficient
 
 
 def prefactor(kind: HurwitzKind, r: int, mu: int) -> Fraction:
     """Per-entry non-polynomial factor of the quasi-polynomial form.
 
-    binom(mu+[mu], mu) for monotone, binom(mu-1, [mu]) for strictly monotone,
-    mu^[mu]/[mu]! for usual (the residue-dependent constant r^{<mu>/r} is
-    absorbed into the polynomial).
+    The closed-form coefficient of xi_{mu mod r} at mu: binom(mu+[mu], mu)
+    for monotone, binom(mu-1, [mu]) for strictly monotone, mu^[mu]/[mu]! for
+    usual (the residue-dependent constant r^{<mu>/r} is absorbed into the
+    polynomial).
     """
     if mu < 1:
         raise ValueError("mu must be positive")
-    nu = mu // r
-    if kind is HurwitzKind.MONOTONE:
-        return Fraction(comb(mu + nu, mu))
-    if kind is HurwitzKind.STRICT:
-        return Fraction(comb(mu - 1, nu))
-    return Fraction(mu ** nu, factorial(nu))
+    return xi_closed_coefficient(kind, r, mu % r, mu)
 
 
 @dataclass
@@ -120,7 +116,7 @@ def verify_quasipolynomiality(kind: HurwitzKind, r: int, g: int, n: int,
             return report
         samples[point] = value
         report.grid.append((point, value))
-    poly = interpolate_on_grid(samples, degree_bound, [f"nu{i + 1}" for i in range(n)])
+    poly = interpolate_on_grid(samples, degree_bound)
     report.polynomial = poly
     report.observed_degree = poly.total_degree()
     if poly.total_degree() > degree_bound:

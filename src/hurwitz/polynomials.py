@@ -78,8 +78,7 @@ class MultiPolynomial:
         return "MultiPolynomial(" + " + ".join(bits) + ")"
 
 
-def interpolate_on_grid(samples: Mapping[tuple, object], degree_cap: int,
-                        variables: Sequence[str] | None = None) -> MultiPolynomial:
+def interpolate_on_grid(samples: Mapping[tuple, object], degree_cap: int) -> MultiPolynomial:
     """Exact Newton interpolation of samples on a full tensor grid.
 
     `samples` maps lattice points (tuples, one entry per axis) to rational
@@ -90,8 +89,6 @@ def interpolate_on_grid(samples: Mapping[tuple, object], degree_cap: int,
     if not points:
         raise ValueError("no samples")
     n = len(points[0])
-    if variables is None:
-        variables = tuple(f"nu{i + 1}" for i in range(n))
     nodes = [sorted({p[i] for p in points}) for i in range(n)]
     expected = 1
     for ax in nodes:
@@ -101,7 +98,7 @@ def interpolate_on_grid(samples: Mapping[tuple, object], degree_cap: int,
     if len(points) != expected:
         raise ValueError("samples do not form a full tensor grid")
     values = {p: Fraction(v) for p, v in samples.items()}
-    return _interpolate(values, nodes, tuple(variables))
+    return _interpolate(values, nodes, tuple(f"nu{i + 1}" for i in range(n)))
 
 
 def _interpolate(values: Mapping[tuple, Fraction], nodes: list, variables: tuple) -> MultiPolynomial:

@@ -1,5 +1,4 @@
 import itertools
-import random
 from fractions import Fraction
 from math import prod
 
@@ -10,7 +9,6 @@ from hurwitz.counts import connected_series_character, fock_shifted_coefficient,
 from hurwitz.fock import (
     EnergyCapError,
     EOpSpec,
-    _balanced_t_tuples,
     _scalar_table,
     _slot_frame,
     _slot_weight,
@@ -259,31 +257,6 @@ def filtered_product(ranges, etas, r):
     return out
 
 
-def test_balanced_t_tuples_match_filtered_product():
-    rng = random.Random(7)
-    for _ in range(400):
-        r = rng.randint(1, 4)
-        n = rng.randint(0, 4)
-        etas = [rng.randrange(r) for _ in range(n)]
-        ranges = []
-        for _ in range(n):
-            start = rng.randint(-4, 2)
-            ranges.append(range(start, start + rng.randint(0, 6)))
-        assert list(_balanced_t_tuples(ranges, etas, r)) == \
-            filtered_product(ranges, etas, r), (ranges, etas, r)
-
-
-def test_balanced_t_tuples_on_block_ranges():
-    # the ranges disconnected_block_series builds, for a few profiles
-    for r, mus in [(1, (1, 1, 1, 1)), (2, (3, 2, 1)), (3, (4, 2, 3)), (2, (5, 1, 1, 1))]:
-        nus = [m // r for m in mus]
-        etas = [m % r for m in mus]
-        ranges = [range(-nus[i], (sum(etas) + r * (sum(nus) - nus[i])) // r + 1)
-                  for i in range(len(mus))]
-        assert list(_balanced_t_tuples(ranges, etas, r)) == \
-            filtered_product(ranges, etas, r), (r, mus)
-
-
 def test_fock_matches_character_on_six_ones():
     # (1^6) at r = 1, the six-part profile the route benchmark leaves out
     mus = (1,) * 6
@@ -319,7 +292,7 @@ def reference_block_series(kind, r, mus, b_max):
               for i in range(n)]
     usual = kind is K.USUAL
     out = {}
-    for ts in _balanced_t_tuples(ranges, etas, r):
+    for ts in filtered_product(ranges, etas, r):
         energies = [t * r - e for t, e in zip(ts, etas)]
         tables = [_scalar_table(kind, r, mus[i], ts[i], k_budget) for i in range(n)]
         if any(not tb for tb in tables):
@@ -424,3 +397,14 @@ def test_fock_matches_character_through_genus_two(r, d):
             b_max = len(mus) + 2 + d // r
             assert route_series("fock", kind, r, mus, b_max, True) == \
                 route_series("character", kind, r, mus, b_max, True), (kind, mus)
+
+
+@pytest.mark.parametrize("r, mus, b_max", [
+    (1, (1,) * 12, 16), (1, (2,) + (1,) * 8, 14), (2, (2,) * 6, 12), (3, (1,) * 9, 10),
+])
+def test_fock_matches_character_past_five_parts(r, mus, b_max):
+    # profiles of 6 to 12 parts, past those the route benchmark and the
+    # group-algebra oracle reach
+    for kind in ALL_KINDS:
+        assert route_series("fock", kind, r, mus, b_max, True) == \
+            route_series("character", kind, r, mus, b_max, True), kind
