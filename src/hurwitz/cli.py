@@ -78,6 +78,8 @@ def _emit(payload: dict, fmt: str) -> None:
             print(",".join(_csv_cell(row.get(k)) for k in keys))
     else:
         print(f"# {payload['command']}  status={payload['status']}")
+        if "oracle" in payload:
+            print(f"# oracle = {payload['oracle']}")
         for key, val in sorted(payload.get("params", {}).items()):
             print(f"#   {key} = {val}")
         for row in payload.get("results", []):
@@ -106,11 +108,12 @@ def cmd_compute(args) -> dict:
     mus = _parse_mu(args.mu)
     connected = not args.disconnected
     methods = METHODS if args.method == "all" else (args.method,)
-    results, values = [], []
+    results, values, skipped = [], [], False
     for method in methods:
         if method == "oracle" and sum(mus) > ORACLE_DEGREE_CAP:
             if args.method != "all":
                 raise ValueError(f"oracle is capped at degree {ORACLE_DEGREE_CAP}")
+            skipped = True
             continue
         req = HurwitzRequest(kind, args.r, args.g, mus, connected=connected,
                              method=method)
@@ -126,6 +129,8 @@ def cmd_compute(args) -> dict:
                           "mu": list(mus), "connected": connected,
                           "method": args.method},
                "results": results, "status": "PASS"}
+    if skipped:
+        payload["oracle"] = "skipped"
     disagreements = [_witness(a, va, b, vb) for (a, va), (b, vb)
                      in itertools.combinations(values, 2) if va != vb]
     if disagreements:
@@ -186,6 +191,8 @@ def cmd_verify_quasipoly(args) -> dict:
 
 def cmd_xi(args) -> dict:
     kind = HurwitzKind.parse(args.kind)
+    if not 0 <= args.i < args.r:
+        raise ValueError(f"--i {args.i} must lie in [0, {args.r - 1}] for --r {args.r}")
     start = 1 if kind is HurwitzKind.STRICT else 0
     if args.order - args.derivative < start:
         raise ValueError(f"--derivative {args.derivative} leaves no exponent "
@@ -213,6 +220,8 @@ def cmd_xi(args) -> dict:
 
 def cmd_unstable_check(args) -> dict:
     kind = HurwitzKind.parse(args.kind)
+    if args.order < args.r + 1:
+        raise ValueError(f"--order {args.order} must be >= r + 1 = {args.r + 1}")
     results, ok = [], True
     rep = check_F01(kind, args.r, args.order)
     results.append(rep.to_json())

@@ -123,22 +123,20 @@ def _diagonal_exponents(lam: Partition) -> tuple[tuple[Fraction, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _transitions(lam: Partition, energy: int, pole: bool) -> tuple:
+def _transitions(lam: Partition, energy: int) -> tuple:
     """(atom, sign, new state) for every term of E_energy acting on v_lam.
 
     An atom is the exponent c of e^{c z}, a tuple of (c, sign) pairs for the
     diagonal eigenvalue sum(sign * e^{c z}) (absent on the vacuum), or None
-    for the scalar 1/zeta(z), present at energy 0 when `pole` is set.
+    for the scalar 1/zeta(z), present at energy 0.
     """
     if energy:
         return _moves(lam, energy)
     diagonal = _diagonal_exponents(lam)
-    out = ((diagonal, 1, lam),) if diagonal else ()
-    return (out + ((None, 1, lam),)) if pole else out
+    return (((diagonal, 1, lam),) if diagonal else ()) + ((None, 1, lam),)
 
 
-def _step(energy: int, state: dict, weight: Callable, muladd: Callable,
-          pole: bool = True) -> dict:
+def _step(energy: int, state: dict, weight: Callable, muladd: Callable) -> dict:
     """Apply E_energy to a state vector whose coefficients lie in any ring.
 
     `weight(atom)` is the ring element of an atom, and
@@ -148,7 +146,7 @@ def _step(energy: int, state: dict, weight: Callable, muladd: Callable,
     """
     out: dict = {}
     for lam, coeff in state.items():
-        for atom, sign, new in _transitions(lam, energy, pole):
+        for atom, sign, new in _transitions(lam, energy):
             acc = muladd(out.get(new), coeff, weight(atom), sign)
             if acc is not None:
                 out[new] = acc
@@ -211,14 +209,6 @@ def _series_muladd(acc, a: TruncatedSeries, b: TruncatedSeries, sign: int):
     if sign < 0:
         term = -term
     return term if acc is None else acc + term
-
-
-def apply_E_diagonal(arg: Mapping[str, object], state: StateVector,
-                     orders: Mapping[str, int]) -> StateVector:
-    """Apply Etilde_0(L), the diagonal part without the 1/zeta scalar."""
-    form = {v: Fraction(c) for v, c in arg.items()}
-    out = _step(0, state, _series_weight(form, orders), _series_muladd, pole=False)
-    return {lam: s for lam, s in out.items() if not s.is_zero()}
 
 
 def apply_E(energy: int, arg: Mapping[str, object], state: StateVector,

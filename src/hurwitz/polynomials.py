@@ -7,44 +7,13 @@ from typing import Mapping, Sequence
 
 
 class MultiPolynomial:
-    """Polynomial in named variables, stored as exponent-vector -> coefficient."""
+    """Polynomial in named variables as exponent vector -> coefficient; no arithmetic."""
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, object]):
         self.vars = tuple(variables)
         self.terms = {tuple(e): Fraction(c) for e, c in terms.items() if c != 0}
-
-    @classmethod
-    def constant(cls, variables: Sequence[str], c) -> "MultiPolynomial":
-        zero = (0,) * len(variables)
-        return cls(variables, {zero: Fraction(c)})
-
-    def __add__(self, other: "MultiPolynomial") -> "MultiPolynomial":
-        if self.vars != other.vars:
-            raise ValueError("variable mismatch")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return MultiPolynomial(self.vars, terms)
-
-    def __sub__(self, other: "MultiPolynomial") -> "MultiPolynomial":
-        return self + (other * Fraction(-1))
-
-    def __mul__(self, other):
-        if not isinstance(other, MultiPolynomial):
-            c = Fraction(other)
-            return MultiPolynomial(self.vars, {e: v * c for e, v in self.terms.items()})
-        if self.vars != other.vars:
-            raise ValueError("variable mismatch")
-        terms: dict[tuple, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                terms[key] = terms.get(key, Fraction(0)) + ca * cb
-        return MultiPolynomial(self.vars, terms)
-
-    __rmul__ = __mul__
 
     def evaluate(self, point: Sequence) -> Fraction:
         values = [Fraction(x) for x in point]
@@ -83,7 +52,10 @@ def interpolate_on_grid(samples: Mapping[tuple, object], degree_cap: int) -> Mul
 
     `samples` maps lattice points (tuples, one entry per axis) to rational
     values; the grid must be the full cartesian product of the per-axis node
-    sets, with at least degree_cap + 1 nodes per axis.
+    sets, with at least degree_cap + 1 nodes per axis.  One pass per axis
+    replaces every grid line along it by the monomial coefficients of its
+    one-variable interpolant; after the last pass the keys are exponent
+    vectors in the variables nu1..nun.
     """
     points = list(samples)
     if not points:
@@ -97,35 +69,31 @@ def interpolate_on_grid(samples: Mapping[tuple, object], degree_cap: int) -> Mul
         expected *= len(ax)
     if len(points) != expected:
         raise ValueError("samples do not form a full tensor grid")
-    values = {p: Fraction(v) for p, v in samples.items()}
-    return _interpolate(values, nodes, tuple(f"nu{i + 1}" for i in range(n)))
+    coeffs = {p: Fraction(v) for p, v in samples.items()}
+    for axis, xs in enumerate(nodes):
+        # each line along this axis trades its values for the monomial
+        # coefficients of its interpolant: node xs[k] becomes exponent k
+        lines: dict[tuple, dict] = {}
+        for p, v in coeffs.items():
+            lines.setdefault(p[:axis] + p[axis + 1:], {})[p[axis]] = v
+        coeffs = {}
+        for rest, line in lines.items():
+            for k, c in enumerate(_monomial_coefficients(xs, [line[x] for x in xs])):
+                coeffs[rest[:axis] + (k,) + rest[axis:]] = c
+    return MultiPolynomial(tuple(f"nu{i + 1}" for i in range(n)), coeffs)
 
 
-def _interpolate(values: Mapping[tuple, Fraction], nodes: list, variables: tuple) -> MultiPolynomial:
-    if not nodes:
-        return MultiPolynomial(variables, {(): values[()]})
-    axis_nodes = nodes[0]
-    rest = nodes[1:]
-    subpolys = []
-    for x in axis_nodes:
-        sub = {p[1:]: v for p, v in values.items() if p[0] == x}
-        subpolys.append(_lift(_interpolate(sub, rest, variables[1:]), variables))
-    # divided differences along the first axis, with polynomial values
-    dd = list(subpolys)
-    for j in range(1, len(axis_nodes)):
-        for i in range(len(axis_nodes) - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) * Fraction(1, axis_nodes[i] - axis_nodes[i - j])
-    result = MultiPolynomial.constant(variables, 0)
-    basis = MultiPolynomial.constant(variables, 1)
-    x_var = MultiPolynomial(variables, {(1,) + (0,) * (len(variables) - 1): 1})
-    for j, coeff_poly in enumerate(dd):
-        result = result + coeff_poly * basis
-        if j + 1 < len(dd):
-            shift = MultiPolynomial.constant(variables, -Fraction(axis_nodes[j]))
-            basis = basis * (x_var + shift)
-    return result
+def _monomial_coefficients(xs: Sequence[int], ys: Sequence[Fraction]) -> list[Fraction]:
+    """Coefficients, constant first, of the polynomial through (xs[k], ys[k]).
 
-
-def _lift(poly: MultiPolynomial, variables: tuple) -> MultiPolynomial:
-    """Embed a polynomial in variables[1:] into the full variable list."""
-    return MultiPolynomial(variables, {(0,) + e: c for e, c in poly.terms.items()})
+    Divided differences give the Newton form; Horner in the Newton basis
+    expands it, multiplying by (x - xs[j]) from the top coefficient down.
+    """
+    dd = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+    out = [dd[-1]]
+    for x, d in zip(xs[-2::-1], dd[-2::-1]):
+        out = [d - x * out[0]] + [a - x * b for a, b in zip(out, out[1:])] + [out[-1]]
+    return out

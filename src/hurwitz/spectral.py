@@ -196,31 +196,20 @@ def check_F01(kind: HurwitzKind, r: int, order: int) -> CheckReport:
 def two_point_monotone(r: int, mu1: int, mu2: int) -> Fraction:
     """Closed genus-zero two-point monotone number h_{0;(mu1,mu2)}.
 
-    Finite t-sums; Case I has both residues nonzero, Case II both zero.
-    Vanishes unless r divides mu1 + mu2.
+    One finite t-sum, t = 1 .. [(mu2 - 1)/r] + 1, covering Case I (both
+    residues nonzero) and Case II (both zero): when r divides mu1 + mu2,
+    <mu1> = 0 exactly when <mu2> = 0.  Vanishes unless r divides mu1 + mu2.
     """
     if mu1 < 1 or mu2 < 1:
         raise ValueError("parts must be positive")
     if (mu1 + mu2) % r != 0:
         return Fraction(0)
     nu1, e1 = divmod(mu1, r)
-    nu2, e2 = divmod(mu2, r)
-    total = Fraction(0)
-    if e1 != 0:
-        for t in range(1, nu2 + 2):
-            total += (Fraction(factorial(mu1 + nu1 + t - 1),
-                               factorial(mu1) * factorial(nu1 + t))
-                      * (t * r - e1)
-                      * Fraction(factorial(mu2 + nu2 - t),
-                                 factorial(mu2) * factorial(nu2 + 1 - t)))
-    else:
-        for t in range(1, nu2 + 1):
-            total += (Fraction(factorial(mu1 + nu1 + t - 1),
-                               factorial(mu1) * factorial(nu1 + t))
-                      * (t * r)
-                      * Fraction(factorial(mu2 + nu2 - t - 1),
-                                 factorial(mu2) * factorial(nu2 - t)))
-    return total
+    top = (mu2 - 1) // r
+    return sum((Fraction(factorial(mu1 + nu1 + t - 1), factorial(mu1) * factorial(nu1 + t))
+                * (t * r - e1)
+                * Fraction(factorial(mu2 + top - t), factorial(mu2) * factorial(top + 1 - t))
+                for t in range(1, top + 2)), Fraction(0))
 
 
 def check_case_identities(r: int, mu1: int, mu2: int) -> CheckReport:

@@ -25,6 +25,23 @@ def test_compute_all_methods(capsys):
     assert all(rec["value"] == "2" for rec in data["results"])
 
 
+def test_compute_all_past_the_oracle_cap(capsys):
+    args = ("compute", "--kind", "monotone", "--r", "1", "--g", "0", "--mu", "4,3",
+            "--method", "all")
+    code, out, _ = invoke(capsys, *args)
+    assert code == 0
+    data = json.loads(out)
+    assert data["status"] == "PASS"
+    assert data["oracle"] == "skipped"
+    assert [rec["method"] for rec in data["results"]] == ["character", "fock"]
+    _, out, _ = invoke(capsys, "--format", "text", *args)
+    assert "# oracle = skipped" in out.splitlines()
+    # within the cap the oracle runs and nothing is marked
+    _, out, _ = invoke(capsys, "compute", "--kind", "monotone", "--r", "1", "--g", "0",
+                       "--mu", "3,3", "--method", "all")
+    assert "oracle" not in json.loads(out)
+
+
 def test_compute_single_value(capsys):
     code, out, _ = invoke(capsys, "compute", "--kind", "monotone", "--r", "1",
                           "--g", "0", "--mu", "1")
@@ -123,6 +140,8 @@ FLAG_AT_FAULT = {
     QUASIPOLY + ("--g", "1", "--n", "1", "--eta", "x"): "--eta",
     QUASIPOLY + ("--g", "1", "--n", "2", "--eta", "0"): "--eta",
     QUASIPOLY + ("--g", "1", "--n", "1", "--eta", "0", "--grid-base", "0"): "--grid-base",
+    ("xi", "--kind", "monotone", "--i", "4", "--r", "3", "--order", "5"): "--i",
+    ("unstable-check", "--kind", "monotone", "--order", "1", "--r", "1"): "--order",
 }
 
 

@@ -13,7 +13,6 @@ from hurwitz.fock import (
     _slot_frame,
     _slot_weight,
     apply_E,
-    apply_E_diagonal,
     disconnected_block_series,
     inv_factorial,
     vacuum_expectation,
@@ -57,16 +56,22 @@ def test_apply_E_raising_by_two():
 
 
 def test_diagonal_eigenvalue_is_zeta():
+    # E_0 on v_(1) is the eigenvalue zeta(z) plus the scalar 1/zeta(z)
     zeta = elementary_series("zeta", "z", 5)
+    inv = elementary_series("inv_zeta", "z", 5)
     state = {(1,): TruncatedSeries.constant(1)}
-    out = apply_E_diagonal({"z": 1}, state, {"z": 5})
+    out = apply_E(0, {"z": 1}, state, {"z": 5})
     assert set(out) == {(1,)}
-    for e in range(6):
-        assert out[(1,)].coefficient(z=e) == zeta.coefficient(z=e)
+    diagonal = out[(1,)] - inv
+    for e in range(-1, 6):
+        assert diagonal.coefficient(z=e) == zeta.coefficient(z=e)
 
 
 def test_diagonal_annihilates_vacuum():
-    assert apply_E_diagonal({"z": 1}, vacuum(), {"z": 5}) == {}
+    # on the vacuum E_0 is the 1/zeta(z) scalar alone
+    out = apply_E(0, {"z": 1}, vacuum(), {"z": 5})
+    assert set(out) == {()}
+    assert (out[()] - elementary_series("inv_zeta", "z", 5)).is_zero()
 
 
 def test_energy_cap_error():
