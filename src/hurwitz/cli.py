@@ -71,7 +71,10 @@ def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True))
     elif fmt == "csv":
-        rows = payload.get("results", [])
+        # payload-level fields ride on every row; a row's own field wins
+        extra = {k: payload[k] for k in ("status", "oracle") if k in payload}
+        rows = [{**extra, **row} for row in
+                payload.get("results", []) + payload.get("disagreements", [])]
         keys = sorted({k for row in rows for k in row})
         print(",".join(keys))
         for row in rows:

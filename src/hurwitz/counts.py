@@ -5,7 +5,7 @@ mu over an r-orbifold point as the tuple h_0..h_{b_max} of Fractions, where
 b = 2g - 2 + len(mu) + |mu|/r counts simple ramifications; each takes
 (kind, r, mus sorted decreasingly, b_max).
 
-The character route (`_disconnected_coeffs`) is the partition sum
+The character route (`_partition_sum`) is the partition sum
 
     H(u) = sum_{lam |- d} chi^lam((r^m)) / (r^m m!) * W_lam(u) * chi^lam(mu) / prod(mu)
 
@@ -17,9 +17,8 @@ The sum runs over the smaller support of the two characters, as built by
 `partitions.CharacterCache.at`, and in Python integers: for each b it
 accumulates chi^lam((r^m)) * chi^lam(mu) * W_lam[b], with h_b, sigma_b or
 (sum of contents)^b as the integer weight, and divides once, by
-r^m m! prod(mu) (times b! in the usual case).  Each (kind, r, profile)
-keeps one memo entry, the longest series computed for it; a shorter order is
-a slice of it.
+r^m m! prod(mu) (times b! in the usual case).  Like the fock route it is
+an lru_cache on the route contract (kind, r, sorted profile, b_max).
 
 The oracle (`oracle_series`) multiplies the orbifold class sum against
 symmetric polynomials in the Jucys-Murphy elements inside Q[S_d] and reads
@@ -35,7 +34,6 @@ verifiers and the CLI reach the routes only through it.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -94,9 +92,10 @@ def _weight_coeffs(kind: HurwitzKind, lam: tuple[int, ...], order: int) -> list[
     return [total ** b for b in range(order + 1)]
 
 
+@lru_cache(maxsize=None)
 def _partition_sum(kind: HurwitzKind, r: int, rho: tuple[int, ...],
                    order: int) -> tuple[Fraction, ...]:
-    """h_0..h_order of the character route at the sorted profile rho, uncached."""
+    """h_0..h_order of the character route at the sorted profile rho."""
     d = sum(rho)
     if d % r != 0:
         return (Fraction(0),) * (order + 1)
@@ -114,28 +113,10 @@ def _partition_sum(kind: HurwitzKind, r: int, rho: tuple[int, ...],
     return tuple(Fraction(a, norm) for a in acc)
 
 
-# (kind, r, sorted profile) -> the longest coefficient tuple computed for it;
-# the lock makes "only ever replaced by a longer prefix" hold across threads
-_CHARACTER_SERIES: dict[tuple, tuple[Fraction, ...]] = {}
-_CHARACTER_SERIES_LOCK = threading.Lock()
-
-
-def _disconnected_coeffs(kind: HurwitzKind, r: int, rho: tuple[int, ...],
-                         order: int) -> tuple[Fraction, ...]:
-    key = (kind, r, rho)
-    coeffs = _CHARACTER_SERIES.get(key, ())
-    if len(coeffs) <= order:
-        coeffs = _partition_sum(kind, r, rho, order)
-        with _CHARACTER_SERIES_LOCK:
-            if len(coeffs) > len(_CHARACTER_SERIES.get(key, ())):
-                _CHARACTER_SERIES[key] = coeffs
-    return coeffs[:order + 1]
-
-
 def disconnected_series_character(kind: HurwitzKind, r: int, mus: Sequence[int],
                                   u_order: int) -> TruncatedSeries:
     """Genus series of disconnected Hurwitz numbers, sum_b h_b u^b."""
-    coeffs = _disconnected_coeffs(kind, r, tuple(sorted(mus, reverse=True)), u_order)
+    coeffs = _partition_sum(kind, r, tuple(sorted(mus, reverse=True)), u_order)
     return TruncatedSeries(("u",), {(b,): c for b, c in enumerate(coeffs)}, {"u": u_order})
 
 
@@ -291,7 +272,7 @@ def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
     divide its degree or b_max is below |sub|/r - len(sub), the least b of
     a cover (each part its own genus-0 component).
     """
-    routes = {"character": _disconnected_coeffs, "fock": disconnected_block_series,
+    routes = {"character": _partition_sum, "fock": disconnected_block_series,
               "oracle": oracle_series}
     if route not in routes:
         raise ValueError(f"unknown method {route!r}")

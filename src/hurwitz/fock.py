@@ -93,7 +93,6 @@ def _to_partition(occ: Sequence[int]) -> Partition:
     return tuple(parts)
 
 
-@lru_cache(maxsize=None)
 def _moves(lam: Partition, a: int) -> tuple[tuple[Fraction, int, Partition], ...]:
     """All single-fermion moves m -> m-a: (weight exponent, sign, new state)."""
     size = len(lam)

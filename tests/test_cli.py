@@ -236,12 +236,43 @@ def test_cross_validate_failure_keeps_both_witnesses(capsys, monkeypatch):
     ]
 
 
+def test_csv_keeps_status_oracle_and_disagreements(capsys, monkeypatch):
+    import hurwitz.counts as counts
+
+    _, out, _ = invoke(capsys, "--format", "csv", "compute", "--kind", "monotone",
+                       "--r", "1", "--g", "0", "--mu", "4,3", "--method", "all")
+    assert out.splitlines() == [
+        "connected,g,kind,method,mu,oracle,r,status,value",
+        "true,0,monotone,character,[4 3],skipped,1,PASS,100",
+        "true,0,monotone,fock,[4 3],skipped,1,PASS,100",
+    ]
+
+    def wrong_fock(route, kind, r, mus, b_max, connected):
+        coeffs = route_series(route, kind, r, mus, b_max, connected)
+        return coeffs[:-1] + (coeffs[-1] + (route == "fock"),)
+
+    route_series = counts.route_series
+    monkeypatch.setattr(counts, "route_series", wrong_fock)
+    code, out, _ = invoke(capsys, "--format", "csv", "compute", "--kind", "monotone",
+                          "--r", "2", "--g", "0", "--mu", "1,3", "--method", "all")
+    assert code == 1
+    assert out.splitlines() == [
+        "character,connected,fock,g,kind,method,mu,oracle,r,routes,status,value",
+        ",true,,0,monotone,character,[1 3],,2,,FAIL,2",
+        ",true,,0,monotone,fock,[1 3],,2,,FAIL,3",
+        ",true,,0,monotone,oracle,[1 3],,2,,FAIL,2",
+        "2,,3,,,,,,,character/fock,FAIL,",
+        ",,3,,,,,2,,fock/oracle,FAIL,",
+    ]
+
+
 def test_csv_and_text_formats(capsys):
     code, out, _ = invoke(capsys, "--format", "csv", "series", "--kind", "monotone",
                           "--r", "2", "--mu", "2", "--order", "2")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "b,value"
+    assert lines[0] == "b,status,value"
+    assert lines[1:] == ["0,PASS,1/2", "1,PASS,0", "2,PASS,1/2"]
     code, out, _ = invoke(capsys, "--format", "text", "compute", "--kind", "monotone",
                           "--r", "2", "--g", "0", "--mu", "2,2")
     assert code == 0

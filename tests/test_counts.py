@@ -134,28 +134,28 @@ def test_character_sum_matches_fraction_reference():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("orders", [(3, 8, 5), (5, 8, 3), (3, 4)])
-def test_character_memo_keeps_the_longest_series(kind, orders, monkeypatch):
-    # one entry per profile: a shorter order is a slice of the longest
-    # series so far, and a longer one (even by one) replaces it
-    monkeypatch.setattr(counts, "_CHARACTER_SERIES", {})
+def test_character_memo_keeps_the_longest_series(kind, orders):
+    # the route is an lru_cache on (kind, r, sorted profile, order): every
+    # answer is the uncached sum at its order, and each distinct order
+    # reaches the route once, however often and in whichever order it is asked
     mus = (3, 2, 1)
-    longest = 0
-    for order in orders:
+    counts._partition_sum.cache_clear()
+    for order in orders * 2:
         got = disconnected_series_character(kind, 2, mus[::-1], order)
-        fresh = counts._partition_sum(kind, 2, mus, order)
+        fresh = counts._partition_sum.__wrapped__(kind, 2, mus, order)
         assert tuple(got.coefficient(u=b) for b in range(order + 1)) == fresh
         assert got.orders == {"u": order}
-        longest = max(longest, order)
-        assert counts._CHARACTER_SERIES == {
-            (kind, 2, mus): counts._partition_sum(kind, 2, mus, longest)}
+    info = counts._partition_sum.cache_info()
+    assert (info.misses, info.hits) == (len(set(orders)), len(orders))
+    assert info.currsize == len(set(orders))
 
 
-def test_character_memo_under_threads(monkeypatch):
+def test_character_memo_under_threads():
     # concurrent requests at mixed orders: every answer is a prefix of the
-    # longest series, and that series is the entry left behind
-    monkeypatch.setattr(counts, "_CHARACTER_SERIES", {})
+    # longest series, and one entry per order is left behind
     mus = (2, 2, 1, 1)
-    expected = counts._partition_sum(K.MONOTONE, 2, mus, 8)
+    expected = counts._partition_sum.__wrapped__(K.MONOTONE, 2, mus, 8)
+    counts._partition_sum.cache_clear()
     results = []
 
     def ask(order):
@@ -177,7 +177,7 @@ def test_character_memo_under_threads(monkeypatch):
     assert len(results) == len(threads)
     for order, got in results:
         assert got == expected[:order + 1], order
-    assert counts._CHARACTER_SERIES == {(K.MONOTONE, 2, mus): expected}
+    assert counts._partition_sum.cache_info().currsize == 8
 
 
 def test_oracle_examples():
@@ -337,6 +337,91 @@ def test_genus_zero_closed_forms_at_r_1():
             b = len(mus) + sum(mus) - 2
             got = route_series("character", kind, 1, mus, b, True)[b]
             assert got == genus_zero_closed_form(kind, mus), (kind, mus)
+
+
+ANCHOR_MAX_GENUS = 3
+
+
+def _even_series_mul(a, b):
+    """Product of two power series in t^2, as coefficient lists of one length."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def gjv_one_part(r, m, g):
+    """Usual kind, mu = (d), d = r m: d^(b-1)/m! [t^2g] S(r t)^m / S(t).
+
+    Goulden-Jackson-Vakil's one-part formula, with S(t) = sinh(t/2)/(t/2)
+    and b = 2g - 1 + m; b = 0 occurs, so the power is an exact Fraction.
+    """
+    d, b = r * m, 2 * g - 1 + m
+    s = [Fraction(1, 4 ** k * factorial(2 * k + 1)) for k in range(g + 1)]
+    inv_s = [Fraction(1)]
+    for k in range(1, g + 1):
+        inv_s.append(-sum(s[i] * inv_s[k - i] for i in range(1, k + 1)))
+    prod_series = inv_s
+    s_rt = [c * r ** (2 * k) for k, c in enumerate(s)]
+    for _ in range(m):
+        prod_series = _even_series_mul(prod_series, s_rt)
+    return Fraction(d) ** (b - 1) / factorial(m) * prod_series[g]
+
+
+def harer_zagier(max_genus, max_n):
+    """eps[g][n]: gluings of a 2n-gon into a genus-g surface (one-face maps).
+
+    (n+1) eps_g(n) = 2(2n-1) eps_g(n-1) + (n-1)(2n-1)(2n-3) eps_{g-1}(n-2).
+    """
+    eps = [[0] * (max_n + 1) for _ in range(max_genus + 1)]
+    eps[0][0] = 1
+    for n in range(1, max_n + 1):
+        for g in range(max_genus + 1):
+            total = 2 * (2 * n - 1) * eps[g][n - 1]
+            if g and n >= 2:
+                total += (n - 1) * (2 * n - 1) * (2 * n - 3) * eps[g - 1][n - 2]
+            eps[g][n], rest = divmod(total, n + 1)
+            assert rest == 0
+    return eps
+
+
+def one_part_series(b_max, m, value_at_genus):
+    """h_0..h_{b_max} of a one-part profile of quotient m: h_b lives at b = 2g-1+m."""
+    out = [Fraction(0)] * (b_max + 1)
+    for g in range(ANCHOR_MAX_GENUS + 1):
+        out[2 * g - 1 + m] = value_at_genus(g)
+    return tuple(out)
+
+
+def test_one_part_anchors_are_right():
+    # eps_0 is Catalan and eps_1(n) = (n+1) n (n-1) / 12 * Catalan(n)
+    eps = harer_zagier(1, 5)
+    assert eps[0] == [1, 1, 2, 5, 14, 42]
+    assert eps[1] == [0, 0, 1, 10, 70, 420]
+    # genus 0 at r = 1 is Hurwitz's formula, and (2) at genus 1 has b = 3:
+    # 2^2 / 2! * [t^2] S(t) = 2 / 24
+    for d in range(1, 8):
+        assert gjv_one_part(1, d, 0) == genus_zero_closed_form(K.USUAL, (d,))
+    assert gjv_one_part(1, 2, 1) == Fraction(1, 12)
+
+
+# the one-part fock block costs almost nothing; the character route pays
+# for the (r^m) and (d) character tables
+@pytest.mark.parametrize("route, max_d", [("fock", 40), ("character", 24)])
+def test_one_part_usual_matches_goulden_jackson_vakil(route, max_d):
+    for r in (1, 2, 3):
+        for m in range(1, max_d // r + 1):
+            b_max = 2 * ANCHOR_MAX_GENUS - 1 + m
+            got = route_series(route, K.USUAL, r, (r * m,), b_max, True)
+            want = one_part_series(b_max, m, lambda g: gjv_one_part(r, m, g))
+            assert got == want, (route, r, m)
+
+
+@pytest.mark.parametrize("route, max_d", [("fock", 40), ("character", 24)])
+def test_one_part_strict_matches_harer_zagier(route, max_d):
+    eps = harer_zagier(ANCHOR_MAX_GENUS, max_d // 2)
+    for n in range(1, max_d // 2 + 1):
+        b_max = 2 * ANCHOR_MAX_GENUS - 1 + n
+        got = route_series(route, K.STRICT, 2, (2 * n,), b_max, True)
+        want = one_part_series(b_max, n, lambda g: Fraction(eps[g][n], 2 * n))
+        assert got == want, (route, n)
 
 
 def test_symmetry_under_permutation():
