@@ -20,10 +20,11 @@ accumulates chi^lam((r^m)) * chi^lam(mu) * W_lam[b], with h_b, sigma_b or
 r^m m! prod(mu) (times b! in the usual case).  Like the fock route it is
 an lru_cache on the route contract (kind, r, sorted profile, b_max).
 
-The oracle (`oracle_series`) multiplies the orbifold class sum against
-symmetric polynomials in the Jucys-Murphy elements inside Q[S_d] and reads
-off the coefficient of one fixed permutation of cycle type mu.  The fock
-route is `fock.disconnected_block_series`.
+The oracle (`oracle_series`, degree <= 6) multiplies the orbifold class sum
+against symmetric polynomials in the Jucys-Murphy elements inside Z[S_d] and
+reads off the coefficient of one fixed permutation of cycle type mu, with one
+integer sum and one exact division per b.  The fock route is
+`fock.disconnected_block_series`.
 
 `route_series` is the one dispatch over the three: it takes a connected
 series from the route's disconnected series of the sub-multisets of mu by
@@ -134,13 +135,6 @@ def _compose(p: tuple, q: tuple) -> tuple:
     return tuple(p[x] for x in q)
 
 
-def _inverse(p: tuple) -> tuple:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
-
-
 def cycle_type(p: tuple) -> tuple[int, ...]:
     seen = [False] * len(p)
     lengths = []
@@ -177,33 +171,29 @@ def _transposition(d: int, i: int, j: int) -> tuple:
 
 
 def _elem_mul(a: dict, b: dict) -> dict:
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, int] = {}
     for pa, ca in a.items():
         for pb, cb in b.items():
             key = _compose(pa, pb)
-            out[key] = out.get(key, Fraction(0)) + ca * cb
+            out[key] = out.get(key, 0) + ca * cb
     return {k: v for k, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
 def _jucys_murphy(d: int, k: int) -> dict:
     # J_k = sum_{i<k} (i k), in 1-based labels; zero-based internally
-    return {_transposition(d, i, k - 1): Fraction(1) for i in range(k - 1)}
+    return {_transposition(d, i, k - 1): 1 for i in range(k - 1)}
 
 
 @lru_cache(maxsize=None)
 def _phi(kind: HurwitzKind, d: int, b: int) -> dict:
-    """h_b / e_b / (sum J)^b / b! of the Jucys-Murphy elements J_2..J_d."""
-    ident = {tuple(range(d)): Fraction(1)}
+    """h_b / e_b / (sum J)^b of the Jucys-Murphy elements J_2..J_d, in Z[S_d]."""
+    ident = {tuple(range(d)): 1}
     if b == 0:
         return ident
     if kind is HurwitzKind.USUAL:
-        j_total: dict[tuple, Fraction] = {}
-        for k in range(2, d + 1):
-            for p, c in _jucys_murphy(d, k).items():
-                j_total[p] = j_total.get(p, Fraction(0)) + c
-        power = _elem_mul(_phi(kind, d, b - 1), j_total) if b > 1 else j_total
-        return {p: c / b for p, c in power.items()}
+        # h_1 = J_2 + ... + J_d
+        return _elem_mul(_phi(kind, d, b - 1), _phi(HurwitzKind.MONOTONE, d, 1))
     table = [ident] + [{} for _ in range(b)]
     # h feeds the already-updated lower row back in (repeats allowed);
     # sigma updates from the top, so each J_k is used at most once
@@ -213,36 +203,39 @@ def _phi(kind: HurwitzKind, d: int, b: int) -> dict:
         for j in rows:
             merged = dict(table[j])
             for p, c in _elem_mul(table[j - 1], jk).items():
-                merged[p] = merged.get(p, Fraction(0)) + c
+                merged[p] = merged.get(p, 0) + c
             table[j] = {p: c for p, c in merged.items() if c}
     return table[b]
 
 
-def oracle_group_algebra(kind: HurwitzKind, r: int, b: int, mus: Sequence[int]) -> Fraction:
-    """Disconnected [u^b] via exact multiplication in Q[S_d].
+def oracle_series(kind: HurwitzKind, r: int, mus: Sequence[int],
+                  b_max: int) -> tuple[Fraction, ...]:
+    """h_0..h_{b_max} of the oracle route by exact multiplication in Z[S_d].
 
-    Coefficient of one fixed permutation of cycle type mus in
-    C_{(r^{d/r})} * Phi_b, divided by prod(mus).
+    [u^b] is the coefficient of one fixed permutation sigma0 of cycle type
+    mus in C_{(r^{d/r})} * Phi_b: the sum of Phi_b(pi sigma0) over pi in the
+    class (closed under inversion), divided by prod(mus), times b! in the
+    usual case.
     """
-    mus = tuple(mus)
     d = sum(mus)
     if d > ORACLE_DEGREE_CAP:
         raise DegreeCapError(f"degree {d} exceeds the oracle cap {ORACLE_DEGREE_CAP}")
+    if d % r != 0:
+        return (Fraction(0),) * (b_max + 1)
+    sigma0 = canonical_permutation(mus)
+    keys = [_compose(pi, sigma0) for pi in _class_members(d, (r,) * (d // r))]
+    acc = [sum(_phi(kind, d, b).get(key, 0) for key in keys) for b in range(b_max + 1)]
+    norm = prod(mus)
+    if kind is HurwitzKind.USUAL:
+        return tuple(Fraction(a, norm * factorial(b)) for b, a in enumerate(acc))
+    return tuple(Fraction(a, norm) for a in acc)
+
+
+def oracle_group_algebra(kind: HurwitzKind, r: int, b: int, mus: Sequence[int]) -> Fraction:
+    """Disconnected [u^b] of the oracle route."""
     if b < 0:
         raise ValueError("b must be nonnegative")
-    if d % r != 0:
-        return Fraction(0)
-    phi = _phi(kind, d, b)
-    sigma0 = canonical_permutation(mus)
-    total = Fraction(0)
-    for pi in _class_members(d, tuple(sorted((r,) * (d // r), reverse=True))):
-        total += phi.get(_compose(_inverse(pi), sigma0), Fraction(0))
-    return total / prod(mus)
-
-
-def oracle_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
-                  b_max: int) -> tuple[Fraction, ...]:
-    return tuple(oracle_group_algebra(kind, r, b, mus) for b in range(b_max + 1))
+    return oracle_series(kind, r, mus, b)[b]
 
 
 # -- dispatch ----------------------------------------------------------------

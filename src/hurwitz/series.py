@@ -346,7 +346,7 @@ def s_power(var: str, scale_num: int, scale_den: int, exponent: int, order: int)
     """S(scale * var)^exponent, cached; exponent may be negative."""
     base = elementary_series("S" if exponent >= 0 else "inv_S", var, order)
     base = base.scale_var(var, Fraction(scale_num, scale_den))
-    return base ** abs(exponent) if exponent >= 0 else base ** (-exponent)
+    return base ** abs(exponent)
 
 
 def compose_univariate(outer: Sequence, inner: TruncatedSeries) -> TruncatedSeries:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import sys
 import threading
@@ -204,6 +205,97 @@ def test_oracle_calibration_against_one_point_closed_forms():
 def test_oracle_cap():
     with pytest.raises(ValueError):
         oracle_group_algebra(K.USUAL, 1, 1, (7,))
+
+
+def _reference_inverse(p):
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
+def _reference_elem_mul(a, b):
+    out = {}
+    for pa, ca in a.items():
+        for pb, cb in b.items():
+            key = counts._compose(pa, pb)
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def _reference_jucys_murphy(d, k):
+    return {counts._transposition(d, i, k - 1): Fraction(1) for i in range(k - 1)}
+
+
+@functools.lru_cache(maxsize=None)
+def reference_phi(kind, d, b):
+    """h_b / e_b / (sum J)^b / b! of J_2..J_d in Q[S_d], one division per step."""
+    ident = {tuple(range(d)): Fraction(1)}
+    if b == 0:
+        return ident
+    if kind is K.USUAL:
+        j_total = {}
+        for k in range(2, d + 1):
+            for p, c in _reference_jucys_murphy(d, k).items():
+                j_total[p] = j_total.get(p, Fraction(0)) + c
+        power = _reference_elem_mul(reference_phi(kind, d, b - 1), j_total) if b > 1 else j_total
+        return {p: c / b for p, c in power.items()}
+    table = [ident] + [{} for _ in range(b)]
+    rows = range(1, b + 1) if kind is K.MONOTONE else range(b, 0, -1)
+    for k in range(2, d + 1):
+        jk = _reference_jucys_murphy(d, k)
+        for j in rows:
+            merged = dict(table[j])
+            for p, c in _reference_elem_mul(table[j - 1], jk).items():
+                merged[p] = merged.get(p, Fraction(0)) + c
+            table[j] = {p: c for p, c in merged.items() if c}
+    return table[b]
+
+
+def reference_oracle(kind, r, b, mus):
+    """[u^b] as the Fraction coefficient of sigma0 in C_{(r^m)} * Phi_b, per b."""
+    d = sum(mus)
+    if d % r != 0:
+        return Fraction(0)
+    phi = reference_phi(kind, d, b)
+    sigma0 = canonical_permutation(mus)
+    total = Fraction(0)
+    for pi in counts._class_members(d, tuple(sorted((r,) * (d // r), reverse=True))):
+        total += phi.get(counts._compose(_reference_inverse(pi), sigma0), Fraction(0))
+    return total / prod(mus)
+
+
+def test_oracle_series_matches_fraction_reference():
+    b_max = 6
+    for kind in ALL_KINDS:
+        for r in (1, 2, 3):
+            for d in range(r, 7, r):
+                for mus in enumerate_partitions(d):
+                    want = tuple(reference_oracle(kind, r, b, mus) for b in range(b_max + 1))
+                    assert oracle_series(kind, r, mus, b_max) == want, (kind, r, mus)
+
+
+def test_oracle_reads_its_series_at_falling_b():
+    # each b asked on its own, top b first, after clearing the Phi cache
+    for kind in ALL_KINDS:
+        for r, mus in [(1, (3, 2, 1)), (2, (4, 2)), (3, (3, 3)), (1, (1,) * 6)]:
+            counts._phi.cache_clear()
+            series = oracle_series(kind, r, mus, 6)
+            counts._phi.cache_clear()
+            for b in range(6, -1, -1):
+                assert oracle_group_algebra(kind, r, b, mus) == series[b], (kind, r, mus, b)
+
+
+def test_oracle_past_its_cap_matches_character(monkeypatch):
+    monkeypatch.setattr(counts, "ORACLE_DEGREE_CAP", 7)
+    b_max, nonzero = 8, 0
+    for kind in ALL_KINDS:
+        for r in (1, 7):
+            for mus in enumerate_partitions(7):
+                got = oracle_series(kind, r, mus, b_max)
+                assert got == counts._partition_sum(kind, r, mus, b_max), (kind, r, mus)
+                nonzero += sum(1 for c in got if c)
+    assert nonzero > 0
 
 
 def test_permutation_helpers():
