@@ -233,16 +233,18 @@ def cmd_unstable_check(args) -> dict:
         rep = check_bergman02(args.r, args.order)
         results.append(rep.to_json())
         ok = ok and rep.passed
+        identities_ok = True
         for m1 in range(1, args.order):
             for m2 in range(m1, args.order + 1 - m1):
                 if (m1 + m2) % args.r == 0:
                     rep = check_case_identities(args.r, m1, m2)
-                    ok = ok and rep.passed
+                    identities_ok = identities_ok and rep.passed
                     if not rep.passed:
                         results.append(rep.to_json())
+        ok = ok and identities_ok
         results.append({"check": "case_identities",
                         "params": {"r": args.r, "max_total": args.order},
-                        "status": "PASS" if ok else "FAIL", "witness": None})
+                        "status": "PASS" if identities_ok else "FAIL", "witness": None})
     return {"command": "unstable-check",
             "params": {"kind": kind.value, "r": args.r, "order": args.order},
             "results": results, "status": "PASS" if ok else "FAIL"}

@@ -186,26 +186,46 @@ def _jucys_murphy(d: int, k: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _phi(kind: HurwitzKind, d: int, b: int) -> dict:
-    """h_b / e_b / (sum J)^b of the Jucys-Murphy elements J_2..J_d, in Z[S_d]."""
-    ident = {tuple(range(d)): 1}
+def _phi(kind: HurwitzKind, d: int, b: int) -> tuple[dict, ...]:
+    """Row b of the kind's table in Z[S_d], built once from row b - 1.
+
+    Its last entry is h_b / e_b / (sum J)^b of the Jucys-Murphy elements
+    J_2..J_d.  For h and e the row holds the value on every prefix J_2..J_k,
+    k = 1..d, which the next row needs:
+    h_b(J_2..J_k) = h_b(J_2..J_{k-1}) + J_k h_{b-1}(J_2..J_k) and
+    e_b(J_2..J_k) = e_b(J_2..J_{k-1}) + J_k e_{b-1}(J_2..J_{k-1}).
+    """
     if b == 0:
-        return ident
+        return ({tuple(range(d)): 1},) * (1 if kind is HurwitzKind.USUAL else d)
+    below = _phi(kind, d, b - 1)
     if kind is HurwitzKind.USUAL:
-        # h_1 = J_2 + ... + J_d
-        return _elem_mul(_phi(kind, d, b - 1), _phi(HurwitzKind.MONOTONE, d, 1))
-    table = [ident] + [{} for _ in range(b)]
-    # h feeds the already-updated lower row back in (repeats allowed);
-    # sigma updates from the top, so each J_k is used at most once
-    rows = range(1, b + 1) if kind is HurwitzKind.MONOTONE else range(b, 0, -1)
+        # J_2 + ... + J_d, every transposition once
+        total = {p: 1 for k in range(2, d + 1) for p in _jucys_murphy(d, k)}
+        return (_elem_mul(below[-1], total),)
+    # h reads the lower row on J_2..J_k (repeats allowed), e on J_2..J_{k-1}
+    lag = 1 if kind is HurwitzKind.MONOTONE else 2
+    row = [{}]
     for k in range(2, d + 1):
-        jk = _jucys_murphy(d, k)
-        for j in rows:
-            merged = dict(table[j])
-            for p, c in _elem_mul(table[j - 1], jk).items():
-                merged[p] = merged.get(p, 0) + c
-            table[j] = {p: c for p, c in merged.items() if c}
-    return table[b]
+        acc = dict(row[-1])
+        for p, c in _elem_mul(below[k - lag], _jucys_murphy(d, k)).items():
+            acc[p] = acc.get(p, 0) + c
+        row.append(acc)
+    return tuple(row)
+
+
+@lru_cache(maxsize=None)
+def _oracle_keys(r: int, mus: tuple[int, ...]) -> tuple:
+    """pi * sigma0 over the class (r^{d/r}), sigma0 the fixed permutation of type mus."""
+    d = sum(mus)
+    sigma0 = canonical_permutation(mus)
+    return tuple(_compose(pi, sigma0) for pi in _class_members(d, (r,) * (d // r)))
+
+
+@lru_cache(maxsize=None)
+def _oracle_sum(kind: HurwitzKind, r: int, mus: tuple[int, ...], b: int) -> int:
+    """The sum of Phi_b(pi sigma0) over the class, one per (kind, r, mus, b)."""
+    phi = _phi(kind, sum(mus), b)[-1]
+    return sum(phi.get(key, 0) for key in _oracle_keys(r, mus))
 
 
 def oracle_series(kind: HurwitzKind, r: int, mus: Sequence[int],
@@ -222,9 +242,8 @@ def oracle_series(kind: HurwitzKind, r: int, mus: Sequence[int],
         raise DegreeCapError(f"degree {d} exceeds the oracle cap {ORACLE_DEGREE_CAP}")
     if d % r != 0:
         return (Fraction(0),) * (b_max + 1)
-    sigma0 = canonical_permutation(mus)
-    keys = [_compose(pi, sigma0) for pi in _class_members(d, (r,) * (d // r))]
-    acc = [sum(_phi(kind, d, b).get(key, 0) for key in keys) for b in range(b_max + 1)]
+    mus = tuple(sorted(mus, reverse=True))
+    acc = [_oracle_sum(kind, r, mus, b) for b in range(b_max + 1)]
     norm = prod(mus)
     if kind is HurwitzKind.USUAL:
         return tuple(Fraction(a, norm * factorial(b)) for b, a in enumerate(acc))

@@ -29,6 +29,12 @@ and serves two callers:
   u-polynomials: a move multiplies by one of them, and the vacuum
   coefficient is the answer, shifted by d/r.  These run in integers, over
   one common denominator per slot, with one exact division at the vacuum.
+  The slot data are coefficients of fixed series in w, each memoized by
+  the coefficient it is: the S-powers by Miller's power recurrence
+  (`_s_power_coefficient`), the slot's S-power product (`_slot_base`) and
+  the folded scalars (`_folded_scalar`).  A block at a larger b_max only
+  gathers them, so it reruns the wedge walk but no series arithmetic;
+  this route uses no TruncatedSeries at all.
 
 The block follows the paper's vacuum correlator <A_{mu_1} ... A_{mu_n}>:
 each A-operator is one sum over t, so each slot is applied once, over all
@@ -48,7 +54,7 @@ from math import factorial, lcm
 from typing import Callable, Mapping, Sequence
 
 from .kinds import HurwitzKind
-from .series import TruncatedSeries, elementary_series, exp_linear, mul, s_power
+from .series import TruncatedSeries, elementary_series, exp_linear, mul
 
 Partition = tuple[int, ...]
 StateVector = dict[Partition, TruncatedSeries]
@@ -255,6 +261,7 @@ def inv_factorial(n: int) -> Fraction:
     return Fraction(1, factorial(n))
 
 
+@lru_cache(maxsize=None)
 def _folded_scalar(kind: HurwitzKind, r: int, mu: int, t: int, v: int) -> Fraction:
     """The (t, v) scalar of one A-operator times the kind's per-entry prefactor.
 
@@ -295,6 +302,47 @@ def _scalar_table(kind: HurwitzKind, r: int, mu: int, t: int, k_hi: int) -> dict
     return table
 
 
+# -- S-power coefficients, memoized per coefficient, not per truncation order --
+
+
+@lru_cache(maxsize=None)
+def _s_power_coefficient(scale: int, p: int, n: int) -> Fraction:
+    """[w^n] S(scale * w)^p for any integer p, by Miller's power recurrence.
+
+    S(scale * w) = sum_k a_k w^k with a_0 = 1 and a_k = scale^k / (2^k (k+1)!)
+    for even k (0 for odd k), so g = S^p has g_0 = 1 and
+    n g_n = sum_{k=1}^{n} ((p + 1) k - n) a_k g_{n-k}.
+    """
+    if n == 0:
+        return Fraction(1)
+    if n % 2:  # S is even, so are its powers
+        return Fraction(0)
+    acc = sum(((p + 1) * k - n) * Fraction(scale ** k, 2 ** k * factorial(k + 1))
+              * _s_power_coefficient(scale, p, n - k) for k in range(2, n + 1, 2))
+    return Fraction(acc, n)
+
+
+@lru_cache(maxsize=None)
+def _slot_base(kind: HurwitzKind, r: int, mu: int, t: int, e: int) -> Fraction:
+    """[w^e] P(w) * S(r w)^(t + [mu]), the S-powers of one operator slot.
+
+    P is S(w)^(mu - 1) monotone, S(w)^(-mu - 1) strictly monotone and 1
+    usual.
+    """
+    q = t + mu // r
+    if kind is HurwitzKind.USUAL:
+        return _s_power_coefficient(r, q, e)
+    p = mu - 1 if kind is HurwitzKind.MONOTONE else -mu - 1
+    # the odd coefficients of S^p vanish
+    return sum((_s_power_coefficient(1, p, j) * _s_power_coefficient(r, q, e - j)
+                for j in range(0, e + 1, 2)), Fraction(0))
+
+
+def _inv_zeta_coefficients(order: int) -> list[Fraction]:
+    """[z^j] 1/zeta(z) for j = -1..order: 1/zeta(z) = z^-1 S(z)^-1."""
+    return [_s_power_coefficient(1, -1, j + 1) for j in range(-1, order + 1)]
+
+
 # -- the block: u-polynomials per operator slot --------------------------------
 #
 # The block runs in integers: every u-polynomial of a slot's t is kept over
@@ -307,8 +355,8 @@ def _scalar_table(kind: HurwitzKind, r: int, mu: int, t: int, k_hi: int) -> dict
 @lru_cache(maxsize=None)
 def _atom_denominator(order: int) -> int:
     """A common denominator of [z^j] of every atom, j <= order."""
-    inv = elementary_series("inv_zeta", "z", order)
-    return lcm(2 ** order * factorial(order), *(c.denominator for c in inv.terms.values()))
+    return lcm(2 ** order * factorial(order),
+               *(c.denominator for c in _inv_zeta_coefficients(order)))
 
 
 @lru_cache(maxsize=None)
@@ -320,9 +368,8 @@ def _atom_numerators(atom, order: int) -> tuple[tuple[int, int], ...]:
     """
     den = _atom_denominator(order)
     if atom is None:
-        inv = elementary_series("inv_zeta", "z", order)
-        return tuple(sorted((j, c.numerator * (den // c.denominator))
-                            for (j,), c in inv.terms.items()))
+        return tuple((j, c.numerator * (den // c.denominator))
+                     for j, c in enumerate(_inv_zeta_coefficients(order), start=-1) if c)
     pieces = atom if isinstance(atom, tuple) else ((atom, 1),)
     out = []
     for j in range(order + 1):
@@ -340,12 +387,12 @@ def _slot_frame(kind: HurwitzKind, r: int, mu: int, t: int,
 
     D is the slot's common denominator.  The slot's scalar is table[e]
     (mu^e * table[None] for the usual kind) and its S-powers are
-    P(w) * S(r w)^(t + [mu]), where P is S(w)^(mu - 1) monotone,
-    S(w)^(-mu - 1) strictly monotone and 1 usual.  D = L * A * B for L, A
-    and B common denominators of the table, of the atoms and of the
-    S-powers; scales holds (e, table[e] * L) for e in [-1, k_budget] where
-    the scalar is nonzero, and base the coefficients [w^0..w^order] of the
-    S-powers times B.  The slot's t must be live.
+    P(w) * S(r w)^(t + [mu]) (`_slot_base`).  D = L * A * B for L, A and B
+    common denominators of the table, of the atoms and of the S-powers;
+    scales holds (e, table[e] * L) for e in [-1, k_budget] where the scalar
+    is nonzero, and base the coefficients [w^0..w^order] of the S-powers
+    times B.  k_budget only says how many memoized coefficients to gather
+    over one denominator.  The slot's t must be live.
     """
     table = _scalar_table(kind, r, mu, t, k_budget)
     order = max(k_budget, 0) + 1
@@ -353,11 +400,7 @@ def _slot_frame(kind: HurwitzKind, r: int, mu: int, t: int,
                 else table.get(e)) for e in range(-1, k_budget + 1)]
     scalars = [(e, c) for e, c in scalars if c]
     table_den = lcm(*(c.denominator for _, c in scalars))
-    powers = s_power("w", r, 1, t + mu // r, order)
-    if kind is not HurwitzKind.USUAL:
-        p = mu - 1 if kind is HurwitzKind.MONOTONE else -mu - 1
-        powers = mul(powers, s_power("w", 1, 1, p, order))
-    base = [powers.coefficient(w=j) for j in range(order + 1)]
+    base = [_slot_base(kind, r, mu, t, j) for j in range(order + 1)]
     base_den = lcm(*(c.denominator for c in base))
     return (table_den * _atom_denominator(order) * base_den,
             tuple((e, c.numerator * (table_den // c.denominator)) for e, c in scalars),

@@ -341,14 +341,6 @@ def elementary_series(name: str, var: str, order: int) -> TruncatedSeries:
     raise ValueError(f"unknown elementary series: {name!r}")
 
 
-@lru_cache(maxsize=None)
-def s_power(var: str, scale_num: int, scale_den: int, exponent: int, order: int) -> TruncatedSeries:
-    """S(scale * var)^exponent, cached; exponent may be negative."""
-    base = elementary_series("S" if exponent >= 0 else "inv_S", var, order)
-    base = base.scale_var(var, Fraction(scale_num, scale_den))
-    return base ** abs(exponent)
-
-
 def compose_univariate(outer: Sequence, inner: TruncatedSeries) -> TruncatedSeries:
     """sum_k outer[k] * inner^k for inner of positive total valuation."""
     coeffs = [_as_fraction(c) for c in outer]

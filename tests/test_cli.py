@@ -236,6 +236,26 @@ def test_cross_validate_failure_keeps_both_witnesses(capsys, monkeypatch):
     ]
 
 
+def test_unstable_check_case_identities_keep_their_own_status(capsys, monkeypatch):
+    import dataclasses
+
+    import hurwitz.cli as cli
+
+    check_F01 = cli.check_F01
+
+    def failing_F01(kind, r, order):
+        return dataclasses.replace(check_F01(kind, r, order), passed=False)
+
+    monkeypatch.setattr(cli, "check_F01", failing_F01)
+    code, out, _ = invoke(capsys, "unstable-check", "--kind", "monotone", "--r", "2",
+                          "--order", "6")
+    assert code == 1
+    data = json.loads(out)
+    assert data["status"] == "FAIL"
+    assert [(rec["check"], rec["status"]) for rec in data["results"]] == [
+        ("F01", "FAIL"), ("bergman02", "PASS"), ("case_identities", "PASS")]
+
+
 def test_csv_keeps_status_oracle_and_disagreements(capsys, monkeypatch):
     import hurwitz.counts as counts
 

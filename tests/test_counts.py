@@ -275,15 +275,44 @@ def test_oracle_series_matches_fraction_reference():
                     assert oracle_series(kind, r, mus, b_max) == want, (kind, r, mus)
 
 
+def clear_oracle_caches():
+    counts._phi.cache_clear()
+    counts._oracle_sum.cache_clear()
+
+
 def test_oracle_reads_its_series_at_falling_b():
     # each b asked on its own, top b first, after clearing the Phi cache
     for kind in ALL_KINDS:
         for r, mus in [(1, (3, 2, 1)), (2, (4, 2)), (3, (3, 3)), (1, (1,) * 6)]:
-            counts._phi.cache_clear()
+            clear_oracle_caches()
             series = oracle_series(kind, r, mus, 6)
-            counts._phi.cache_clear()
+            clear_oracle_caches()
             for b in range(6, -1, -1):
                 assert oracle_group_algebra(kind, r, b, mus) == series[b], (kind, r, mus, b)
+
+
+def test_oracle_builds_each_phi_row_once(monkeypatch):
+    # b = 0..6 and then 6..0: rows 0..6 of each (kind, d), each built once
+    # from the row below, h and e with one product per J_k, the usual power
+    # sum with one product
+    products = []
+
+    def counted_elem_mul(a, b):
+        products.append(1)
+        return elem_mul(a, b)
+
+    elem_mul = counts._elem_mul
+    monkeypatch.setattr(counts, "_elem_mul", counted_elem_mul)
+    d = 6
+    for kind in ALL_KINDS:
+        clear_oracle_caches()
+        products.clear()
+        for b in [*range(7), *range(6, -1, -1)]:
+            for mus in [(3, 2, 1), (2, 2, 2)]:
+                oracle_group_algebra(kind, 1, b, mus)
+        info = counts._phi.cache_info()
+        assert info.misses == info.currsize == 7, kind
+        assert len(products) == 6 * (1 if kind is K.USUAL else d - 1), kind
 
 
 def test_oracle_past_its_cap_matches_character(monkeypatch):

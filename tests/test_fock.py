@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 from math import prod
@@ -26,7 +27,6 @@ from hurwitz.series import (
     elementary_series,
     exp_series,
     mul,
-    s_power,
 )
 
 
@@ -275,6 +275,26 @@ def test_fock_matches_character_on_six_ones():
 # -- the block on multivariate series, kept as the reference -------------------
 
 
+@functools.lru_cache(maxsize=None)
+def s_power(var, scale_num, scale_den, exponent, order):
+    """S(scale * var)^exponent as a series, cached; exponent may be negative.
+
+    The reference for `fock._s_power_coefficient`.
+    """
+    base = elementary_series("S" if exponent >= 0 else "inv_S", var, order)
+    base = base.scale_var(var, Fraction(scale_num, scale_den))
+    return base ** abs(exponent)
+
+
+def test_s_power_recurrence_matches_series_powers():
+    for scale in (1, 2, 3, 4):
+        for p in range(-9, 10):
+            powers = s_power("w", scale, 1, p, 14)
+            for n in range(15):
+                assert fock._s_power_coefficient(scale, p, n) == powers.coefficient(w=n), \
+                    (scale, p, n)
+
+
 def reference_block_series(kind, r, mus, b_max):
     """disconnected_block_series through the general operator calculus.
 
@@ -413,3 +433,28 @@ def test_fock_matches_character_past_five_parts(r, mus, b_max):
     for kind in ALL_KINDS:
         assert route_series("fock", kind, r, mus, b_max, True) == \
             route_series("character", kind, r, mus, b_max, True), kind
+
+
+SLOT_CACHES = (fock.disconnected_block_series, fock._slot_frame, fock._slot_weight,
+               fock._scalar_table, fock._slot_base, fock._s_power_coefficient,
+               fock._folded_scalar)
+
+
+@pytest.mark.parametrize("r, mus", [(1, (3, 2, 1)), (2, (4, 2)), (3, (3, 3))])
+def test_rising_b_max_computes_each_slot_coefficient_once(r, mus):
+    # a block at a larger b_max reuses the S-power coefficients and folded
+    # scalars of every smaller one: b = 0..8 one at a time computes exactly
+    # what b = 8 alone does, each coefficient once
+    memos = (fock._s_power_coefficient, fock._slot_base, fock._folded_scalar)
+    for kind in ALL_KINDS:
+        for cache in SLOT_CACHES:
+            cache.cache_clear()
+        for b in range(9):
+            fock_shifted_coefficient(kind, r, mus, b, True)
+        rising = [cache.cache_info() for cache in memos]
+        assert all(info.misses == info.currsize and info.hits for info in rising), kind
+        for cache in SLOT_CACHES:
+            cache.cache_clear()
+        fock_shifted_coefficient(kind, r, mus, 8, True)
+        assert [cache.cache_info().misses for cache in memos] == \
+            [info.misses for info in rising], kind
