@@ -282,13 +282,20 @@ def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
     name at each call, so a rebound module attribute is the one that runs.
     A proper sub-profile is zero without asking its route when r does not
     divide its degree or b_max is below |sub|/r - len(sub), the least b of
-    a cover (each part its own genus-0 component).
+    a cover (each part its own genus-0 component).  An unknown route, r < 1,
+    an empty profile, a part below 1 or b_max < 0 raises ValueError.
     """
     routes = {"character": _partition_sum, "fock": disconnected_block_series,
               "oracle": oracle_series}
     if route not in routes:
         raise ValueError(f"unknown method {route!r}")
+    if r < 1:
+        raise ValueError(f"r must be positive, got {r}")
     mus = tuple(sorted(mus, reverse=True))
+    if not mus or mus[-1] < 1:
+        raise ValueError(f"mus must be a nonempty profile of positive parts, got {mus}")
+    if b_max < 0:
+        raise ValueError(f"b_max must be nonnegative, got {b_max}")
 
     def disconnected(sub: tuple[int, ...]) -> tuple[Fraction, ...]:
         if len(sub) < len(mus) and (sum(sub) % r or b_max < sum(sub) // r - len(sub)):
@@ -309,6 +316,8 @@ def hurwitz_number(req: HurwitzRequest) -> Fraction:
 def fock_shifted_coefficient(kind: HurwitzKind, r: int, mus: Sequence[int],
                              b: int, connected: bool) -> Fraction:
     """[u^b] of the fock-route genus series."""
+    if b < 0:
+        raise ValueError("b must be nonnegative")
     return route_series("fock", kind, r, mus, b, connected)[b]
 
 

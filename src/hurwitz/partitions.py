@@ -5,14 +5,20 @@ characters of a class rho are built together, lam -> chi^lam(rho), by adding
 one border strip per part of rho, and memoized in memory per class.
 Connected values come from disconnected ones by inclusion-exclusion over
 sub-multisets (`connected_from_subprofiles`) or, as its reference, over
-index subsets.
+index subsets.  The sub-multiset recursion runs in Python integers: each
+block D(N) is scaled by q^|N|, q the lcm of every block denominator and |N|
+the number of parts, so every connected value C(N) scaled the same way
+stays integral, and only the answer is divided.  Its shape (sub-vectors,
+weights, index pairs) depends only on the multiplicity vector and is
+memoized per vector (`_subprofile_plan`).
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Callable, Sequence
 
 Partition = tuple[int, ...]
@@ -170,51 +176,83 @@ def connected_from_disconnected(blocks: dict):
     return connected[full]
 
 
-def _sub_mul(acc: list, w: int, a: tuple, b: tuple) -> None:
-    """acc -= w * a * b on coefficient tuples, truncated; zeros are skipped."""
-    top = len(acc)
-    b_nonzero = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if not x:
+@lru_cache(maxsize=None)
+def _subprofile_plan(full: tuple[int, ...]) -> tuple:
+    """The shape of the sub-multiset recursion for one multiplicity vector.
+
+    Returns the nonzero sub-vectors of `full` in product order (each after
+    its own sub-vectors) and, for each of them that holds the least part a,
+    its index and terms (w(P), index of P, index of N - P).  The shape
+    depends only on the multiplicities, so (3,2,2,1) and (5,4,4,2) share one
+    plan.
+    """
+    vectors = list(itertools.product(*(range(m + 1) for m in full)))[1:]
+    index = {n: i for i, n in enumerate(vectors)}
+    steps = []
+    for i, n in enumerate(vectors):
+        if not n[-1]:
             continue
-        x *= w
-        for j, y in b_nonzero:
-            if i + j >= top:
-                break
-            acc[i + j] -= x * y
+        terms = []
+        for p in itertools.product(*(range(m + 1) for m in n[:-1]), range(1, n[-1] + 1)):
+            if p == n:
+                continue
+            w = comb(n[-1] - 1, p[-1] - 1) * prod(comb(y, x) for x, y in zip(p[:-1], n))
+            terms.append((w, index[p], index[tuple(y - x for x, y in zip(p, n))]))
+        steps.append((i, tuple(terms)))
+    return tuple(vectors), tuple(steps)
 
 
 def connected_from_subprofiles(mus: Sequence[int], block: Callable) -> tuple:
     """Connected coefficients of the profile mus from its sub-multisets.
 
     `block(sub)` gives the disconnected coefficients h_0..h_{b_max} of a
-    nonempty sub-multiset `sub` of mus (its parts decreasing) as a tuple.
-    They depend only on the multiset, so the recursion of
+    nonempty sub-multiset `sub` of mus (its parts decreasing) as a tuple of
+    Fractions.  They depend only on the multiset, so the recursion of
     connected_from_disconnected runs over multiplicity vectors, splitting
     off the component of one fixed copy of the least part a:
 
         C(M) = D(M) - sum_{a in N, N a proper sub-multiset of M} w(N) C(N) D(M - N),
 
     w(N) = prod_v binom(m_v - [v = a], n_v - [v = a]) counting the index
-    subsets with multiset N that hold that copy.  D and C are memoized per
-    vector, so each distinct sub-multiset reaches `block` once.
+    subsets with multiset N that hold that copy.  Each distinct sub-multiset
+    reaches `block` once; the recursion's shape comes from
+    `_subprofile_plan`, memoized per multiplicity vector.
+
+    The recursion runs in integers.  With q the lcm of every block
+    coefficient's denominator and |N| the number of parts of N, the scaled
+    blocks q^|N| D(N) are integral, and so is every q^|N| C(N) by induction:
+    |P| + |N - P| = |N| makes each term w q^|P| C(P) q^|N-P| D(N - P).  Only
+    the answer is divided, by q^|M|, one Fraction per coefficient.  A
+    one-part profile is its own connected part and returns its block.
     """
+    if len(mus) == 1:
+        return block(tuple(mus))
     values = sorted(set(mus), reverse=True)
     full = tuple(list(mus).count(v) for v in values)
-    vectors = list(itertools.product(*(range(m + 1) for m in full)))[1:]
-    disconnected = {n: block(tuple(v for v, c in zip(values, n) for _ in range(c)))
-                    for n in vectors}
-    # the vectors holding a, in product order: each comes after its sub-vectors
+    vectors, steps = _subprofile_plan(full)
+    blocks = [block(tuple(v for v, c in zip(values, n) for _ in range(c))) for n in vectors]
+    q = lcm(*(x.denominator for coeffs in blocks for x in coeffs))
+    powers = [q ** k for k in range(len(mus) + 1)]
+    # the nonzero (b, q^|N| D(N)_b) of each vector, which the products read
+    disconnected = []
+    for n, coeffs in zip(vectors, blocks):
+        scale = powers[sum(n)]
+        disconnected.append([(b, x.numerator * (scale // x.denominator))
+                             for b, x in enumerate(coeffs) if x])
+    top = len(blocks[-1])
     connected = {}
-    for n in vectors:
-        if not n[-1]:
-            continue
-        acc = list(disconnected[n])
-        for p, c_p in connected.items():
-            if any(x > y for x, y in zip(p, n)):
-                continue
-            w = comb(n[-1] - 1, p[-1] - 1) * prod(comb(y, x) for x, y in zip(p[:-1], n))
-            rest = tuple(y - x for x, y in zip(p, n))
-            _sub_mul(acc, w, c_p, disconnected[rest])
-        connected[n] = tuple(acc)
-    return connected[full]
+    for i, terms in steps:
+        acc = [0] * top
+        for b, x in disconnected[i]:
+            acc[b] = x
+        for w, p, rest in terms:
+            d_rest = disconnected[rest]
+            for e, x in connected[p]:
+                x *= w
+                for b, y in d_rest:
+                    if e + b >= top:
+                        break
+                    acc[e + b] -= x * y
+        connected[i] = [(b, x) for b, x in enumerate(acc) if x]
+    # the last step is the full vector, the last in product order
+    return tuple(Fraction(x, powers[-1]) for x in acc)

@@ -7,7 +7,7 @@ from math import comb, factorial, prod
 
 import pytest
 
-from hurwitz import counts
+from hurwitz import counts, partitions
 from hurwitz.counts import (
     METHODS,
     HurwitzRequest,
@@ -384,6 +384,40 @@ def test_route_series_rejects_unknown_route():
         route_series("abacus", K.MONOTONE, 1, (2,), 2, True)
 
 
+@pytest.mark.parametrize("call, argument", [
+    (lambda: route_series("fock", K.MONOTONE, 1, (), 2, True), "mus"),
+    (lambda: route_series("character", K.USUAL, 1, (2, 0), 2, True), "mus"),
+    (lambda: route_series("fock", K.STRICT, 0, (2, 2), 2, True), "r"),
+    (lambda: route_series("character", K.MONOTONE, 1, (2, 1), -1, False), "b_max"),
+    (lambda: fock_shifted_coefficient(K.MONOTONE, 1, (2, 1), -1, True), "b"),
+], ids=["empty-mu", "zero-part", "r-zero", "negative-b_max", "negative-b"])
+def test_route_series_rejects_bad_input(call, argument):
+    with pytest.raises(ValueError, match=rf"^{argument} must"):
+        call()
+
+
+def test_subprofile_plan_is_built_once_per_multiplicity_vector():
+    # every mu |- 8 with <= 7 parts through genus 1, every kind, r in {1, 2}:
+    # their 17 multiplicity vectors give 16 plans, one per vector of two or
+    # more parts (the one-part (8) needs none), whatever the kind, r or parts
+    population = [(kind, r, mus) for kind in ALL_KINDS for r in (1, 2)
+                  for mus in enumerate_partitions(8) if len(mus) <= 7]
+    shapes = {tuple(mus.count(v) for v in sorted(set(mus), reverse=True))
+              for _, _, mus in population}
+    assert len(shapes) == 17 and (1,) in shapes
+    calls = sum(1 for _, _, mus in population if len(mus) > 1)
+    plan = partitions._subprofile_plan
+    plan.cache_clear()
+    for kind, r, mus in population:
+        route_series("character", kind, r, mus, len(mus) + 8 // r, True)
+    assert plan.cache_info().misses == plan.cache_info().currsize == 16
+    assert plan.cache_info().hits == calls - 16
+    for kind, r, mus in population:
+        route_series("character", kind, r, mus, len(mus) + 8 // r, True)
+    assert plan.cache_info().misses == 16
+    assert plan.cache_info().hits == 2 * calls - 16
+
+
 def route_block(route, kind, r, sub, b_max):
     """The disconnected u-series of one sub-profile, asked of its route directly."""
     rho = tuple(sorted(sub, reverse=True))
@@ -458,6 +492,21 @@ def test_genus_zero_closed_forms_at_r_1():
             b = len(mus) + sum(mus) - 2
             got = route_series("character", kind, 1, mus, b, True)[b]
             assert got == genus_zero_closed_form(kind, mus), (kind, mus)
+
+
+@pytest.mark.parametrize("route", ["character", "fock"])
+def test_genus_zero_closed_forms_at_r_1_with_mixed_multiplicities(route):
+    # every mu |- d <= 9 with >= 5 parts, such as (3,2,2,1,1): the
+    # inclusion-exclusion all routes share, checked against formulas that
+    # use none of them
+    profiles = [mus for d in range(5, 10) for mus in enumerate_partitions(d)
+                if len(mus) >= 5]
+    assert (3, 2, 2, 1, 1) in profiles
+    for kind in (K.USUAL, K.MONOTONE):
+        for mus in profiles:
+            b = len(mus) + sum(mus) - 2
+            got = route_series(route, kind, 1, mus, b, True)[b]
+            assert got == genus_zero_closed_form(kind, mus), (route, kind, mus)
 
 
 ANCHOR_MAX_GENUS = 3

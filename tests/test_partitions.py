@@ -2,10 +2,12 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 
+from hurwitz import counts, fock
+from hurwitz.kinds import HurwitzKind
 from hurwitz.partitions import (
     CharacterCache,
     character,
@@ -94,6 +96,48 @@ def set_partition_sum(blocks):
 def all_subsets(n):
     return [frozenset(sub) for size in range(1, n + 1)
             for sub in itertools.combinations(range(n), size)]
+
+
+def _sub_mul(acc, w, a, b):
+    """acc -= w * a * b on coefficient tuples, truncated; zeros are skipped."""
+    top = len(acc)
+    b_nonzero = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        x *= w
+        for j, y in b_nonzero:
+            if i + j >= top:
+                break
+            acc[i + j] -= x * y
+
+
+def reference_connected_from_subprofiles(mus, block):
+    """Reference connected coefficients: the sub-multiset recursion in Fractions.
+
+    C(M) = D(M) - sum_{a in N, N a proper sub-multiset of M} w(N) C(N) D(M - N)
+    over multiplicity vectors, a the least part, with the shape rebuilt on
+    every call and no scaling to integers.
+    """
+    values = sorted(set(mus), reverse=True)
+    full = tuple(list(mus).count(v) for v in values)
+    vectors = list(itertools.product(*(range(m + 1) for m in full)))[1:]
+    disconnected = {n: block(tuple(v for v, c in zip(values, n) for _ in range(c)))
+                    for n in vectors}
+    # the vectors holding a, in product order: each comes after its sub-vectors
+    connected = {}
+    for n in vectors:
+        if not n[-1]:
+            continue
+        acc = list(disconnected[n])
+        for p, c_p in connected.items():
+            if any(x > y for x, y in zip(p, n)):
+                continue
+            w = comb(n[-1] - 1, p[-1] - 1) * prod(comb(y, x) for x, y in zip(p[:-1], n))
+            rest = tuple(y - x for x, y in zip(p, n))
+            _sub_mul(acc, w, c_p, disconnected[rest])
+        connected[n] = tuple(acc)
+    return connected[full]
 
 
 def partition_count_recurrence(n):
@@ -361,6 +405,53 @@ def test_subprofile_recursion_matches_set_partition_sum():
                     ("u",), {(b,): c for b, c in enumerate(coeffs)}, {"u": top})
             want = set_partition_sum(series)
             assert got == tuple(want.coefficient(u=b) for b in range(top + 1)), mus
+
+
+def test_subprofile_recursion_matches_fraction_reference_on_random_blocks():
+    # profiles of up to 8 parts with repeated parts; blocks with negative
+    # entries, zero entries, whole zero tuples and mixed denominators
+    rng = random.Random(14)
+    for n in range(1, 9):
+        for _ in range(4):
+            mus = tuple(sorted((rng.randint(1, 4) for _ in range(n)), reverse=True))
+            top = rng.randint(0, 6)
+            table = {}
+
+            def block(sub):
+                if sub not in table:
+                    zero = rng.random() < 0.25
+                    table[sub] = tuple(
+                        Fraction(0 if zero or rng.random() < 0.2 else rng.randint(-9, 9),
+                                 rng.choice((1, 2, 3, 4, 6, 9, 35)))
+                        for _ in range(top + 1))
+                return table[sub]
+
+            got = connected_from_subprofiles(mus, block)
+            assert got == reference_connected_from_subprofiles(mus, table.__getitem__), mus
+            assert all(type(x) is Fraction for x in got)
+
+
+ROUTES = {"character": counts._partition_sum, "fock": fock.disconnected_block_series,
+          "oracle": counts.oracle_series}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_subprofile_recursion_matches_fraction_reference_on_route_blocks(route):
+    # the real disconnected blocks of every mu |- d <= 8 at r <= 2 through
+    # genus 1 (b = n + d/r), the oracle to its degree cap
+    max_d = counts.ORACLE_DEGREE_CAP if route == "oracle" else 8
+    for kind in HurwitzKind:
+        for r in (1, 2):
+            for d in range(r, max_d + 1, r):
+                for mus in enumerate_partitions(d):
+                    b_max = len(mus) + d // r
+
+                    def block(sub):
+                        return ROUTES[route](kind, r, sub, b_max)
+
+                    want = reference_connected_from_subprofiles(mus, block)
+                    assert connected_from_subprofiles(mus, block) == want, (kind, r, mus)
+                    assert counts.route_series(route, kind, r, mus, b_max, True) == want
 
 
 def test_connected_missing_subset_errors():
