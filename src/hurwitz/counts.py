@@ -117,7 +117,9 @@ def _partition_sum(kind: HurwitzKind, r: int, rho: tuple[int, ...],
 def disconnected_series_character(kind: HurwitzKind, r: int, mus: Sequence[int],
                                   u_order: int) -> TruncatedSeries:
     """Genus series of disconnected Hurwitz numbers, sum_b h_b u^b."""
-    coeffs = _partition_sum(kind, r, tuple(sorted(mus, reverse=True)), u_order)
+    if u_order < 0:
+        raise ValueError(f"u_order must be nonnegative, got {u_order}")
+    coeffs = route_series("character", kind, r, mus, u_order, False)
     return TruncatedSeries(("u",), {(b,): c for b, c in enumerate(coeffs)}, {"u": u_order})
 
 
@@ -254,7 +256,7 @@ def oracle_group_algebra(kind: HurwitzKind, r: int, b: int, mus: Sequence[int]) 
     """Disconnected [u^b] of the oracle route."""
     if b < 0:
         raise ValueError("b must be nonnegative")
-    return oracle_series(kind, r, mus, b)[b]
+    return route_series("oracle", kind, r, mus, b, False)[b]
 
 
 # -- dispatch ----------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Mapping, Sequence
 
 _BIG = 10**9  # stand-in for "exact in this variable"
@@ -201,15 +201,6 @@ class TruncatedSeries:
                 new_orders[v] = min(new_orders.get(v, _BIG), n)
         return TruncatedSeries(self.vars, self.terms, new_orders)
 
-    def truncate_total(self, cap: int) -> "TruncatedSeries":
-        """Drop terms of total degree > cap.
-
-        Per-variable orders are kept as-is; callers own the bookkeeping of
-        which total window remains meaningful.
-        """
-        terms = {e: c for e, c in self.terms.items() if sum(e) <= cap}
-        return TruncatedSeries(self.vars, terms, self.orders)
-
     def scale_var(self, var: str, c) -> "TruncatedSeries":
         """Substitute var -> c*var."""
         if var not in self.vars:
@@ -355,27 +346,60 @@ def compose_univariate(outer: Sequence, inner: TruncatedSeries) -> TruncatedSeri
 def series_reversion(s: TruncatedSeries, order: int) -> TruncatedSeries:
     """Compositional inverse of a univariate series s = c1*var + ..., c1 != 0.
 
-    Lagrange inversion: the n-th coefficient of the inverse is
-    [var^{n-1}] (var/s)^n / n.
+    Lagrange inversion on coefficient lists, with phi = var/s.
     """
     if len(s.vars) != 1:
         raise ValueError("reversion requires a univariate series")
     var = s.vars[0]
     if s.is_zero() or s.valuation(var) != 1:
         raise ValueError("series must have valuation exactly 1")
-    c1 = s.terms[(1,)] if (1,) in s.terms else Fraction(0)
-    if c1 == 0:
-        raise ValueError("vanishing linear term; not invertible under composition")
-    n_have = s._effective_order(var)
-    if n_have < order:
-        raise ValueError(f"series order {n_have} insufficient for reversion to {order}")
-    ratio = (TruncatedSeries.monomial(var, 1, order=order) *
-             s.truncate({var: order}).invert())
-    terms = {}
-    power = TruncatedSeries.constant(1)
+    if not 1 <= order <= s._effective_order(var):
+        raise ValueError(f"need 1 <= order <= the series order, got order {order}")
+    phi = list_reciprocal([s.terms.get((e + 1,), 0) for e in range(order)], order - 1)
+    coeffs = lagrange_inversion(phi, order)
+    return TruncatedSeries((var,), {(n,): c for n, c in enumerate(coeffs)}, {var: order})
+
+
+# -- univariate coefficient lists: c[k] = [t^k], ints or Fractions ---------
+
+
+def list_mul(a: Sequence, b: Sequence, n: int) -> list:
+    """Coefficients 0..n of a*b."""
+    out = [0] * (n + 1)
+    for i, x in enumerate(a[:n + 1]):
+        if x:
+            for j, y in enumerate(b[:n + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def list_power(a: Sequence, k: int, n: int) -> list:
+    """Coefficients 0..n of a^k, k >= 0."""
+    out = [1] + [0] * n
+    for _ in range(k):
+        out = list_mul(out, a, n)
+    return out
+
+
+def list_reciprocal(a: Sequence, n: int) -> list:
+    """Coefficients 0..n of 1/a, a[0] != 0; in integers when a is and a[0] = 1."""
+    inv0 = 1 if a[0] == 1 else 1 / Fraction(a[0])
+    out = [inv0]
+    for k in range(1, n + 1):
+        out.append(-inv0 * sum(a[j] * out[k - j] for j in range(1, min(k, len(a) - 1) + 1)))
+    return out
+
+
+def lagrange_inversion(phi: Sequence, order: int) -> list:
+    """z[0..order] of the inverse of q = w/phi(w): [q^n] z = [w^{n-1}] phi^n / n.
+
+    phi runs in integers over one common denominator; an integral z[n] is an int.
+    """
+    den = lcm(*(Fraction(c).denominator for c in phi[:order]))
+    scaled = [int(c * den) for c in phi[:order]]
+    power, z = [1], [0]
     for n in range(1, order + 1):
-        power = power * ratio
-        c = power.terms.get((n - 1,), Fraction(0))
-        if c:
-            terms[(n,)] = c / n
-    return TruncatedSeries((var,), terms, {var: order})
+        power = list_mul(power, scaled, order - 1)
+        c = Fraction(power[n - 1], n * den ** n)
+        z.append(c.numerator if c.denominator == 1 else c)
+    return z

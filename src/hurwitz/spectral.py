@@ -11,7 +11,8 @@ The xi basis functions attached to the critical points expand with the same
 per-entry coefficients that appear as quasi-polynomial prefactors:
 binom(mu+[mu], mu), binom(mu-1, [mu]) and mu^[mu]/[mu]! respectively.  This
 module inverts the curves exactly, builds the xi series, and verifies the
-closed forms together with the unstable (0,1) and (0,2) identities.
+closed forms together with the unstable (0,1) and (0,2) identities, all on
+exact coefficient lists; a TruncatedSeries is built only for return values.
 """
 
 from __future__ import annotations
@@ -20,12 +21,32 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import Sequence
 
 from .kinds import HurwitzKind
-from .series import TruncatedSeries, compose_univariate, series_reversion
+from .series import (TruncatedSeries, lagrange_inversion, list_mul, list_power,
+                     list_reciprocal)
+
+
+def _check_r(r: int) -> None:
+    if r < 1:
+        raise ValueError(f"r must be positive, got {r}")
 
 
 @lru_cache(maxsize=None)
+def _curve_inverse(kind: HurwitzKind, r: int, order: int) -> tuple:
+    """z[0..order] by Lagrange inversion, with phi = z/q read off the curve:
+    1/(1 - z^r), 1 + z^r or e^{z^r} for the three reversion targets below."""
+    _check_r(r)
+    if kind is HurwitzKind.MONOTONE:
+        phi = [int(j % r == 0) for j in range(order)]
+    elif kind is HurwitzKind.STRICT:
+        phi = [int(j in (0, r)) for j in range(order)]
+    else:
+        phi = [Fraction(1, factorial(j // r)) if j % r == 0 else 0 for j in range(order)]
+    return tuple(lagrange_inversion(phi, order))
+
+
 def curve_inverse_series(kind: HurwitzKind, r: int, order: int) -> TruncatedSeries:
     """z as an exact series in the curve's expansion variable q.
 
@@ -34,15 +55,11 @@ def curve_inverse_series(kind: HurwitzKind, r: int, order: int) -> TruncatedSeri
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    z = TruncatedSeries.monomial("q", order=order)
-    if kind is HurwitzKind.MONOTONE:
-        forward = z - z ** (r + 1)
-    elif kind is HurwitzKind.STRICT:
-        forward = z * (1 + z ** r).invert()
-    else:
-        exp_coeffs = [Fraction((-1) ** j, factorial(j)) for j in range(order + 1)]
-        forward = z * compose_univariate(exp_coeffs, z ** r)
-    return series_reversion(forward, order)
+    return _as_series(_curve_inverse(kind, r, order), order)
+
+
+def _as_series(coeffs: Sequence, order: int) -> TruncatedSeries:
+    return TruncatedSeries(("q",), {(e,): c for e, c in enumerate(coeffs)}, {"q": order})
 
 
 def _apply_d_dx(kind: HurwitzKind, series: TruncatedSeries) -> TruncatedSeries:
@@ -64,17 +81,16 @@ def xi_series(kind: HurwitzKind, r: int, i: int, order: int) -> TruncatedSeries:
     coefficients.  Usual: z^i/(1 - r z^r), whose e^x-expansion carries
     mu^[mu]/[mu]!.
     """
+    _check_r(r)
     if not 0 <= i <= r - 1:
         raise ValueError("need 0 <= i <= r-1")
-    z = curve_inverse_series(kind, r, order + 2)
-    if kind is HurwitzKind.MONOTONE:
-        return _apply_d_dx(kind, z ** (i + 1) * Fraction(1, i + 1)).truncate({"q": order})
-    if kind is HurwitzKind.STRICT:
-        d = _apply_d_dx(kind, z ** (i + 1) * Fraction(1, i + 1))
-        out = -(d * (z * z).invert())
-        return out.truncate({"q": order})
-    denom = 1 - r * z ** r
-    return (z ** i * denom.invert()).truncate({"q": order})
+    # each is z^i z' / (z/q)^k, k = 0, 2, 1: d/dq (z^{i+1}/(i+1)) = z^i z', and on
+    # q = z e^{-z^r}, z' = (z/q)/(1 - r z^r)
+    z = _curve_inverse(kind, r, order + 2)
+    k = {HurwitzKind.MONOTONE: 0, HurwitzKind.STRICT: 2, HurwitzKind.USUAL: 1}[kind]
+    out = list_mul(list_power(z, i, order), [e * c for e, c in enumerate(z) if e], order)
+    out = list_mul(out, list_reciprocal(list_power(z[1:], k, order), order), order)
+    return _as_series(out, order)
 
 
 def xi_closed_coefficient(kind: HurwitzKind, r: int, i: int, mu: int) -> Fraction:
@@ -165,16 +181,18 @@ def check_F01(kind: HurwitzKind, r: int, order: int) -> CheckReport:
     if order < r + 1:
         raise ValueError("order must be >= r + 1")
     params = {"kind": kind.value, "r": r, "order": order}
-    z = curve_inverse_series(kind, r, order + 2)
+    z = _curve_inverse(kind, r, order + 2)
     if kind is HurwitzKind.MONOTONE:
-        # -y dx = (z^r / x) dx: compare with sum_m (rm) h_m x^{rm-1}
-        lhs = z ** r * TruncatedSeries.monomial("q", -1)
+        # -y dx = (z^r / x) dx: compare [x^e] z^r/x = lhs[e + 1] with
+        # sum_m (rm) h_m x^{rm-1}
+        lhs = list_power(z, r, order + 1)
     else:
-        # y dx = z dx = -(z/q^2) dq against dF/dq = -1/q - sum mu h_mu q^{mu-1}
-        lhs = -(z * TruncatedSeries.monomial("q", -2))
+        # y dx = z dx = -(z/q^2) dq, [q^e] = lhs[e + 1], against
+        # dF/dq = -1/q - sum mu h_mu q^{mu-1}
+        lhs = [-c for c in z[1:]]
     for e in range(-1, order + 1):
-        got = lhs.coefficient(q=e)
         mu = e + 1
+        got = lhs[mu]
         if kind is HurwitzKind.MONOTONE:
             expected = Fraction(0)
             if mu >= 1 and mu % r == 0:
@@ -200,6 +218,7 @@ def two_point_monotone(r: int, mu1: int, mu2: int) -> Fraction:
     residues nonzero) and Case II (both zero): when r divides mu1 + mu2,
     <mu1> = 0 exactly when <mu2> = 0.  Vanishes unless r divides mu1 + mu2.
     """
+    _check_r(r)
     if mu1 < 1 or mu2 < 1:
         raise ValueError("parts must be positive")
     if (mu1 + mu2) % r != 0:
@@ -220,6 +239,7 @@ def check_case_identities(r: int, mu1: int, mu2: int) -> CheckReport:
     Case II (residues zero, the t-sum weighted by t not tr):
         (mu1+mu2) * S_II = 1/(r+1) * binom(...) * binom(...)
     """
+    _check_r(r)
     if (mu1 + mu2) % r != 0:
         raise ValueError("r must divide mu1 + mu2")
     nu1, e1 = divmod(mu1, r)
@@ -239,6 +259,23 @@ def check_case_identities(r: int, mu1: int, mu2: int) -> CheckReport:
     return CheckReport("case_identity", params, True)
 
 
+def _bergman_log(r: int, order: int) -> dict[tuple[int, int], Fraction]:
+    """L[p,q] = [x1^p x2^q] log G, p >= 1, p + q <= order, G = (z(x1)-z(x2))/(x1-x2).
+
+    G[p,q] = [x^{p+q+1}] z and G[0,0] = 1, so x1 dG/dx1 = G * x1 dL/dx1 gives
+    p L[p,q] = p G[p,q] - sum i L[i,j] G[p-i,q-j], 1 <= i <= p, j <= q, i+j < p+q.
+    """
+    a = _curve_inverse(HurwitzKind.MONOTONE, r, order + 2)
+    m = {}
+    for total in range(1, order + 1):
+        for p in range(1, total + 1):
+            q = total - p
+            m[p, q] = p * a[total + 1] - sum(
+                m[i, j] * a[total - i - j + 1]
+                for i in range(1, p + 1) for j in range(q + 1) if i + j < total)
+    return {key: Fraction(v, key[0]) for key, v in m.items()}
+
+
 def check_bergman02(r: int, order: int) -> CheckReport:
     """Bergman kernel vs the (0,2) monotone numbers.
 
@@ -249,23 +286,10 @@ def check_bergman02(r: int, order: int) -> CheckReport:
     if order < 2:
         raise ValueError("order must be >= 2")
     params = {"r": r, "order": order}
-    z = curve_inverse_series(HurwitzKind.MONOTONE, r, order + 2)
-    a = {e: z.coefficient(q=e) for e in range(1, order + 2)}
-    # (z(x1)-z(x2))/(x1-x2) = sum_n a_n sum_{p+q=n-1} x1^p x2^q
-    terms = {}
-    for n_exp, c in a.items():
-        if c == 0:
-            continue
-        for p in range(n_exp):
-            terms[(p, n_exp - 1 - p)] = c
-    g = TruncatedSeries(("x1", "x2"), terms, {"x1": order, "x2": order})
-    g = g.truncate_total(order)
-    log_coeffs = [Fraction(0)] + [Fraction((-1) ** (j + 1), j)
-                                  for j in range(1, order + 1)]
-    log_g = compose_univariate(log_coeffs, g - 1).truncate_total(order)
+    log_g = _bergman_log(r, order)
     for m1 in range(1, order):
         for m2 in range(1, order + 1 - m1):
-            got = log_g.coefficient(x1=m1, x2=m2)
+            got = log_g[m1, m2]
             expected = two_point_monotone(r, m1, m2)
             if got != expected:
                 return CheckReport("bergman02", params, False,

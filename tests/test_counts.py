@@ -396,6 +396,22 @@ def test_route_series_rejects_bad_input(call, argument):
         call()
 
 
+@pytest.mark.parametrize("call, argument", [
+    (lambda: disconnected_series_character(K.MONOTONE, 0, (2, 2), 3), "r"),
+    (lambda: disconnected_series_character(K.USUAL, 1, (2, 0), 3), "mus"),
+    (lambda: disconnected_series_character(K.STRICT, 1, (), 3), "mus"),
+    (lambda: disconnected_series_character(K.MONOTONE, 1, (2, 1), -1), "u_order"),
+    (lambda: oracle_group_algebra(K.MONOTONE, 0, 1, (2, 2)), "r"),
+    (lambda: oracle_group_algebra(K.USUAL, 1, 1, (2, 0)), "mus"),
+    (lambda: oracle_group_algebra(K.STRICT, 1, 1, ()), "mus"),
+], ids=["character-r-zero", "character-zero-part", "character-empty-mu",
+        "character-negative-u_order", "oracle-r-zero", "oracle-zero-part",
+        "oracle-empty-mu"])
+def test_public_route_wrappers_reject_bad_input(call, argument):
+    with pytest.raises(ValueError, match=rf"^{argument} must"):
+        call()
+
+
 def test_subprofile_plan_is_built_once_per_multiplicity_vector():
     # every mu |- 8 with <= 7 parts through genus 1, every kind, r in {1, 2}:
     # their 17 multiplicity vectors give 16 plans, one per vector of two or

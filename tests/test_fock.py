@@ -28,6 +28,7 @@ from hurwitz.series import (
     exp_series,
     mul,
 )
+from test_series import truncate_total
 
 
 def vacuum():
@@ -329,17 +330,17 @@ def reference_block_series(kind, r, mus, b_max):
             state = apply_E(energies[j], {names[j]: 1}, state, orders)
             cap = k_hi + energies[:j].count(0)
             state = {lam: kept for lam, s in state.items()
-                     if not (kept := s.truncate_total(cap)).is_zero()}
+                     if not (kept := truncate_total(s, cap)).is_zero()}
         if () not in state:
             continue
         series = state[()]
         for i, v in enumerate(names):
             if not usual:
                 power = mus[i] - 1 if kind is K.MONOTONE else -mus[i] - 1
-                series = mul(series, s_power(v, 1, 1, power, var_order)).truncate_total(k_hi)
+                series = truncate_total(mul(series, s_power(v, 1, 1, power, var_order)), k_hi)
             q = ts[i] + nus[i]
             if q:
-                series = mul(series, s_power(v, r, 1, q, var_order)).truncate_total(k_hi)
+                series = truncate_total(mul(series, s_power(v, r, 1, q, var_order)), k_hi)
         pos = [series.vars.index(v) for v in names]
         for exp, coeff in series.terms.items():
             total = sum(exp)

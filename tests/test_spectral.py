@@ -1,11 +1,15 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import pytest
 
 from hurwitz.counts import HurwitzRequest, hurwitz_number
 from hurwitz.kinds import HurwitzKind as K
+from hurwitz.series import TruncatedSeries, compose_univariate
 from hurwitz.spectral import (
+    _apply_d_dx,
+    _bergman_log,
     check_F01,
     check_bergman02,
     check_case_identities,
@@ -16,6 +20,7 @@ from hurwitz.spectral import (
     xi_derivative_coefficient,
     xi_series,
 )
+from test_series import truncate_total
 
 
 def test_monotone_inverse_catalan():
@@ -203,3 +208,151 @@ def test_bergman_small_coefficients():
     # [x1 x2] coefficient at r=2 is 1 on both sides; parity kills (1,2)
     assert two_point_monotone(2, 1, 1) == 1
     assert two_point_monotone(2, 1, 2) == 0
+
+
+# -- series-based references -------------------------------------------------
+# The spectral layer once ran on TruncatedSeries: the forward maps built as
+# series, reversion by powers of var/s, xi by series products and inverses,
+# and the (0,2) log by a bivariate Horner scheme on the whole square of
+# coefficients.  Those bodies are kept here as references for the
+# coefficient-list code.
+
+
+def reference_series_reversion(s, order):
+    var = s.vars[0]
+    ratio = (TruncatedSeries.monomial(var, 1, order=order) *
+             s.truncate({var: order}).invert())
+    terms = {}
+    power = TruncatedSeries.constant(1)
+    for n in range(1, order + 1):
+        power = power * ratio
+        c = power.terms.get((n - 1,), Fraction(0))
+        if c:
+            terms[(n,)] = c / n
+    return TruncatedSeries((var,), terms, {var: order})
+
+
+@lru_cache(maxsize=None)
+def reference_curve_inverse_series(kind, r, order):
+    z = TruncatedSeries.monomial("q", order=order)
+    if kind is K.MONOTONE:
+        forward = z - z ** (r + 1)
+    elif kind is K.STRICT:
+        forward = z * (1 + z ** r).invert()
+    else:
+        exp_coeffs = [Fraction((-1) ** j, factorial(j)) for j in range(order + 1)]
+        forward = z * compose_univariate(exp_coeffs, z ** r)
+    return reference_series_reversion(forward, order)
+
+
+@lru_cache(maxsize=None)
+def reference_xi_series(kind, r, i, order):
+    z = reference_curve_inverse_series(kind, r, order + 2)
+    if kind is K.MONOTONE:
+        return _apply_d_dx(kind, z ** (i + 1) * Fraction(1, i + 1)).truncate({"q": order})
+    if kind is K.STRICT:
+        d = _apply_d_dx(kind, z ** (i + 1) * Fraction(1, i + 1))
+        out = -(d * (z * z).invert())
+        return out.truncate({"q": order})
+    denom = 1 - r * z ** r
+    return (z ** i * denom.invert()).truncate({"q": order})
+
+
+@lru_cache(maxsize=None)
+def reference_bergman_log(r, order):
+    z = reference_curve_inverse_series(K.MONOTONE, r, order + 2)
+    a = {e: z.coefficient(q=e) for e in range(1, order + 2)}
+    # (z(x1)-z(x2))/(x1-x2) = sum_n a_n sum_{p+q=n-1} x1^p x2^q
+    terms = {}
+    for n_exp, c in a.items():
+        if c == 0:
+            continue
+        for p in range(n_exp):
+            terms[(p, n_exp - 1 - p)] = c
+    g = TruncatedSeries(("x1", "x2"), terms, {"x1": order, "x2": order})
+    g = truncate_total(g, order)
+    log_coeffs = [Fraction(0)] + [Fraction((-1) ** (j + 1), j)
+                                  for j in range(1, order + 1)]
+    return truncate_total(compose_univariate(log_coeffs, g - 1), order)
+
+
+def _same_series(a, b):
+    return a.vars == b.vars and a.terms == b.terms and a.orders == b.orders
+
+
+def test_curve_inverse_matches_series_reference():
+    # every coefficient and the truncation order, every kind, r <= 4, order <= 24
+    for kind in K:
+        for r in range(1, 5):
+            top = reference_curve_inverse_series(kind, r, 24)
+            for order in range(2, 25):
+                z = curve_inverse_series(kind, r, order)
+                assert _same_series(z, top.truncate({"q": order})), (kind, r, order)
+            for order in (2, 3, 7):
+                assert _same_series(curve_inverse_series(kind, r, order),
+                                    reference_curve_inverse_series(kind, r, order))
+
+
+def test_xi_series_matches_series_reference():
+    for kind in K:
+        for r in range(1, 5):
+            for i in range(r):
+                top = reference_xi_series(kind, r, i, 24)
+                for order in range(1, 25):
+                    xi = xi_series(kind, r, i, order)
+                    assert _same_series(xi, top.truncate({"q": order})), (kind, r, i, order)
+                for order in (1, 2, 5):
+                    assert _same_series(xi_series(kind, r, i, order),
+                                        reference_xi_series(kind, r, i, order))
+
+
+def test_bergman_log_matches_bivariate_reference():
+    # every coefficient L[m1, m2], m1 >= 1, of the coefficient recurrence
+    # against the Horner log, r <= 4, order <= 12
+    for r in range(1, 5):
+        top = reference_bergman_log(r, 12)
+        for order in range(2, 13):
+            log_g = _bergman_log(r, order)
+            assert set(log_g) == {(m1, m2) for m1 in range(1, order + 1)
+                                  for m2 in range(order + 1 - m1)}
+            for (m1, m2), value in log_g.items():
+                assert value == top.coefficient(x1=m1, x2=m2), (r, order, m1, m2)
+        small = reference_bergman_log(r, 5)
+        assert {k: v for k, v in _bergman_log(r, 5).items() if v} == \
+            {e: c for e, c in small.terms.items() if e[0] >= 1}
+
+
+def _inverse_anchor(kind, r, n):
+    # Lagrange on phi = 1/(1 - w^r), 1 + w^r, e^{w^r}: [q^n] z, n = rk + 1
+    k, rest = divmod(n - 1, r)
+    if n < 1 or rest:
+        return 0
+    if kind is K.MONOTONE:
+        return Fraction(comb((r + 1) * k, k), n)
+    if kind is K.STRICT:
+        return Fraction(comb(n, k), n)
+    return Fraction(n) ** (k - 1) / factorial(k)
+
+
+def test_curve_inverse_route_independent_anchors():
+    # Fuss-Catalan, binomial and tree-function coefficients, r <= 5, order 30
+    for kind in K:
+        for r in range(1, 6):
+            z = curve_inverse_series(kind, r, 30)
+            for n in range(31):
+                assert z.coefficient(q=n) == _inverse_anchor(kind, r, n), (kind, r, n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: curve_inverse_series(K.MONOTONE, 0, 6),
+    lambda: xi_series(K.USUAL, 0, 0, 6),
+    lambda: check_F01(K.MONOTONE, 0, 5),
+    lambda: check_F01(K.STRICT, -2, 5),
+    lambda: check_bergman02(0, 6),
+    lambda: two_point_monotone(0, 1, 1),
+    lambda: check_case_identities(0, 1, 1),
+], ids=["curve_inverse_series", "xi_series", "check_F01", "check_F01-negative",
+        "check_bergman02", "two_point_monotone", "check_case_identities"])
+def test_spectral_api_rejects_r_below_one(call):
+    with pytest.raises(ValueError, match=r"^r must be positive"):
+        call()
