@@ -359,6 +359,9 @@ def run(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        print(f"error: an argument is too large to compute with ({exc})", file=sys.stderr)
+        return 2
     _emit(payload, args.format)
     return 0 if payload["status"] == "PASS" else 1
 

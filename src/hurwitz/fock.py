@@ -6,13 +6,14 @@ v_lam are lam_j - j + 1/2, encoded here by the integers m = lam_j - j + 1
 occupied slot m to m - a with weight e^{z(m - 1/2 - a/2)} and the usual
 wedge reordering sign, plus the scalar 1/zeta(z) when a = 0.  So every term
 multiplies a state's coefficient by one *atom* of z: an exponential
-e^{c z}, the diagonal eigenvalue (a signed sum of them) or 1/zeta(z).
+e^{c z}, the diagonal eigenvalue (a signed sum of them) or 1/zeta(z).  The
+exponents c are half-integers, and `_transitions` lists each by the integer
+2c.
 
 State propagation is exact: every operator shifts the state energy
 deterministically, so the support after each step consists of partitions of
-one fixed size.  `_step` is the one propagation step; it takes the ring of
-the coefficients as two parameters, the weight of an atom and the product,
-and serves two callers:
+one fixed size.  `_transitions` lists the terms of one operator on one
+state, and two callers propagate with it:
 
 - `apply_E` and `vacuum_expectation`, the general operator calculus, carry
   multivariate TruncatedSeries in the operators' arguments.  Their vacuum
@@ -22,10 +23,10 @@ and serves two callers:
 - `disconnected_block_series`, the route's one entry point, gives the
   disconnected numbers h_0..h_{b_max} of a profile as a tuple, like the
   other routes.  Its operators each have their own variable w_i, and what
-  follows the correlator (the A-operator's S-powers and its scalar table,
-  read off per exponent of w_i) is linear in each w_i on its own.  So
-  each (operator slot, atom) pair folds into one memoized polynomial in
-  the grading variable u (`_slot_weight`), and the wedge states carry
+  follows the correlator (the A-operator's S-powers and its scalars, read
+  off per exponent of w_i) is linear in each w_i on its own.  So each
+  (operator slot, atom) pair folds into one memoized polynomial in the
+  grading variable u (`_slot_weight`), and the wedge states carry
   u-polynomials: a move multiplies by one of them, and the vacuum
   coefficient is the answer, shifted by d/r.  These run in integers, over
   one common denominator per slot, with one exact division at the vacuum.
@@ -37,10 +38,10 @@ and serves two callers:
   this route uses no TruncatedSeries at all.
 
 The block follows the paper's vacuum correlator <A_{mu_1} ... A_{mu_n}>:
-each A-operator is one sum over t, so each slot is applied once, over all
-its live t, to one shared state, and the sum over t-tuples is never
-written out.  A state is moved only while the slots still to apply can
-bring it back to the vacuum.
+each A-operator is one sum over t, so each slot is one pass over the
+states, applying all its live t to each, and the sum over t-tuples is
+never written out.  A state is moved only while the slots still to apply
+can bring it back to the vacuum.
 A nonzero vacuum term below b = 0 raises instead of being dropped.
 Connected series are taken from these in `counts.route_series`.
 """
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import factorial, lcm
 from typing import Callable, Mapping, Sequence
 
@@ -99,8 +100,8 @@ def _to_partition(occ: Sequence[int]) -> Partition:
     return tuple(parts)
 
 
-def _moves(lam: Partition, a: int) -> tuple[tuple[Fraction, int, Partition], ...]:
-    """All single-fermion moves m -> m-a: (weight exponent, sign, new state)."""
+def _moves(lam: Partition, a: int) -> tuple[tuple[int, int, Partition], ...]:
+    """All single-fermion moves m -> m-a: (2c, sign, new state), e^{c z} the weight."""
     size = len(lam)
     lo = -size - abs(a) - 2
     occ = _occupied(lam, lo)
@@ -113,17 +114,16 @@ def _moves(lam: Partition, a: int) -> tuple[tuple[Fraction, int, Partition], ...
         new_occ = set(occ)
         new_occ.discard(m)
         new_occ.add(target)
-        out.append((Fraction(2 * m - 1 - a, 2), (-1) ** between, _to_partition(new_occ)))
+        out.append((2 * m - 1 - a, (-1) ** between, _to_partition(new_occ)))
     return tuple(out)
 
 
-def _diagonal_exponents(lam: Partition) -> tuple[tuple[Fraction, int], ...]:
-    """(k, sign) pairs for Etilde_0: occupied k > 0 minus empty k < 0."""
+def _diagonal_exponents(lam: Partition) -> tuple[tuple[int, int], ...]:
+    """(2k, sign) pairs for Etilde_0: occupied k > 0 minus empty k < 0."""
     size = len(lam)
     explicit = {lam[j] - j for j in range(size)}
-    out = [(Fraction(2 * m - 1, 2), 1) for m in explicit if m >= 1]
-    out.extend((Fraction(2 * m - 1, 2), -1)
-               for m in range(-size + 1, 1) if m not in explicit)
+    out = [(2 * m - 1, 1) for m in explicit if m >= 1]
+    out.extend((2 * m - 1, -1) for m in range(-size + 1, 1) if m not in explicit)
     return tuple(out)
 
 
@@ -131,31 +131,14 @@ def _diagonal_exponents(lam: Partition) -> tuple[tuple[Fraction, int], ...]:
 def _transitions(lam: Partition, energy: int) -> tuple:
     """(atom, sign, new state) for every term of E_energy acting on v_lam.
 
-    An atom is the exponent c of e^{c z}, a tuple of (c, sign) pairs for the
-    diagonal eigenvalue sum(sign * e^{c z}) (absent on the vacuum), or None
-    for the scalar 1/zeta(z), present at energy 0.
+    An atom is the integer 2c for e^{c z}, a tuple of (2c, sign) pairs for
+    the diagonal eigenvalue sum(sign * e^{c z}) (absent on the vacuum), or
+    None for the scalar 1/zeta(z), present at energy 0.
     """
     if energy:
         return _moves(lam, energy)
     diagonal = _diagonal_exponents(lam)
     return (((diagonal, 1, lam),) if diagonal else ()) + ((None, 1, lam),)
-
-
-def _step(energy: int, state: dict, weight: Callable, muladd: Callable) -> dict:
-    """Apply E_energy to a state vector whose coefficients lie in any ring.
-
-    `weight(atom)` is the ring element of an atom, and
-    `muladd(acc, coeff, w, sign)` returns acc + sign * coeff * w, where acc
-    is None for a state not reached yet; it may return None for a zero sum.
-    Entries whose sum is zero are left for the caller to drop.
-    """
-    out: dict = {}
-    for lam, coeff in state.items():
-        for atom, sign, new in _transitions(lam, energy):
-            acc = muladd(out.get(new), coeff, weight(atom), sign)
-            if acc is not None:
-                out[new] = acc
-    return out
 
 
 # -- multivariate series coefficients ----------------------------------------
@@ -182,7 +165,8 @@ def _series_weight(form: Mapping[str, Fraction], orders: Mapping[str, int]) -> C
     """The atoms of E(L) for the linear form L, as multivariate series."""
     window = _window(form, orders)
 
-    def exp_weight(c: Fraction) -> TruncatedSeries:
+    def exp_weight(c2: int) -> TruncatedSeries:
+        c = Fraction(c2, 2)
         return _exp_weight(tuple(sorted((v, s * c) for v, s in form.items())), window)
 
     def weight(atom) -> TruncatedSeries:
@@ -193,8 +177,8 @@ def _series_weight(form: Mapping[str, Fraction], orders: Mapping[str, int]) -> C
             return _inv_zeta(var, scale, orders[var])
         if isinstance(atom, tuple):
             eig = None
-            for c, sign in atom:
-                piece = exp_weight(c) if sign > 0 else -exp_weight(c)
+            for c2, sign in atom:
+                piece = exp_weight(c2) if sign > 0 else -exp_weight(c2)
                 eig = piece if eig is None else eig + piece
             return eig
         return exp_weight(atom)
@@ -225,8 +209,13 @@ def apply_E(energy: int, arg: Mapping[str, object], state: StateVector,
             if sum(lam) - energy > energy_cap:
                 raise EnergyCapError(
                     f"state of energy {sum(lam) - energy} exceeds cap {energy_cap}")
-    result = _step(energy, state, _series_weight(form, orders), _series_muladd)
-    return {lam: s for lam, s in result.items() if not s.is_zero()}
+    weight = _series_weight(form, orders)
+    out: StateVector = {}
+    for lam, coeff in state.items():
+        for atom, sign, new in _transitions(lam, energy):
+            if (acc := _series_muladd(out.get(new), coeff, weight(atom), sign)) is not None:
+                out[new] = acc
+    return {lam: s for lam, s in out.items() if not s.is_zero()}
 
 
 def vacuum_expectation(ops: Sequence[EOpSpec], orders: Mapping[str, int]) -> TruncatedSeries:
@@ -282,26 +271,6 @@ def _folded_scalar(kind: HurwitzKind, r: int, mu: int, t: int, v: int) -> Fracti
     return Fraction(mu) ** (nu + t - 1) * inv_factorial(nu + t)
 
 
-@lru_cache(maxsize=None)
-def _scalar_table(kind: HurwitzKind, r: int, mu: int, t: int, k_hi: int) -> dict:
-    """Map k = v - t -> folded scalar; empty when the t is dead (t < -[mu])."""
-    nu, eta = divmod(mu, r)
-    energy = t * r - eta
-    if nu + t < 0:
-        return {}
-    if kind is HurwitzKind.USUAL:
-        # no v-sum: the scalar is attached to the operator, any k admissible
-        return {None: _folded_scalar(kind, r, mu, t, t)}
-    table = {}
-    for k in range(-1, k_hi + 1):
-        if k == -1 and energy != 0:
-            continue
-        folded = _folded_scalar(kind, r, mu, t, t + k)
-        if folded:
-            table[k] = folded
-    return table
-
-
 # -- S-power coefficients, memoized per coefficient, not per truncation order --
 
 
@@ -347,7 +316,7 @@ def _inv_zeta_coefficients(order: int) -> list[Fraction]:
 #
 # The block runs in integers: every u-polynomial of a slot's t is kept over
 # that t's one common denominator (`_slot_frame`), the same for all atoms, and
-# a slot's results over all its t are brought to the lcm of those, so a state
+# a slot's moves over all its t are added at the lcm of those, so a state
 # reached through slots j..n-1 is an integer polynomial over the product of
 # their denominators, divided out once at the vacuum.
 
@@ -363,8 +332,8 @@ def _atom_denominator(order: int) -> int:
 def _atom_numerators(atom, order: int) -> tuple[tuple[int, int], ...]:
     """The nonzero (j, [z^j] atom(z) * _atom_denominator(order)), j <= order.
 
-    Atoms are those of `_transitions`; an exponent c of e^{c z} is a
-    half-integer, and [z^j] e^{c z} = (2c)^j / (2^j j!).
+    Atoms are those of `_transitions`; for the integer 2c of e^{c z},
+    [z^j] e^{c z} = (2c)^j / (2^j j!).
     """
     den = _atom_denominator(order)
     if atom is None:
@@ -373,8 +342,7 @@ def _atom_numerators(atom, order: int) -> tuple[tuple[int, int], ...]:
     pieces = atom if isinstance(atom, tuple) else ((atom, 1),)
     out = []
     for j in range(order + 1):
-        c = (sum(sign * int(2 * x) ** j for x, sign in pieces)
-             * (den // (2 ** j * factorial(j))))
+        c = sum(sign * c2 ** j for c2, sign in pieces) * (den // (2 ** j * factorial(j)))
         if c:
             out.append((j, c))
     return tuple(out)
@@ -385,20 +353,27 @@ def _slot_frame(kind: HurwitzKind, r: int, mu: int, t: int,
                 k_budget: int) -> tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]:
     """What one operator slot's u-polynomials share: (D, scales, base).
 
-    D is the slot's common denominator.  The slot's scalar is table[e]
-    (mu^e * table[None] for the usual kind) and its S-powers are
-    P(w) * S(r w)^(t + [mu]) (`_slot_base`).  D = L * A * B for L, A and B
-    common denominators of the table, of the atoms and of the S-powers;
-    scales holds (e, table[e] * L) for e in [-1, k_budget] where the scalar
-    is nonzero, and base the coefficients [w^0..w^order] of the S-powers
-    times B.  k_budget only says how many memoized coefficients to gather
-    over one denominator.  The slot's t must be live.
+    The slot's scalar at w^e is folded(t, t) * mu^e for the usual kind and
+    folded(t, t + e) otherwise (`_folded_scalar`), where e = -1 only at
+    zero energy; its S-powers are P(w) * S(r w)^(t + [mu]) (`_slot_base`).
+    D = L * A * B for L, A and B common denominators of the scalars, of the
+    atoms and of the S-powers; scales holds (e, scalar * L) for e in
+    [-1, k_budget] where the scalar is nonzero, and base the coefficients
+    [w^0..w^order] of the S-powers times B.  k_budget only says how many
+    memoized coefficients to gather over one denominator.  Empty scales
+    mean the t is dead: t < -[mu], or strictly monotone every v > mu - [mu].
     """
-    table = _scalar_table(kind, r, mu, t, k_budget)
-    order = max(k_budget, 0) + 1
-    scalars = [(e, table[None] * Fraction(mu) ** e if kind is HurwitzKind.USUAL
-                else table.get(e)) for e in range(-1, k_budget + 1)]
+    if kind is HurwitzKind.USUAL:
+        folded = _folded_scalar(kind, r, mu, t, t)
+        scalars = [(e, folded * Fraction(mu) ** e) for e in range(-1, k_budget + 1)]
+    else:
+        low = -1 if t * r == mu % r else 0
+        scalars = [(e, _folded_scalar(kind, r, mu, t, t + e))
+                   for e in range(low, k_budget + 1)]
     scalars = [(e, c) for e, c in scalars if c]
+    if not scalars:
+        return 1, (), ()
+    order = max(k_budget, 0) + 1
     table_den = lcm(*(c.denominator for _, c in scalars))
     base = [_slot_base(kind, r, mu, t, j) for j in range(order + 1)]
     base_den = lcm(*(c.denominator for c in base))
@@ -412,10 +387,9 @@ def _slot_weight(kind: HurwitzKind, r: int, mu: int, t: int, k_budget: int,
                  atom) -> tuple[tuple[int, int], ...]:
     """One operator slot's u-polynomial for one atom, as (e, D * g[e]) by rising e.
 
-    g[e] = table[e] * [w^e] atom(w) * P(w) * S(r w)^(t + [mu]) for e in
-    [-1, k_budget]: the atom, the slot's S-powers and its scalar table
-    folded into one functional, over the slot's denominator D of
-    `_slot_frame`.
+    g[e] = scalar[e] * [w^e] atom(w) * P(w) * S(r w)^(t + [mu]) for e in
+    [-1, k_budget]: the atom, the slot's S-powers and its scalars folded
+    into one functional, over the slot's denominator D of `_slot_frame`.
     """
     _, scales, base = _slot_frame(kind, r, mu, t, k_budget)
     atom_num = _atom_numerators(atom, max(k_budget, 0) + 1)
@@ -427,24 +401,20 @@ def _slot_weight(kind: HurwitzKind, r: int, mu: int, t: int, k_budget: int,
     return tuple(out)
 
 
-def _poly_muladd(cap: int, acc: dict | None, a: dict, b: tuple, sign: int) -> dict:
-    """acc + sign * a * b on u-polynomials, dropping total degree above cap.
+def _poly_muladd(cap: int, acc: dict, a: dict, b: tuple, factor: int) -> None:
+    """acc += factor * a * b on u-polynomials, in place, dropping total degree above cap.
 
     a and acc map exponents to integers; b is (e, coefficient) pairs by
-    rising e.  acc is updated in place.
+    rising e.
     """
-    if acc is None:
-        acc = {}
     for ea, ca in a.items():
-        if sign < 0:
-            ca = -ca
+        ca *= factor
         room = cap - ea
         for eb, cb in b:
             if eb > room:
                 break
             e = ea + eb
             acc[e] = acc.get(e, 0) + ca * cb
-    return acc
 
 
 @lru_cache(maxsize=None)
@@ -458,15 +428,17 @@ def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
     number h_b at b = k + d/r.  Every k is at least -len(mus), so the series
     is zero when r does not divide d or when b_max - d/r < -len(mus).
 
-    The A-operators act on one shared state from the right, each once: slot
-    j applies E_{t r - <mu_j>} for each of its live t, each move multiplying
-    by that t's `_slot_weight`, and sums the results over the slot's common
-    denominator.  Energy t r - <mu_j> is at most d - mu_j, so a state is
-    moved only when its size afterwards lies in [0, room], room the most
-    energy slots 0..j-1 can still remove; the vacuum coefficient is divided
-    once by the product of the slots' denominators.  A state keeps total
-    degree k_hi plus one per slot still to apply that can have energy 0
-    (each can lower the degree by one through 1/zeta).
+    The A-operators act on one shared state from the right, each once, in
+    one pass over the states: slot j applies E_{t r - <mu_j>} for each of
+    its live t to every state, each move multiplying by that t's
+    `_slot_weight`, and adds all moves into one result over the slot's
+    common denominator, the lcm of its live t's.  Energy t r - <mu_j> is at
+    most d - mu_j, and a t is live when it moves some state to a size in
+    [0, room], room the most energy slots 0..j-1 can still remove; a state
+    is moved only to such a size.  The vacuum coefficient is divided once
+    by the product of the slots' denominators.  A state keeps total degree
+    k_hi plus one per slot still to apply that can have energy 0 (each can
+    lower the degree by one through 1/zeta).
     """
     n, d = len(mus), sum(mus)
     shift = d // r
@@ -480,26 +452,27 @@ def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
     for j in range(n - 1, -1, -1):
         mu, eta = mus[j], mus[j] % r
         room -= d - mu
-        muladd = partial(_poly_muladd, k_hi + sum(m % r == 0 for m in mus[:j]))
-        moved = []
+        cap = k_hi + sum(m % r == 0 for m in mus[:j])
+        sizes = {sum(lam) for lam in state}
+        live = []
         for t in range(-(mu // r), (d - mu + eta) // r + 1):
             energy = t * r - eta
-            source = {lam: p for lam, p in state.items()
-                      if 0 <= sum(lam) - energy <= room}
-            if not (source and _scalar_table(kind, r, mu, t, k_budget)):
-                continue
-            weight = partial(_slot_weight, kind, r, mu, t, k_budget)
-            moved.append((_slot_frame(kind, r, mu, t, k_budget)[0],
-                          _step(energy, source, weight, muladd)))
-        scale = lcm(*(frame for frame, _ in moved))
+            if any(0 <= size - energy <= room for size in sizes):
+                frame_den, scales, _ = _slot_frame(kind, r, mu, t, k_budget)
+                if scales:
+                    live.append((t, energy, frame_den))
+        scale = lcm(*(frame_den for _, _, frame_den in live))
         den *= scale
         merged: dict = {}
-        for frame, step in moved:
-            factor = scale // frame
-            for lam, p in step.items():
-                acc = merged.setdefault(lam, {})
-                for e, c in p.items():
-                    acc[e] = acc.get(e, 0) + c * factor
+        for lam, p in state.items():
+            size = sum(lam)
+            for t, energy, frame_den in live:
+                if 0 <= size - energy <= room:
+                    factor = scale // frame_den
+                    for atom, sign, new in _transitions(lam, energy):
+                        _poly_muladd(cap, merged.setdefault(new, {}), p,
+                                     _slot_weight(kind, r, mu, t, k_budget, atom),
+                                     sign * factor)
         state = {lam: q for lam, p in merged.items()
                  if (q := {e: c for e, c in p.items() if c})}
         if not state:

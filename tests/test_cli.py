@@ -189,6 +189,25 @@ def test_bad_input_is_a_usage_error(capsys, argv):
         assert FLAG_AT_FAULT[argv] in error, error
 
 
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--kind", "monotone", "--r", "1", "--g", "0", "--mu", HUGE),
+    ("compute", "--kind", "monotone", "--r", "1", "--g", HUGE, "--mu", "2"),
+    ("series", "--kind", "monotone", "--r", "1", "--mu", "2", "--order", HUGE),
+    ("verify-quasipoly", "--kind", "monotone", "--r", "1", "--g", "0", "--n", "3",
+     "--grid-base", HUGE),
+])
+def test_huge_argument_is_a_usage_error(capsys, argv):
+    # past the machine's index range: one error line, no traceback
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_compute_failure_names_the_routes(capsys, monkeypatch):
     import hurwitz.counts as counts
 

@@ -10,7 +10,7 @@ from hurwitz.counts import connected_series_character, fock_shifted_coefficient,
 from hurwitz.fock import (
     EnergyCapError,
     EOpSpec,
-    _scalar_table,
+    _folded_scalar,
     _slot_frame,
     _slot_weight,
     apply_E,
@@ -161,25 +161,46 @@ def test_commutation_rule_opposite_energies():
                 assert got.coefficient(z=ez, w=ew) == expected.coefficient(z=ez, w=ew), (a, ez, ew)
 
 
+def test_transition_atoms_are_integers():
+    # e^{c z} is listed by the integer 2c, the diagonal eigenvalue by
+    # (2c, sign) pairs and 1/zeta by None
+    for d in range(5):
+        for lam in enumerate_partitions(d):
+            for energy in range(-3, 4):
+                for atom, sign, _ in fock._transitions(lam, energy):
+                    pieces = atom if isinstance(atom, tuple) else ((atom, sign),)
+                    assert atom is None or all(
+                        type(c2) is int and type(s) is int for c2, s in pieces), \
+                        (lam, energy, atom)
+
+
+def scale_exponents(kind, r, mu, t, k_budget):
+    """The exponents e = v - t at which the slot frame keeps a nonzero scalar."""
+    return [e for e, _ in _slot_frame(kind, r, mu, t, k_budget)[1]]
+
+
 def test_a_operator_terms_monotone_01():
-    # for the one-point genus-zero budget the only term is t=0, v=-1 (k=-1)
-    tables = {t: _scalar_table(K.MONOTONE, 2, 2, t, -1) for t in range(-4, 5)}
-    assert {t: tb for t, tb in tables.items() if tb} == {0: {-1: Fraction(1, 2)}}
+    # for the one-point genus-zero budget the only term is t=0, v=-1 (e=-1)
+    live = {t: _slot_frame(K.MONOTONE, 2, 2, t, -1)[1] for t in range(-4, 5)}
+    assert {t: scales for t, scales in live.items() if scales} == {0: ((-1, 1),)}
     # folded scalar: ([mu]+mu+1)_{-2} = 1/(3*2) times binom(3,2)
+    assert _folded_scalar(K.MONOTONE, 2, 2, 0, -1) == Fraction(1, 2)
 
 
 def test_a_operator_terms_cuts():
-    # t < -[mu] excluded
+    # t < -[mu] is dead
     for kind in K:
-        live = [t for t in range(-10, 6) if _scalar_table(kind, 2, 5, t, 3)]
+        live = [t for t in range(-10, 6) if scale_exponents(kind, 2, 5, t, 3)]
         assert live and min(live) == -2, kind
-    # strictly monotone: no term with v = t + k > mu - [mu]
+    # strictly monotone: no term with v = t + e > mu - [mu]
     for t in range(-1, 3):
-        table = _scalar_table(K.STRICT, 2, 3, t, 6)
-        assert table and all(t + k <= 3 - 1 for k in table), t
-    # v - t = -1 only at zero energy (mu = 5, r = 2: energy 2t - 1 is never 0)
+        exponents = scale_exponents(K.STRICT, 2, 3, t, 6)
+        assert exponents and all(t + e <= 3 - 1 for e in exponents), t
     for kind in (K.MONOTONE, K.STRICT):
-        assert not any(-1 in _scalar_table(kind, 2, 5, t, 3) for t in range(-2, 6))
+        # v - t = -1 only at zero energy (mu = 5, r = 2: energy 2t - 1 is never 0)
+        assert not any(-1 in scale_exponents(kind, 2, 5, t, 3) for t in range(-2, 6))
+        # mu = 4, r = 2, t = 0 has energy 0
+        assert -1 in scale_exponents(kind, 2, 4, 0, 3), kind
 
 
 def test_inv_factorial():
@@ -223,9 +244,11 @@ def test_block_has_no_term_below_b_zero(monkeypatch):
                     below += len(mus) > d // r
                     assert len(disconnected_block_series(kind, r, mus, 3)) == 4
     assert below > 20
-    # a vacuum term at k = -4, b = -2 for (1, 1) at r = 1
-    monkeypatch.setattr(fock, "_step", lambda *args, **kwargs: {(): {-4: 1}})
-    with pytest.raises(ArithmeticError):
+    # a vacuum term at k = -4, b = -2 for (1, 1) at r = 1: each slot's 1/zeta
+    # keeps the vacuum and now weighs u^-2, and every other atom weighs 0
+    monkeypatch.setattr(fock, "_slot_weight",
+                        lambda *args: ((-2, 1),) if args[-1] is None else ())
+    with pytest.raises(ArithmeticError, match="below b = 0"):
         disconnected_block_series.__wrapped__(K.MONOTONE, 1, (1, 1), 3)
 
 
@@ -296,6 +319,29 @@ def test_s_power_recurrence_matches_series_powers():
                     (scale, p, n)
 
 
+@functools.lru_cache(maxsize=None)
+def scalar_table(kind, r, mu, t, k_hi):
+    """Map k = v - t -> folded scalar; empty when the t is dead (t < -[mu]).
+
+    The reference for the scales of `fock._slot_frame`.
+    """
+    nu, eta = divmod(mu, r)
+    energy = t * r - eta
+    if nu + t < 0:
+        return {}
+    if kind is K.USUAL:
+        # no v-sum: the scalar is attached to the operator, any k admissible
+        return {None: _folded_scalar(kind, r, mu, t, t)}
+    table = {}
+    for k in range(-1, k_hi + 1):
+        if k == -1 and energy != 0:
+            continue
+        folded = _folded_scalar(kind, r, mu, t, t + k)
+        if folded:
+            table[k] = folded
+    return table
+
+
 def reference_block_series(kind, r, mus, b_max):
     """disconnected_block_series through the general operator calculus.
 
@@ -320,7 +366,7 @@ def reference_block_series(kind, r, mus, b_max):
     out = {}
     for ts in filtered_product(ranges, etas, r):
         energies = [t * r - e for t, e in zip(ts, etas)]
-        tables = [_scalar_table(kind, r, mus[i], ts[i], k_budget) for i in range(n)]
+        tables = [scalar_table(kind, r, mus[i], ts[i], k_budget) for i in range(n)]
         if any(not tb for tb in tables):
             continue
         # the operators act from the right; a state keeps total degree k_hi
@@ -387,15 +433,16 @@ def test_slot_weight_folds_atom_s_powers_and_table():
     for kind, r, mu, t in [(K.MONOTONE, 2, 3, 1), (K.STRICT, 2, 5, 0),
                            (K.USUAL, 3, 4, 2), (K.MONOTONE, 1, 2, 0)]:
         k_budget = order - 1
-        table = _scalar_table(kind, r, mu, t, k_budget)
+        table = scalar_table(kind, r, mu, t, k_budget)
         power = {K.MONOTONE: mu - 1, K.STRICT: -mu - 1, K.USUAL: 0}[kind]
         rest = mul(s_power("w", 1, 1, power, order),
                    s_power("w", r, 1, t + mu // r, order))
-        for atom, series in [(Fraction(3, 2), exp_series("w", Fraction(3, 2), order)),
-                             (Fraction(-1, 2), exp_series("w", Fraction(-1, 2), order)),
+        # an atom of e^{c w} is the integer 2c
+        for atom, series in [(3, exp_series("w", Fraction(3, 2), order)),
+                             (-1, exp_series("w", Fraction(-1, 2), order)),
                              (None, elementary_series("inv_zeta", "w", order)),
                              # the diagonal eigenvalue e^{w/2} - e^{-w/2} of (1)
-                             (((Fraction(1, 2), 1), (Fraction(-1, 2), -1)),
+                             (((1, 1), (-1, -1)),
                               elementary_series("zeta", "w", order))]:
             folded = mul(series, rest)
             want = []
@@ -437,8 +484,7 @@ def test_fock_matches_character_past_five_parts(r, mus, b_max):
 
 
 SLOT_CACHES = (fock.disconnected_block_series, fock._slot_frame, fock._slot_weight,
-               fock._scalar_table, fock._slot_base, fock._s_power_coefficient,
-               fock._folded_scalar)
+               fock._slot_base, fock._s_power_coefficient, fock._folded_scalar)
 
 
 @pytest.mark.parametrize("r, mus", [(1, (3, 2, 1)), (2, (4, 2)), (3, (3, 3))])
