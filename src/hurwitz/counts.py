@@ -17,8 +17,13 @@ The sum runs over the smaller support of the two characters, as built by
 `partitions.CharacterCache.at`, and in Python integers: for each b it
 accumulates chi^lam((r^m)) * chi^lam(mu) * W_lam[b], with h_b, sigma_b or
 (sum of contents)^b as the integer weight, and divides once, by
-r^m m! prod(mu) (times b! in the usual case).  Like the fock route it is
-an lru_cache on the route contract (kind, r, sorted profile, b_max).
+r^m m! prod(mu) (times b! in the usual case).  It takes one lam of each
+conjugate pair {lam, lam'}: chi^lam'(rho) = sgn(rho) chi^lam(rho), and
+the contents of lam' are those of lam negated, so W_lam'[b] = (-1)^b W_lam[b].
+With eps = sgn((r^m)) sgn(mu), a pair adds (1 + eps (-1)^b) times lam's
+term, twice it or nothing, and a self-conjugate lam adds its term once.
+Like the fock route it is an lru_cache on the route contract (kind, r,
+sorted profile, b_max).
 
 The oracle (`oracle_series`, degree <= 6) multiplies the orbifold class sum
 against symmetric polynomials in the Jucys-Murphy elements inside Z[S_d] and
@@ -43,7 +48,7 @@ from typing import Sequence
 
 from .fock import disconnected_block_series
 from .kinds import HurwitzKind
-from .partitions import active_cache, connected_from_subprofiles, contents
+from .partitions import active_cache, connected_from_subprofiles
 from .series import TruncatedSeries
 from .symfunc import complete_coeffs, elementary_coeffs
 
@@ -83,8 +88,12 @@ class HurwitzRequest:
 
 
 def _weight_coeffs(kind: HurwitzKind, lam: tuple[int, ...], order: int) -> list[int]:
-    """Integer content weights of lam on [0, order]; the usual kind's lack 1/b!."""
-    cs = contents(lam)
+    """Integer content weights of lam on [0, order]; the usual kind's lack 1/b!.
+
+    lam comes from a character table, so it is a partition and its contents
+    are read off without `partitions.contents`' validation.
+    """
+    cs = [j - i for i, row in enumerate(lam) for j in range(row)]
     if kind is HurwitzKind.MONOTONE:
         return complete_coeffs(cs, order)
     if kind is HurwitzKind.STRICT:
@@ -103,11 +112,30 @@ def _partition_sum(kind: HurwitzKind, r: int, rho: tuple[int, ...],
     m = d // r
     chars = active_cache()
     small, other = sorted((chars.at((r,) * m), chars.at(rho)), key=len)
+    # allocated first: an order past the index range raises OverflowError here
     acc = [0] * (order + 1)
+    # eps = sgn((r^m)) sgn(rho) = (-1)^parity; the pair {lam, lam'} adds
+    # (1 + eps (-1)^b) chi chi W_lam[b], i.e. twice the term at b = parity mod 2
+    parity = (d - m + d - len(rho)) % 2
     for lam, chi in small.items():
+        if lam[0] < len(lam):
+            continue
+        paired = True
+        if lam[0] == len(lam):
+            conj = tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
+            if lam < conj:
+                continue
+            paired = lam != conj
         chi *= other.get(lam, 0)
-        if chi:
-            acc = [a + chi * w for a, w in zip(acc, _weight_coeffs(kind, lam, order))]
+        if not chi:
+            continue
+        w = _weight_coeffs(kind, lam, order)
+        if paired:
+            chi *= 2
+            for b in range(parity, order + 1, 2):
+                acc[b] += chi * w[b]
+        else:
+            acc = [a + chi * x for a, x in zip(acc, w)]
     norm = r ** m * factorial(m) * prod(rho)
     if kind is HurwitzKind.USUAL:
         return tuple(Fraction(a, norm * factorial(b)) for b, a in enumerate(acc))

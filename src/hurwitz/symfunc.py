@@ -41,12 +41,16 @@ def elementary_coeffs(values: Sequence, order: int) -> list:
     """Coefficients [sigma_0, ..., sigma_order] of prod (1 + u*x_i).
 
     Starts from the ints 1 and 0, so integer values give integer coefficients.
+    Each pass stops at the number k of nonzero values taken so far, since
+    sigma_j of k values is 0 for j > k.
     """
     coeffs = [1] + [0] * order
+    k = 0
     for x in values:
         if x == 0:
             continue
-        for j in range(min(order, len(values)), 0, -1):
+        k += 1
+        for j in range(min(order, k), 0, -1):
             coeffs[j] += x * coeffs[j - 1]
     return coeffs
 

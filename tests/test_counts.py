@@ -25,9 +25,15 @@ from hurwitz.counts import (
 )
 from hurwitz.fock import disconnected_block_series
 from hurwitz.kinds import ALL_KINDS, HurwitzKind as K
-from hurwitz.partitions import connected_from_disconnected, contents, enumerate_partitions
+from hurwitz.partitions import (
+    CharacterCache,
+    connected_from_disconnected,
+    contents,
+    enumerate_partitions,
+)
 from hurwitz.series import TruncatedSeries
-from test_partitions import mn_character
+from hurwitz.symfunc import complete_coeffs, elementary_coeffs
+from test_partitions import conjugate, mn_character
 
 
 def one_point_closed(kind, r, quotient):
@@ -131,6 +137,103 @@ def test_character_sum_matches_fraction_reference():
                         series = disconnected_series_character(kind, r, profile, b_max)
                         got = tuple(series.coefficient(u=b) for b in range(b_max + 1))
                         assert got == expected, (kind, r, profile)
+
+
+def reference_weight_coeffs(kind, lam, order):
+    """W_lam[0..order] in integers from the validated contents; usual lacks 1/b!."""
+    cs = contents(lam)
+    if kind is K.MONOTONE:
+        return complete_coeffs(cs, order)
+    if kind is K.STRICT:
+        return elementary_coeffs(cs, order)
+    return [sum(cs) ** b for b in range(order + 1)]
+
+
+def reference_partition_sum(kind, r, rho, order):
+    """The character route summed over every lam of the smaller support, unpaired.
+
+    rho is sorted decreasingly; one integer term per lam and b, one division
+    per coefficient.
+    """
+    d = sum(rho)
+    if d % r != 0:
+        return (Fraction(0),) * (order + 1)
+    m = d // r
+    chars = partitions.active_cache()
+    small, other = sorted((chars.at((r,) * m), chars.at(rho)), key=len)
+    acc = [0] * (order + 1)
+    for lam, chi in small.items():
+        chi *= other.get(lam, 0)
+        if chi:
+            acc = [a + chi * w for a, w in zip(acc, reference_weight_coeffs(kind, lam, order))]
+    norm = r ** m * factorial(m) * prod(rho)
+    if kind is K.USUAL:
+        return tuple(Fraction(a, norm * factorial(b)) for b, a in enumerate(acc))
+    return tuple(Fraction(a, norm) for a in acc)
+
+
+def test_conjugate_content_weights_differ_by_the_sign_of_b():
+    # the contents of lam' are those of lam negated: W_lam'[b] = (-1)^b W_lam[b]
+    for kind in ALL_KINDS:
+        for d in range(1, 11):
+            for lam in enumerate_partitions(d):
+                w = counts._weight_coeffs(kind, lam, 12)
+                assert w == reference_weight_coeffs(kind, lam, 12), (kind, lam)
+                w_conj = counts._weight_coeffs(kind, conjugate(lam), 12)
+                assert w_conj == [(-1) ** b * x for b, x in enumerate(w)], (kind, lam)
+
+
+def test_pair_sum_matches_unpaired_reference():
+    for kind in ALL_KINDS:
+        for r in (1, 2, 3):
+            for d in range(1, 13):
+                for rho in enumerate_partitions(d):
+                    got = counts._partition_sum.__wrapped__(kind, r, rho, d + 4)
+                    assert got == reference_partition_sum(kind, r, rho, d + 4), (kind, r, rho)
+
+
+@pytest.mark.parametrize("lam, r, rho, eps", [
+    # pairs with lam_1 = len(lam), where the representative is found by comparing
+    ((3, 3, 1), 1, (5, 1, 1), 1),
+    ((3, 3, 1), 1, (5, 2), -1),
+    ((3, 2, 2), 1, (2, 2, 2, 1), -1),
+    ((3, 2, 2), 1, (3, 2, 2), 1),
+    # self-conjugate: its term is added once, and only ever at eps = 1
+    ((3, 2, 1), 3, (3, 3), 1),
+    ((3, 2, 1), 1, (5, 1), 1),
+])
+def test_pair_sum_named_cases(lam, r, rho, eps):
+    d = sum(rho)
+    m = d // r
+    assert lam[0] == len(lam)
+    assert (-1) ** (d - m + d - len(rho)) == eps
+    cache = CharacterCache()
+    for mu in (lam, conjugate(lam)):
+        assert cache.at((r,) * m).get(mu, 0) * cache.at(rho).get(mu, 0) != 0, mu
+    for kind in ALL_KINDS:
+        got = counts._partition_sum.__wrapped__(kind, r, rho, d + 4)
+        assert got == reference_partition_sum(kind, r, rho, d + 4), kind
+
+
+def test_weights_are_built_once_per_conjugate_pair(monkeypatch):
+    # at r = 1 and rho = (1^8) every lam |- 8 is in the support: 22 partitions,
+    # two of them self-conjugate, so 12 pairs
+    rho = (1,) * 8
+    calls = []
+    weights = counts._weight_coeffs
+
+    def counted(kind, lam, order):
+        calls.append(lam)
+        return weights(kind, lam, order)
+
+    monkeypatch.setattr(counts, "_weight_coeffs", counted)
+    for kind in ALL_KINDS:
+        calls.clear()
+        got = counts._partition_sum.__wrapped__(kind, 1, rho, 12)
+        assert got == reference_partition_sum(kind, 1, rho, 12)
+        pairs = {frozenset((lam, conjugate(lam))) for lam in enumerate_partitions(8)}
+        assert len(calls) == len(pairs) == 12
+        assert {frozenset((lam, conjugate(lam))) for lam in calls} == pairs
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -61,6 +61,11 @@ def mn_character(lam, rho):
                for smaller, sign in border_strip_removals(lam, rho[0]))
 
 
+def conjugate(lam):
+    """The conjugate partition: the column lengths of lam's Young diagram."""
+    return tuple(sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0))
+
+
 def set_partitions(items):
     """All set partitions of items, blocks as tuples in insertion order."""
     items = list(items)
@@ -306,6 +311,18 @@ def test_character_cache_keeps_nonzero_values_per_prefix():
                      if mn_character(lam, rho)}
     assert len(cache) == sum(len(t) for t in cache.tables.values())
     assert cache.at(rho) is table
+
+
+def test_conjugate_characters_differ_by_the_sign_of_the_class():
+    # chi^lam'(rho) = sgn(rho) chi^lam(rho), sgn(rho) = (-1)^(d - len(rho)):
+    # each class's table holds lam' exactly when it holds lam
+    cache = CharacterCache()
+    for d in range(1, 11):
+        for rho in enumerate_partitions(d):
+            table = cache.at(rho)
+            sign = (-1) ** (d - len(rho))
+            for lam in enumerate_partitions(d):
+                assert table.get(conjugate(lam), 0) == sign * table.get(lam, 0), (lam, rho)
 
 
 def test_set_partitions_count():

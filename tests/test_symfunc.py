@@ -42,6 +42,32 @@ def test_integer_inputs_give_integer_coefficients():
                 assert type(sym_poly(kind, k, values)) is Fraction, (kind, k, values)
 
 
+def reference_elementary_coeffs(values, order):
+    """sigma_0..sigma_order with every pass run down from min(order, len(values))."""
+    coeffs = [1] + [0] * order
+    for x in values:
+        if x == 0:
+            continue
+        for j in range(min(order, len(values)), 0, -1):
+            coeffs[j] += x * coeffs[j - 1]
+    return coeffs
+
+
+@given(st.lists(st.integers(min_value=-4, max_value=4), max_size=14),
+       st.integers(min_value=0, max_value=16))
+@settings(max_examples=200, deadline=None)
+def test_elementary_coeffs_match_full_length_passes(values, order):
+    # values drawn from a small range, so zeros and repeats are common
+    assert elementary_coeffs(values, order) == reference_elementary_coeffs(values, order)
+
+
+def test_elementary_coeffs_with_zeros_and_repeats():
+    for values in ([0, 0, 3, 0, 3, -1], [2, 2, 2, 0, 0, 0, 0], [0] * 5, [-1, 0, 1] * 4):
+        for order in range(12):
+            got = elementary_coeffs(values, order)
+            assert got == reference_elementary_coeffs(values, order), (values, order)
+
+
 def test_stirling_examples():
     # T(T+1)(T+2) = T^3 + 3T^2 + 2T
     assert stirling("first", 3, 2) == 3
