@@ -18,8 +18,7 @@ state, and two callers propagate with it:
 - `apply_E` and `vacuum_expectation`, the general operator calculus, carry
   multivariate TruncatedSeries in the operators' arguments.  Their vacuum
   expectations are Laurent series whose only poles are the simple 1/zeta
-  poles, one per variable at most; the weights e^{c*w} and the scaled
-  1/zeta are memoized.
+  poles, one per variable at most.
 - `disconnected_block_series`, the route's one entry point, gives the
   disconnected numbers h_0..h_{b_max} of a profile as a tuple, like the
   other routes.  Its operators each have their own variable w_i, and what
@@ -52,17 +51,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .kinds import HurwitzKind
 from .series import TruncatedSeries, elementary_series, exp_linear, mul
 
 Partition = tuple[int, ...]
 StateVector = dict[Partition, TruncatedSeries]
-
-
-class EnergyCapError(ValueError):
-    """An intermediate state exceeded a declared reachable-energy cap."""
 
 
 @dataclass(frozen=True)
@@ -144,77 +139,42 @@ def _transitions(lam: Partition, energy: int) -> tuple:
 # -- multivariate series coefficients ----------------------------------------
 
 
-def _window(form: Mapping[str, Fraction], orders: Mapping[str, int]) -> tuple:
-    """The truncation orders of the form's variables, as a cache key."""
-    return tuple(sorted((v, orders[v]) for v in form))
+def _series_atom(atom, form: Mapping[str, Fraction], orders: Mapping[str, int]) -> TruncatedSeries:
+    """One atom of `_transitions` as a series in the variables of the form L.
 
-
-@lru_cache(maxsize=None)
-def _exp_weight(form: tuple[tuple[str, Fraction], ...], window: tuple) -> TruncatedSeries:
-    """exp(sum c_v * v) for the scaled form, built once per truncation window."""
-    return exp_linear(dict(form), dict(window))
-
-
-@lru_cache(maxsize=None)
-def _inv_zeta(var: str, scale: Fraction, order: int) -> TruncatedSeries:
-    """1/zeta(scale * var), built once per (var, scale, order)."""
-    return elementary_series("inv_zeta", var, order).scale_var(var, scale)
-
-
-def _series_weight(form: Mapping[str, Fraction], orders: Mapping[str, int]) -> Callable:
-    """The atoms of E(L) for the linear form L, as multivariate series."""
-    window = _window(form, orders)
-
-    def exp_weight(c2: int) -> TruncatedSeries:
-        c = Fraction(c2, 2)
-        return _exp_weight(tuple(sorted((v, s * c) for v, s in form.items())), window)
-
-    def weight(atom) -> TruncatedSeries:
-        if atom is None:
-            if len(form) != 1:
-                raise ValueError("the 1/zeta scalar requires a single-variable argument")
-            (var, scale), = form.items()
-            return _inv_zeta(var, scale, orders[var])
-        if isinstance(atom, tuple):
-            eig = None
-            for c2, sign in atom:
-                piece = exp_weight(c2) if sign > 0 else -exp_weight(c2)
-                eig = piece if eig is None else eig + piece
-            return eig
-        return exp_weight(atom)
-
-    return weight
-
-
-def _series_muladd(acc, a: TruncatedSeries, b: TruncatedSeries, sign: int):
-    """acc + sign * a * b on multivariate series.
-
-    A product that is zero is not added: its truncation orders would
-    still lower those of the sum.
+    e^{cL} for the integer 2c, the signed sum of those for the diagonal, or
+    1/zeta(L), which needs L to have a single variable.
     """
-    term = mul(a, b)
-    if term.is_zero():
-        return acc
-    if sign < 0:
-        term = -term
-    return term if acc is None else acc + term
+    if atom is None:
+        if len(form) != 1:
+            raise ValueError("the 1/zeta scalar requires a single-variable argument")
+        (var, scale), = form.items()
+        return elementary_series("inv_zeta", var, orders[var]).scale_var(var, scale)
+    out = None
+    for c2, sign in atom if isinstance(atom, tuple) else ((atom, 1),):
+        piece = exp_linear({v: s * Fraction(c2, 2) for v, s in form.items()}, orders)
+        piece = piece if sign > 0 else -piece
+        out = piece if out is None else out + piece
+    return out
 
 
 def apply_E(energy: int, arg: Mapping[str, object], state: StateVector,
-            orders: Mapping[str, int], energy_cap: int | None = None) -> StateVector:
-    """Apply E_energy(L) to a state vector (with the energy-0 pole split)."""
+            orders: Mapping[str, int]) -> StateVector:
+    """Apply E_energy(L) to a state vector (with the energy-0 pole split).
+
+    A product that is zero is not added: its truncation orders would still
+    lower those of the sum.
+    """
     form = {v: Fraction(c) for v, c in arg.items()}
-    if energy and energy_cap is not None:
-        for lam in state:
-            if sum(lam) - energy > energy_cap:
-                raise EnergyCapError(
-                    f"state of energy {sum(lam) - energy} exceeds cap {energy_cap}")
-    weight = _series_weight(form, orders)
     out: StateVector = {}
     for lam, coeff in state.items():
         for atom, sign, new in _transitions(lam, energy):
-            if (acc := _series_muladd(out.get(new), coeff, weight(atom), sign)) is not None:
-                out[new] = acc
+            term = mul(coeff, _series_atom(atom, form, orders))
+            if term.is_zero():
+                continue
+            if sign < 0:
+                term = -term
+            out[new] = out[new] + term if new in out else term
     return {lam: s for lam, s in out.items() if not s.is_zero()}
 
 
@@ -227,10 +187,9 @@ def vacuum_expectation(ops: Sequence[EOpSpec], orders: Mapping[str, int]) -> Tru
     energies = [op.energy for op in ops]
     if sum(energies) != 0:
         return TruncatedSeries(tuple(sorted(orders)), {}, dict(orders))
-    cap = sum(max(0, -a) for a in energies)
     state: StateVector = {(): TruncatedSeries.constant(1)}
     for j in range(len(ops) - 1, -1, -1):
-        state = apply_E(ops[j].energy, ops[j].form(), state, orders, energy_cap=cap)
+        state = apply_E(ops[j].energy, ops[j].form(), state, orders)
         if not state:
             break
     result = state.get((), TruncatedSeries(tuple(sorted(orders)), {}, dict(orders)))

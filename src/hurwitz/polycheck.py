@@ -86,13 +86,21 @@ def verify_quasipolynomiality(kind: HurwitzKind, r: int, g: int, n: int,
 
     PASS requires interpolant total degree <= 3g-3+n and exact prediction of
     every holdout point.  Residue classes with sum not divisible by r carry
-    no nonzero numbers at all; they report trivially as PASS-empty.
+    no nonzero numbers at all; they report trivially as PASS-empty.  n < 1,
+    holdout_count < 1 or a grid entry r*grid_base + eta_i < 1 raises
+    ValueError.
     """
     residues = tuple(residues)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if len(residues) != n or any(not 0 <= e < r for e in residues):
         raise ValueError("residues must be n integers in [0, r)")
     if 2 * g - 2 + n <= 0:
         raise ValueError("stable range requires 2g-2+n > 0")
+    if holdout_count < 1:
+        raise ValueError(f"holdout_count must be >= 1, got {holdout_count}")
+    if r * grid_base + min(residues) < 1:
+        raise ValueError(f"grid_base {grid_base} gives an entry r*nu + eta_i < 1")
     degree_bound = 3 * g - 3 + n
     report = QuasiPolyReport(kind=kind, r=r, g=g, n=n, residues=residues,
                              degree_bound=degree_bound, passed=True)

@@ -133,7 +133,7 @@ def test_invalid_flags_exit_nonzero(capsys):
     assert "error" in err
 
 
-# bad inputs whose error message must name the flag at fault
+# bad inputs whose error message must name the flag or value at fault
 QUASIPOLY = ("verify-quasipoly", "--kind", "monotone", "--r", "2")
 FLAG_AT_FAULT = {
     QUASIPOLY + ("--g", "0", "--n", "-1"): "--n",
@@ -142,6 +142,8 @@ FLAG_AT_FAULT = {
     QUASIPOLY + ("--g", "1", "--n", "1", "--eta", "0", "--grid-base", "0"): "--grid-base",
     ("xi", "--kind", "monotone", "--i", "4", "--r", "3", "--order", "5"): "--i",
     ("unstable-check", "--kind", "monotone", "--order", "1", "--r", "1"): "--order",
+    ("compute", "--kind", "monotone", "--r", "1", "--g", "0", "--mu", "4,3",
+     "--method", "oracle"): "capped at degree 6",
 }
 
 
@@ -273,6 +275,31 @@ def test_unstable_check_case_identities_keep_their_own_status(capsys, monkeypatc
     assert data["status"] == "FAIL"
     assert [(rec["check"], rec["status"]) for rec in data["results"]] == [
         ("F01", "FAIL"), ("bergman02", "PASS"), ("case_identities", "PASS")]
+
+
+def test_unstable_check_reports_planted_closed_forms(capsys, monkeypatch):
+    from test_spectral import plant_closed_forms
+
+    plant_closed_forms(monkeypatch)
+    code, out, _ = invoke(capsys, "unstable-check", "--kind", "strict", "--r", "2",
+                          "--order", "4")
+    assert code == 1
+    data = json.loads(out)
+    assert data["status"] == "FAIL"
+    assert [rec["witness"] for rec in data["results"]] == [
+        {"exponent": 1, "curve_side": "-1", "closed_side": "-3"}]
+    code, out, _ = invoke(capsys, "unstable-check", "--kind", "monotone", "--r", "2",
+                          "--order", "4")
+    assert code == 1
+    data = json.loads(out)
+    assert data["status"] == "FAIL"
+    assert [(rec["check"], rec["status"], rec["witness"]) for rec in data["results"]] == [
+        ("F01", "FAIL", {"exponent": 1, "curve_side": "1", "closed_side": "3"}),
+        ("bergman02", "FAIL",
+         {"mu1": 1, "mu2": 1, "series_side": "1", "two_point_side": "2"}),
+        ("case_identity", "FAIL", {"lhs": "4", "rhs": "2"}),
+        ("case_identities", "FAIL", None)]
+    assert data["results"][2]["params"] == {"r": 2, "mu1": 1, "mu2": 1, "case": "I"}
 
 
 def test_csv_keeps_status_oracle_and_disagreements(capsys, monkeypatch):

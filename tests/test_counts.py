@@ -757,6 +757,13 @@ def test_vanishing_conditions():
         assert hurwitz_number(req) == 0
 
 
+def test_negative_b_is_a_structural_zero():
+    # b = 2g - 2 + n + d/r = -2 - 2 + 1 + 1
+    req = HurwitzRequest(K.MONOTONE, 1, -1, (1,))
+    assert request_status(req) == "b = -2 is negative"
+    assert hurwitz_number(req) == 0
+
+
 def test_request_rejects_bad_inputs():
     for r, mus in [(0, (2,)), (-2, (2,)), (2, (2, 0)), (2, (-1,)), (2, ())]:
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ import pytest
 from hurwitz import fock
 from hurwitz.counts import connected_series_character, fock_shifted_coefficient, route_series
 from hurwitz.fock import (
-    EnergyCapError,
     EOpSpec,
     _folded_scalar,
     _slot_frame,
@@ -73,11 +72,6 @@ def test_diagonal_annihilates_vacuum():
     out = apply_E(0, {"z": 1}, vacuum(), {"z": 5})
     assert set(out) == {()}
     assert (out[()] - elementary_series("inv_zeta", "z", 5)).is_zero()
-
-
-def test_energy_cap_error():
-    with pytest.raises(EnergyCapError):
-        apply_E(-3, {"z": 1}, vacuum(), {"z": 3}, energy_cap=2)
 
 
 def test_vacuum_expectation_E0():

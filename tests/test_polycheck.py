@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from hurwitz.cli import run
 from hurwitz.counts import HurwitzRequest, hurwitz_number
 from hurwitz.kinds import HurwitzKind as K
 from hurwitz.polycheck import (
@@ -114,3 +116,71 @@ def test_normalized_03_monotone_constant_on_cube():
         samples[point] = h / denom
     poly = interpolate_on_grid(samples, 1)
     assert poly.total_degree() == 0
+
+
+# -- failure paths: one wrong value planted per branch -------------------------
+
+
+def plant(monkeypatch, *, prefactor_zero_at=None, wrong_h_at=None):
+    """Zero the prefactor at one part, or add 1 to h at one profile."""
+    from hurwitz import polycheck
+
+    true_prefactor, true_h = polycheck.prefactor, polycheck.hurwitz_number
+
+    def fake_prefactor(kind, r, mu):
+        return Fraction(0) if mu == prefactor_zero_at else true_prefactor(kind, r, mu)
+
+    def fake_h(req):
+        return true_h(req) + (req.mus == wrong_h_at)
+
+    monkeypatch.setattr(polycheck, "prefactor", fake_prefactor)
+    monkeypatch.setattr(polycheck, "hurwitz_number", fake_h)
+
+
+# (planted fault, g, n, holdout_count, reason, observed degree, holdout ok flags);
+# monotone at r = 1, where the (0,3) grid is the one point (1,1,1) and its
+# holdouts are (2,1,1), (1,2,1), (1,1,2), (3,1,1)
+FAILURES = {
+    "vanishing-prefactor-on-grid": (
+        {"prefactor_zero_at": 1}, 0, 3, 3,
+        "nonzero number against vanishing prefactor at (1, 1, 1)", None, []),
+    "vanishing-prefactor-at-holdout": (
+        {"prefactor_zero_at": 3}, 0, 3, 4,
+        "nonzero number against vanishing prefactor at (3, 1, 1)", 0, [True] * 3),
+    # a bump at the corner of the 3 x 3 (1,2) grid has total degree 2 + 2
+    "degree-above-bound": (
+        {"wrong_h_at": (3, 3)}, 1, 2, 3, "interpolant degree 4 exceeds bound 2", 4, []),
+    "holdout-mismatch": (
+        {"wrong_h_at": (1, 2, 1)}, 0, 3, 3,
+        "holdout mismatch at (1, 2, 1)", 0, [True, False, True]),
+}
+
+
+@pytest.mark.parametrize("fault, g, n, holdout_count, reason, degree, oks",
+                         FAILURES.values(), ids=FAILURES)
+def test_planted_fault_fails_the_check(monkeypatch, capsys, fault, g, n, holdout_count,
+                                       reason, degree, oks):
+    plant(monkeypatch, **fault)
+    report = verify_quasipolynomiality(K.MONOTONE, 1, g, n, (0,) * n,
+                                       holdout_count=holdout_count)
+    assert not report.passed
+    assert report.reason == reason
+    assert report.observed_degree == degree
+    assert [ok for _, _, _, ok in report.holdouts] == oks
+    code = run(["verify-quasipoly", "--kind", "monotone", "--r", "1", "--g", str(g),
+                "--n", str(n), "--eta", ",".join("0" * n), "--holdouts", str(holdout_count)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "FAIL"
+
+
+@pytest.mark.parametrize("n, residues, kwargs, name", [
+    (1, (0,), {"holdout_count": 0}, "holdout_count"),
+    (1, (0,), {"holdout_count": -2}, "holdout_count"),
+    (1, (0,), {"grid_base": 0}, "grid_base"),
+    (1, (0,), {"grid_base": -3}, "grid_base"),
+    (0, (), {}, "n must be"),
+    (-1, (), {}, "n must be"),
+])
+def test_bad_check_settings_raise(n, residues, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        verify_quasipolynomiality(K.MONOTONE, 2, 2, n, residues, **kwargs)

@@ -204,6 +204,39 @@ def test_check_bergman02():
         assert report.passed, (r, report.witness)
 
 
+def plant_closed_forms(monkeypatch):
+    """Add 1 to the closed (0,1) number at quotient 1 and the (0,2) one at (1,1)."""
+    from hurwitz import spectral
+
+    one_point, two_point = spectral.one_point_genus_zero, spectral.two_point_monotone
+    monkeypatch.setattr(spectral, "one_point_genus_zero",
+                        lambda kind, r, q: one_point(kind, r, q) + (q == 1))
+    monkeypatch.setattr(spectral, "two_point_monotone",
+                        lambda r, m1, m2: two_point(r, m1, m2) + ((m1, m2) == (1, 1)))
+
+
+def test_checks_report_a_planted_closed_form(monkeypatch):
+    plant_closed_forms(monkeypatch)
+    # at r = 2 the first exponent with a closed (0,1) term is e = mu - 1 = 1,
+    # where mu * h_mu = 2 * 1/2 becomes 2 * 3/2
+    rep = check_F01(K.MONOTONE, 2, 6)
+    assert not rep.passed
+    assert rep.witness == {"exponent": 1, "curve_side": "1", "closed_side": "3"}
+    rep = check_F01(K.STRICT, 2, 6)
+    assert not rep.passed
+    assert rep.witness == {"exponent": 1, "curve_side": "-1", "closed_side": "-3"}
+    rep = check_bergman02(2, 6)
+    assert not rep.passed
+    assert rep.witness == {"mu1": 1, "mu2": 1, "series_side": "1", "two_point_side": "2"}
+    rep = check_case_identities(2, 1, 1)
+    assert not rep.passed
+    assert rep.params == {"r": 2, "mu1": 1, "mu2": 1, "case": "I"}
+    assert rep.witness == {"lhs": "4", "rhs": "2"}
+    assert rep.to_json()["status"] == "FAIL"
+    # the other profiles keep their closed forms
+    assert check_case_identities(2, 1, 3).passed
+
+
 def test_bergman_small_coefficients():
     # [x1 x2] coefficient at r=2 is 1 on both sides; parity kills (1,2)
     assert two_point_monotone(2, 1, 1) == 1
