@@ -312,10 +312,22 @@ def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
 
     The only dispatch over METHODS; the route functions are looked up by
     name at each call, so a rebound module attribute is the one that runs.
-    A proper sub-profile is zero without asking its route when r does not
-    divide its degree or b_max is below |sub|/r - len(sub), the least b of
-    a cover (each part its own genus-0 component).  An unknown route, r < 1,
-    an empty profile, a part below 1 or b_max < 0 raises ValueError.
+    An unknown route, r < 1, an empty profile, a part below 1 or b_max < 0
+    raises ValueError.
+
+    Each block N of the profile M is asked only as far as the answer can
+    read it.  A cover of X has b >= v(X) = max(0, |X|/r - len(X)), each
+    component c having b_c >= d_c/r - n_c, so D(X) and C(X) vanish below
+    v(X).  Every product reaching C(M) at b <= b_max pairs D(N) with factors
+    covering R = M - N, whose least b sum to at least v(R), as
+    sum max(0, a_i) >= max(0, sum a_i).  So N's block stops at
+    b_N = b_max - v(R).  M's own block (R empty, b_N = b_max) always
+    reaches its route, so a route's own refusal, the oracle's degree cap,
+    is never skipped.  A proper N is zero without asking its route when r
+    does not divide |M| or |N| (then some factor has a degree r does not
+    divide) or when b_N < v(N).  When every part is at least r,
+    b_N = 2g - 2 + 2n - len(N) + |N|/r depends on (g, n) and N alone, so
+    the verifier asks each profile once per run.
     """
     routes = {"character": _partition_sum, "fock": disconnected_block_series,
               "oracle": oracle_series}
@@ -328,11 +340,14 @@ def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
         raise ValueError(f"mus must be a nonempty profile of positive parts, got {mus}")
     if b_max < 0:
         raise ValueError(f"b_max must be nonnegative, got {b_max}")
+    d, n = sum(mus), len(mus)
 
     def disconnected(sub: tuple[int, ...]) -> tuple[Fraction, ...]:
-        if len(sub) < len(mus) and (sum(sub) % r or b_max < sum(sub) // r - len(sub)):
-            return (Fraction(0),) * (b_max + 1)
-        return routes[route](kind, r, sub, b_max)
+        size = sum(sub)
+        b_sub = b_max - max(0, (d - size) // r - (n - len(sub)))
+        if len(sub) < n and (d % r or size % r or b_sub < max(0, size // r - len(sub))):
+            return (Fraction(0),) * (b_sub + 1)
+        return routes[route](kind, r, sub, b_sub)
 
     return connected_from_subprofiles(mus, disconnected) if connected else disconnected(mus)
 

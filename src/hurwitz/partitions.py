@@ -205,9 +205,13 @@ def _subprofile_plan(full: tuple[int, ...]) -> tuple:
 def connected_from_subprofiles(mus: Sequence[int], block: Callable) -> tuple:
     """Connected coefficients of the profile mus from its sub-multisets.
 
-    `block(sub)` gives the disconnected coefficients h_0..h_{b_max} of a
+    `block(sub)` gives the disconnected coefficients h_0, h_1, ... of a
     nonempty sub-multiset `sub` of mus (its parts decreasing) as a tuple of
-    Fractions.  They depend only on the multiset, so the recursion of
+    Fractions.  The block of mus itself sets the answer's length b_max + 1.
+    A proper block may be shorter, even empty, but not longer: only its
+    nonzero (b, h_b) are read and products past b_max are dropped, so
+    `counts.route_series` stops each block where nothing reaching b_max
+    reads it.  Blocks depend only on the multiset, so the recursion of
     connected_from_disconnected runs over multiplicity vectors, splitting
     off the component of one fixed copy of the least part a:
 

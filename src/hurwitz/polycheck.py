@@ -17,7 +17,7 @@ from fractions import Fraction
 from .counts import HurwitzRequest, hurwitz_number
 from .kinds import HurwitzKind
 from .polynomials import MultiPolynomial, interpolate_on_grid
-from .spectral import xi_closed_coefficient
+from .spectral import _check_r, xi_closed_coefficient
 
 
 def prefactor(kind: HurwitzKind, r: int, mu: int) -> Fraction:
@@ -28,6 +28,7 @@ def prefactor(kind: HurwitzKind, r: int, mu: int) -> Fraction:
     usual (the residue-dependent constant r^{<mu>/r} is absorbed into the
     polynomial).
     """
+    _check_r(r)
     if mu < 1:
         raise ValueError("mu must be positive")
     return xi_closed_coefficient(kind, r, mu % r, mu)
@@ -86,11 +87,12 @@ def verify_quasipolynomiality(kind: HurwitzKind, r: int, g: int, n: int,
 
     PASS requires interpolant total degree <= 3g-3+n and exact prediction of
     every holdout point.  Residue classes with sum not divisible by r carry
-    no nonzero numbers at all; they report trivially as PASS-empty.  n < 1,
-    holdout_count < 1 or a grid entry r*grid_base + eta_i < 1 raises
+    no nonzero numbers at all; they report trivially as PASS-empty.  r < 1,
+    n < 1, holdout_count < 1 or a grid entry r*grid_base + eta_i < 1 raises
     ValueError.
     """
     residues = tuple(residues)
+    _check_r(r)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if len(residues) != n or any(not 0 <= e < r for e in residues):

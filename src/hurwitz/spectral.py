@@ -99,6 +99,7 @@ def xi_closed_coefficient(kind: HurwitzKind, r: int, i: int, mu: int) -> Fractio
     Zero off the residue class mu = i mod r.  The strictly monotone basis
     starts at mu = 1; the other two include mu = 0.
     """
+    _check_r(r)
     if not 0 <= i <= r - 1:
         raise ValueError("need 0 <= i <= r-1")
     if mu < 0 or (mu - i) % r != 0:
@@ -121,6 +122,7 @@ def xi_derivative_coefficient(kind: HurwitzKind, r: int, i: int, p: int,
     (mu+1)...(mu+p), the strictly monotone one with (-1)^p (mu-p)...(mu-1),
     and multiplies the usual coefficient by mu^p.
     """
+    _check_r(r)
     if p < 0:
         raise ValueError("p must be nonnegative")
     if kind is HurwitzKind.MONOTONE:
@@ -160,6 +162,7 @@ def one_point_genus_zero(kind: HurwitzKind, r: int, quotient: int) -> Fraction:
     (mu+[mu]-2)!/(mu![mu]!) in the monotone case,
     (mu-1)!/((mu-[mu]+1)![mu]!) in the strictly monotone case.
     """
+    _check_r(r)
     if quotient < 1:
         raise ValueError("quotient must be >= 1")
     mu, nu = r * quotient, quotient

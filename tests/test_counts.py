@@ -583,6 +583,57 @@ def test_connected_fock_skips_zero_blocks(monkeypatch):
     assert disconnected_block_series.cache_info().currsize == 3
 
 
+def reference_route_series(route, kind, r, mus, b_max, connected):
+    """The dispatch with every block asked at b_max itself.
+
+    A proper sub-profile is zero without asking its route only when r does
+    not divide its degree or b_max is below |sub|/r - len(sub); no budget
+    is taken from the rest of the profile.
+    """
+    routes = {"character": counts._partition_sum, "fock": disconnected_block_series,
+              "oracle": oracle_series}
+    mus = tuple(sorted(mus, reverse=True))
+
+    def disconnected(sub):
+        if len(sub) < len(mus) and (sum(sub) % r or b_max < sum(sub) // r - len(sub)):
+            return (Fraction(0),) * (b_max + 1)
+        return routes[route](kind, r, sub, b_max)
+
+    return partitions.connected_from_subprofiles(mus, disconnected) if connected \
+        else disconnected(mus)
+
+
+@pytest.mark.parametrize("route, max_d", [("character", 10), ("fock", 9), ("oracle", 6)])
+def test_route_series_matches_reference_dispatch(route, max_d):
+    # every kind, r <= 3 and mu |- d <= max_d, parts below r included, where
+    # the least b of the rest of the profile is clamped at 0
+    for kind in ALL_KINDS:
+        for r in (1, 2, 3):
+            for d in range(1, max_d + 1):
+                for mus in enumerate_partitions(d):
+                    for b_max in (0, 1, 3, 6, 9):
+                        for connected in (False, True):
+                            assert route_series(route, kind, r, mus, b_max, connected) == \
+                                reference_route_series(route, kind, r, mus, b_max, connected), \
+                                (kind, r, mus, b_max, connected)
+
+
+def test_sub_profiles_stop_at_the_budget_the_rest_leaves(monkeypatch):
+    # mu = (3, 2, 1) at r = 1 through b = 6: N is asked through 6 - v(R),
+    # v(R) = |R| - len(R) the least b of a cover of the rest R = mu - N,
+    # so (1,), whose rest (3, 2) needs b >= 3, is asked through b = 3
+    seen = {}
+
+    def recording(kind, r, sub, b_max):
+        seen[sub] = b_max
+        return disconnected_block_series(kind, r, sub, b_max)
+
+    monkeypatch.setattr(counts, "disconnected_block_series", recording)
+    route_series("fock", K.MONOTONE, 1, (3, 2, 1), 6, True)
+    assert seen == {(3, 2, 1): 6, (3, 2): 6, (3, 1): 5, (2, 1): 4,
+                    (3,): 5, (2,): 4, (1,): 3}
+
+
 def genus_zero_closed_form(kind, mus):
     """r = 1, g = 0 numbers by formulas independent of all three routes.
 

@@ -251,8 +251,8 @@ def test_block_has_no_term_below_b_zero(monkeypatch):
     (2, (4, 2)), (2, (2, 2, 2)), (3, (4, 2)),
 ])
 def test_fock_matches_character_connected_and_disconnected(r, mus):
-    # each sub-profile's block is truncated at b_max itself, not at a budget
-    # set by the rest of the profile
+    # the dispatch asks each sub-profile N only through b_max minus the least
+    # b of a cover of the rest of the profile, on both routes alike
     for kind in ALL_KINDS:
         for connected in (False, True):
             assert route_series("fock", kind, r, mus, 8, connected) == \

@@ -1,15 +1,22 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
+from hurwitz import counts, polycheck
 from hurwitz.cli import run
 from hurwitz.counts import HurwitzRequest, hurwitz_number
-from hurwitz.kinds import HurwitzKind as K
+from hurwitz.kinds import ALL_KINDS, HurwitzKind as K
 from hurwitz.polycheck import (
     admissible_residue_classes,
     prefactor,
     verify_quasipolynomiality,
+)
+from hurwitz.spectral import (
+    one_point_genus_zero,
+    xi_closed_coefficient,
+    xi_derivative_coefficient,
 )
 
 
@@ -123,8 +130,6 @@ def test_normalized_03_monotone_constant_on_cube():
 
 def plant(monkeypatch, *, prefactor_zero_at=None, wrong_h_at=None):
     """Zero the prefactor at one part, or add 1 to h at one profile."""
-    from hurwitz import polycheck
-
     true_prefactor, true_h = polycheck.prefactor, polycheck.hurwitz_number
 
     def fake_prefactor(kind, r, mu):
@@ -184,3 +189,64 @@ def test_planted_fault_fails_the_check(monkeypatch, capsys, fault, g, n, holdout
 def test_bad_check_settings_raise(n, residues, kwargs, name):
     with pytest.raises(ValueError, match=name):
         verify_quasipolynomiality(K.MONOTONE, 2, 2, n, residues, **kwargs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: prefactor(K.MONOTONE, 0, 3),
+    lambda: one_point_genus_zero(K.MONOTONE, 0, 2),
+    lambda: xi_closed_coefficient(K.USUAL, 0, 0, 3),
+    lambda: xi_derivative_coefficient(K.STRICT, -1, 0, 1, 4),
+    lambda: verify_quasipolynomiality(K.MONOTONE, 0, 0, 3, (0, 0, 0)),
+], ids=["prefactor", "one_point_genus_zero", "xi_closed_coefficient",
+        "xi_derivative_coefficient", "verify_quasipolynomiality"])
+def test_r_below_one_raises_naming_r(call):
+    with pytest.raises(ValueError, match=r"^r must be positive"):
+        call()
+
+
+# -- each profile built once per verifier run ----------------------------------
+
+
+def builds_per_run(monkeypatch, route_name, runs):
+    """The distinct (kind, r, profile, b_max) each run asks of one route.
+
+    The dispatch looks its routes up by name, so the spy sees every call;
+    the distinct keys of one run are the builds of a cache cleared before it.
+    """
+    route = getattr(counts, route_name)
+    seen = set()
+
+    def spy(kind, r, rho, b_max):
+        seen.add((kind, r, rho, b_max))
+        return route(kind, r, rho, b_max)
+
+    monkeypatch.setattr(counts, route_name, spy)
+    for args in runs:
+        seen.clear()
+        assert verify_quasipolynomiality(*args).passed, args
+        yield args, set(seen)
+
+
+VERIFIER_RUNS = [(kind, r, g, n, eta) for kind in ALL_KINDS for r in (1, 2, 3)
+                 for g, n in [(0, 3), (1, 1), (1, 2), (2, 1), (0, 4), (1, 3)]
+                 for eta in admissible_residue_classes(r, n)]
+
+
+def test_verifier_builds_each_character_profile_once(monkeypatch):
+    # every part is at least r on the grid, so a sub-profile N is asked
+    # through b = 2g - 2 + 2n - len(N) + |N|/r, the same for every parent
+    assert len(VERIFIER_RUNS) == 228
+    for args, keys in builds_per_run(monkeypatch, "_partition_sum", VERIFIER_RUNS):
+        assert len({key[:3] for key in keys}) == len(keys), args
+
+
+def test_verifier_on_fock_builds_each_profile_once(monkeypatch):
+    def on_fock(req):
+        return hurwitz_number(dataclasses.replace(req, method="fock"))
+
+    monkeypatch.setattr(polycheck, "hurwitz_number", on_fock)
+    runs = [(kind, 2, 0, 4, eta) for kind in ALL_KINDS
+            for eta in admissible_residue_classes(2, 4)]
+    for args, keys in builds_per_run(monkeypatch, "disconnected_block_series", runs):
+        assert len({key[:3] for key in keys}) == len(keys), args
+        assert keys, args
