@@ -92,15 +92,15 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def _csv_cell(value) -> str:
+    """A cell with no comma: a list as [item item ...] of its items' cells, a dict as JSON, , as ;."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (list, tuple)):
-        return "[" + " ".join(str(x) for x in value) + "]"
-    if isinstance(value, dict):
-        return json.dumps(value, sort_keys=True).replace(",", ";")
-    return str(value)
+        return "[" + " ".join(_csv_cell(x) for x in value) + "]"
+    text = json.dumps(value, sort_keys=True) if isinstance(value, dict) else str(value)
+    return text.replace(",", ";")
 
 
 # -- commands ----------------------------------------------------------------
@@ -198,6 +198,9 @@ def cmd_xi(args) -> dict:
         raise ValueError(f"--i {args.i} must lie in [0, {args.r - 1}] for --r {args.r}")
     start = 1 if kind is HurwitzKind.STRICT else 0
     if args.order - args.derivative < start:
+        if not args.derivative:
+            raise ValueError(f"--order {args.order} leaves no exponent to check: "
+                             f"{kind.value} exponents start at {start}")
         raise ValueError(f"--derivative {args.derivative} leaves no exponent "
                          f"to check at --order {args.order}")
     series = xi_series(kind, args.r, args.i, args.order)

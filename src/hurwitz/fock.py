@@ -1,14 +1,15 @@
 """The fock route: semi-infinite wedge evaluation of A-operator correlators.
 
 Charge-zero basis states are partitions; the occupied half-integer slots of
-v_lam are lam_j - j + 1/2, encoded here by the integers m = lam_j - j + 1
-(so the vacuum occupies m <= 0).  The operator E_a(z) acts by moving one
-occupied slot m to m - a with weight e^{z(m - 1/2 - a/2)} and the usual
-wedge reordering sign, plus the scalar 1/zeta(z) when a = 0.  So every term
-multiplies a state's coefficient by one *atom* of z: an exponential
-e^{c z}, the diagonal eigenvalue (a signed sum of them) or 1/zeta(z).  The
-exponents c are half-integers, and `_transitions` lists each by the integer
-2c.
+v_lam are lam_i - i - 1/2 (i from 0), encoded here by the integers
+m = lam_i - i, the state's beta-list (so the vacuum occupies m <= 0).  The
+operator E_a(z) acts by moving one occupied slot m to m - a with weight
+e^{z(m - 1/2 - a/2)} and the usual wedge reordering sign, plus, when a = 0,
+the diagonal eigenvalue (a signed sum of exponentials) and the scalar
+1/zeta(z).  `_transitions` lists the diagonal one term per exponential, so
+every term multiplies a state's coefficient by one *atom* of z: an
+exponential e^{c z}, listed by the integer 2c (c is a half-integer), or
+1/zeta(z), listed as None.
 
 State propagation is exact: every operator shifts the state energy
 deterministically, so the support after each step consists of partitions of
@@ -79,61 +80,33 @@ class EOpSpec:
         return dict(self.arg)
 
 
-def _occupied(lam: Partition, lo: int) -> set[int]:
-    occ = {lam[j] - j for j in range(len(lam))}
-    occ.update(range(lo, -len(lam) + 1))
-    return occ
-
-
-def _to_partition(occ: Sequence[int]) -> Partition:
-    parts = []
-    for j, m in enumerate(sorted(occ, reverse=True), start=1):
-        part = m + j - 1
-        if part <= 0:
-            break
-        parts.append(part)
-    return tuple(parts)
-
-
-def _moves(lam: Partition, a: int) -> tuple[tuple[int, int, Partition], ...]:
-    """All single-fermion moves m -> m-a: (2c, sign, new state), e^{c z} the weight."""
-    size = len(lam)
-    lo = -size - abs(a) - 2
-    occ = _occupied(lam, lo)
-    out = []
-    for m in sorted(occ, reverse=True):
-        target = m - a
-        if target in occ or target < lo:
-            continue
-        between = sum(1 for c in occ if min(m, target) < c < max(m, target))
-        new_occ = set(occ)
-        new_occ.discard(m)
-        new_occ.add(target)
-        out.append((2 * m - 1 - a, (-1) ** between, _to_partition(new_occ)))
-    return tuple(out)
-
-
-def _diagonal_exponents(lam: Partition) -> tuple[tuple[int, int], ...]:
-    """(2k, sign) pairs for Etilde_0: occupied k > 0 minus empty k < 0."""
-    size = len(lam)
-    explicit = {lam[j] - j for j in range(size)}
-    out = [(2 * m - 1, 1) for m in explicit if m >= 1]
-    out.extend((2 * m - 1, -1) for m in range(-size + 1, 1) if m not in explicit)
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _transitions(lam: Partition, energy: int) -> tuple:
     """(atom, sign, new state) for every term of E_energy acting on v_lam.
 
-    An atom is the integer 2c for e^{c z}, a tuple of (2c, sign) pairs for
-    the diagonal eigenvalue sum(sign * e^{c z}) (absent on the vacuum), or
-    None for the scalar 1/zeta(z), present at energy 0.
+    An atom is the integer 2c for e^{c z}, or None for the scalar 1/zeta(z).
+    Every term is read off the beta-list beta_i = lam_i - i (i from 0) of lam
+    padded with |energy| + 1 zeros: its entries are occupied slots m, and so
+    is every m <= -len(beta), which no move can leave.  A move m -> m - energy
+    jumps the |i - j| occupied slots between its index i before and j after.
+    At energy 0 the diagonal eigenvalue is one term per exponential, +e^{c z}
+    for each occupied m >= 1 and -e^{c z} for each empty m <= 0, with 2c =
+    2m - 1, followed by 1/zeta.
     """
-    if energy:
-        return _moves(lam, energy)
-    diagonal = _diagonal_exponents(lam)
-    return (((diagonal, 1, lam),) if diagonal else ()) + ((None, 1, lam),)
+    beta = [part - i for i, part in enumerate(lam + (0,) * (abs(energy) + 1))]
+    if not energy:
+        out = [(2 * m - 1, 1, lam) for m in beta if m >= 1]
+        out.extend((2 * m - 1, -1, lam) for m in range(1 - len(lam), 1) if m not in beta)
+        return tuple(out) + ((None, 1, lam),)
+    out = []
+    for i, m in enumerate(beta):
+        target = m - energy
+        if target in beta or target <= -len(beta):  # occupied, or in the sea
+            continue
+        new = sorted(beta[:i] + beta[i + 1:] + [target], reverse=True)
+        out.append((2 * m - 1 - energy, (-1) ** abs(i - new.index(target)),
+                    tuple(b + k for k, b in enumerate(new) if b + k > 0)))
+    return tuple(out)
 
 
 # -- multivariate series coefficients ----------------------------------------
@@ -142,20 +115,15 @@ def _transitions(lam: Partition, energy: int) -> tuple:
 def _series_atom(atom, form: Mapping[str, Fraction], orders: Mapping[str, int]) -> TruncatedSeries:
     """One atom of `_transitions` as a series in the variables of the form L.
 
-    e^{cL} for the integer 2c, the signed sum of those for the diagonal, or
-    1/zeta(L), which needs L to have a single variable.
+    e^{cL} for the integer 2c, or 1/zeta(L), which needs L to have a single
+    variable.
     """
     if atom is None:
         if len(form) != 1:
             raise ValueError("the 1/zeta scalar requires a single-variable argument")
         (var, scale), = form.items()
         return elementary_series("inv_zeta", var, orders[var]).scale_var(var, scale)
-    out = None
-    for c2, sign in atom if isinstance(atom, tuple) else ((atom, 1),):
-        piece = exp_linear({v: s * Fraction(c2, 2) for v, s in form.items()}, orders)
-        piece = piece if sign > 0 else -piece
-        out = piece if out is None else out + piece
-    return out
+    return exp_linear({v: s * Fraction(atom, 2) for v, s in form.items()}, orders)
 
 
 def apply_E(energy: int, arg: Mapping[str, object], state: StateVector,
@@ -298,13 +266,8 @@ def _atom_numerators(atom, order: int) -> tuple[tuple[int, int], ...]:
     if atom is None:
         return tuple((j, c.numerator * (den // c.denominator))
                      for j, c in enumerate(_inv_zeta_coefficients(order), start=-1) if c)
-    pieces = atom if isinstance(atom, tuple) else ((atom, 1),)
-    out = []
-    for j in range(order + 1):
-        c = sum(sign * c2 ** j for c2, sign in pieces) * (den // (2 ** j * factorial(j)))
-        if c:
-            out.append((j, c))
-    return tuple(out)
+    terms = ((j, atom ** j * (den // (2 ** j * factorial(j)))) for j in range(order + 1))
+    return tuple((j, c) for j, c in terms if c)
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -144,6 +146,8 @@ FLAG_AT_FAULT = {
     ("unstable-check", "--kind", "monotone", "--order", "1", "--r", "1"): "--order",
     ("compute", "--kind", "monotone", "--r", "1", "--g", "0", "--mu", "4,3",
      "--method", "oracle"): "capped at degree 6",
+    # strict exponents start at 1, so it is the order that leaves none
+    ("xi", "--kind", "strict", "--r", "1", "--i", "0", "--order", "0"): "--order 0 leaves",
 }
 
 
@@ -343,6 +347,57 @@ def test_csv_and_text_formats(capsys):
                           "--r", "2", "--g", "0", "--mu", "2,2")
     assert code == 0
     assert "status=PASS" in out
+
+
+def csv_rows(capsys, *argv):
+    """The --format csv output of a command, each row checked to the header's width."""
+    code, out, _ = invoke(capsys, "--format", "csv", *argv)
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows), (argv, out)
+    return code, rows
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--kind", "monotone", "--r", "2", "--g", "0", "--mu", "1,3",
+     "--method", "all"),
+    ("series", "--kind", "strict", "--r", "2", "--mu", "2,2", "--order", "4"),
+    ("verify-quasipoly", "--kind", "monotone", "--r", "1", "--g", "0", "--n", "3"),
+    ("verify-quasipoly", "--kind", "usual", "--r", "2", "--g", "1", "--n", "2"),
+    ("xi", "--kind", "strict", "--r", "2", "--i", "1", "--order", "8", "--derivative", "1"),
+    ("unstable-check", "--kind", "monotone", "--r", "2", "--order", "6"),
+    ("cross-validate", "--r", "2", "--max-d", "4", "--max-b", "3"),
+])
+def test_csv_rows_have_the_header_width(capsys, argv):
+    # nested lists and dicts, as in the verifier's grid and holdouts, keep
+    # no comma in their cell
+    code, rows = csv_rows(capsys, *argv)
+    assert code == 0
+    assert not any("," in cell for row in rows for cell in row), rows
+
+
+def test_csv_rows_of_failures_have_the_header_width(capsys, monkeypatch):
+    import hurwitz.cli as cli
+    import hurwitz.polycheck as polycheck
+
+    hurwitz_number = polycheck.hurwitz_number
+    monkeypatch.setattr(polycheck, "hurwitz_number",
+                        lambda req: hurwitz_number(req) + (req.mus == (2, 1, 1)))
+    argv = ("verify-quasipoly", "--kind", "monotone", "--r", "1", "--g", "0", "--n", "3")
+    code, rows = csv_rows(capsys, *argv)
+    assert code == 1
+    assert rows[1][rows[0].index("reason")] == "holdout mismatch at (2; 1; 1)"
+    _, out, _ = invoke(capsys, "--format", "text", *argv)
+    assert "  reason=holdout mismatch at (2; 1; 1)  " in out
+
+    route_series = cli.route_series
+    monkeypatch.setattr(cli, "route_series",
+                        lambda route, *args: route_series(route, *args)
+                        if route != "fock" else (1,) + route_series(route, *args)[1:])
+    code, rows = csv_rows(capsys, "cross-validate", "--kind", "monotone", "--r", "2",
+                          "--max-d", "4", "--max-b", "3")
+    assert code == 1
+    cells = [row[rows[0].index("disagreements")] for row in rows[1:]]
+    assert '[{"b": 0; "character": "0"; "fock": "1"; "routes": "character/fock"}]' in cells
 
 
 def test_compute_writes_no_files(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -18,7 +19,7 @@ from hurwitz.fock import (
     vacuum_expectation,
 )
 from hurwitz.kinds import ALL_KINDS, HurwitzKind as K
-from hurwitz.partitions import enumerate_partitions
+from hurwitz.partitions import contents, enumerate_partitions, strip_additions
 from hurwitz.polycheck import prefactor
 from hurwitz.series import (
     TruncatedSeries,
@@ -156,16 +157,110 @@ def test_commutation_rule_opposite_energies():
 
 
 def test_transition_atoms_are_integers():
-    # e^{c z} is listed by the integer 2c, the diagonal eigenvalue by
-    # (2c, sign) pairs and 1/zeta by None
+    # e^{c z} is listed by the integer 2c and 1/zeta by None; the diagonal
+    # eigenvalue is one term per exponential
     for d in range(5):
         for lam in enumerate_partitions(d):
             for energy in range(-3, 4):
                 for atom, sign, _ in fock._transitions(lam, energy):
-                    pieces = atom if isinstance(atom, tuple) else ((atom, sign),)
-                    assert atom is None or all(
-                        type(c2) is int and type(s) is int for c2, s in pieces), \
-                        (lam, energy, atom)
+                    assert atom is None or type(atom) is int, (lam, energy, atom)
+                    assert sign in (1, -1), (lam, energy, sign)
+
+
+# -- the slot-set form of the wedge moves, kept as the reference ----------------
+
+
+def occupied_slots(lam, lo):
+    occ = {lam[j] - j for j in range(len(lam))}
+    occ.update(range(lo, -len(lam) + 1))
+    return occ
+
+
+def slots_to_partition(occ):
+    parts = []
+    for j, m in enumerate(sorted(occ, reverse=True), start=1):
+        part = m + j - 1
+        if part <= 0:
+            break
+        parts.append(part)
+    return tuple(parts)
+
+
+def reference_moves(lam, a):
+    """All single-fermion moves m -> m-a: (2c, sign, new state), e^{c z} the weight."""
+    size = len(lam)
+    lo = -size - abs(a) - 2
+    occ = occupied_slots(lam, lo)
+    out = []
+    for m in sorted(occ, reverse=True):
+        target = m - a
+        if target in occ or target < lo:
+            continue
+        between = sum(1 for c in occ if min(m, target) < c < max(m, target))
+        new_occ = set(occ)
+        new_occ.discard(m)
+        new_occ.add(target)
+        out.append((2 * m - 1 - a, (-1) ** between, slots_to_partition(new_occ)))
+    return tuple(out)
+
+
+def reference_diagonal_exponents(lam):
+    """(2k, sign) pairs for Etilde_0: occupied k > 0 minus empty k < 0."""
+    size = len(lam)
+    explicit = {lam[j] - j for j in range(size)}
+    out = [(2 * m - 1, 1) for m in explicit if m >= 1]
+    out.extend((2 * m - 1, -1) for m in range(-size + 1, 1) if m not in explicit)
+    return tuple(out)
+
+
+def reference_transitions(lam, energy):
+    """The terms of E_energy on v_lam by the slot sets, the diagonal expanded."""
+    if energy:
+        return reference_moves(lam, energy)
+    return tuple((c2, sign, lam) for c2, sign in reference_diagonal_exponents(lam)) + \
+        ((None, 1, lam),)
+
+
+def test_transitions_match_slot_set_reference():
+    checked = 0
+    for d in range(13):
+        for lam in enumerate_partitions(d):
+            for energy in range(-6, 7):
+                got = fock._transitions(lam, energy)
+                assert Counter(got) == Counter(reference_transitions(lam, energy)), \
+                    (lam, energy)
+                checked += len(got)
+    assert checked > 10000
+
+
+def test_transitions_are_border_strips():
+    # a move of energy -k adds a border strip of size k, with its
+    # Murnaghan-Nakayama sign, and one of energy k removes one; e^{c z} with
+    # 2c (-a) twice the change in the sum of contents
+    moves = 0
+    for d in range(11):
+        for lam in enumerate_partitions(d):
+            size = sum(contents(lam))
+            for k in range(1, 7):
+                added = fock._transitions(lam, -k)
+                assert Counter((new, sign) for _, sign, new in added) == \
+                    Counter(strip_additions(lam, k)), (lam, k)
+                removed = fock._transitions(lam, k)
+                smaller = enumerate_partitions(d - k) if k <= d else ()
+                assert Counter((new, sign) for _, sign, new in removed) == Counter(
+                    (mu, sign) for mu in smaller
+                    for grown, sign in strip_additions(mu, k) if grown == lam), (lam, k)
+                for energy, terms in ((-k, added), (k, removed)):
+                    for c2, _, new in terms:
+                        assert c2 * -energy == 2 * (sum(contents(new)) - size), \
+                            (lam, energy, new)
+                moves += len(added) + len(removed)
+            # the diagonal eigenvalue sum(sign * e^{c z}) is 2|lam| z + ... with
+            # z^2 coefficient the content sum
+            diagonal = [(c2, sign) for c2, sign, _ in fock._transitions(lam, 0) if c2 is not None]
+            assert sum(sign * c2 for c2, sign in diagonal) == 2 * d, lam
+            assert sum(sign * c2 ** 2 for c2, sign in diagonal) == 8 * size, lam
+    assert moves > 4000
 
 
 def scale_exponents(kind, r, mu, t, k_budget):
@@ -431,13 +526,13 @@ def test_slot_weight_folds_atom_s_powers_and_table():
         power = {K.MONOTONE: mu - 1, K.STRICT: -mu - 1, K.USUAL: 0}[kind]
         rest = mul(s_power("w", 1, 1, power, order),
                    s_power("w", r, 1, t + mu // r, order))
-        # an atom of e^{c w} is the integer 2c
-        for atom, series in [(3, exp_series("w", Fraction(3, 2), order)),
-                             (-1, exp_series("w", Fraction(-1, 2), order)),
-                             (None, elementary_series("inv_zeta", "w", order)),
-                             # the diagonal eigenvalue e^{w/2} - e^{-w/2} of (1)
-                             (((1, 1), (-1, -1)),
-                              elementary_series("zeta", "w", order))]:
+        # an atom of e^{c w} is the integer 2c; the diagonal eigenvalue
+        # e^{w/2} - e^{-w/2} of (1) weighs, by linearity, the difference of
+        # the weights of its two atoms
+        for atoms, series in [({3: 1}, exp_series("w", Fraction(3, 2), order)),
+                              ({-1: 1}, exp_series("w", Fraction(-1, 2), order)),
+                              ({None: 1}, elementary_series("inv_zeta", "w", order)),
+                              ({1: 1, -1: -1}, elementary_series("zeta", "w", order))]:
             folded = mul(series, rest)
             want = []
             for e in range(-1, k_budget + 1):
@@ -449,9 +544,12 @@ def test_slot_weight_folds_atom_s_powers_and_table():
                     want.append((e, scal * folded.coefficient(w=e)))
             assert want
             den = _slot_frame(kind, r, mu, t, k_budget)[0]
-            got = tuple((e, Fraction(c, den))
-                        for e, c in _slot_weight(kind, r, mu, t, k_budget, atom))
-            assert got == tuple(want), (kind, r, mu, t, atom)
+            got = {}
+            for atom, sign in atoms.items():
+                for e, c in _slot_weight(kind, r, mu, t, k_budget, atom):
+                    got[e] = got.get(e, 0) + sign * Fraction(c, den)
+            assert tuple((e, c) for e, c in sorted(got.items()) if c) == tuple(want), \
+                (kind, r, mu, t, atoms)
 
 
 @pytest.mark.parametrize("r, d", [(2, 10), (1, 8)])
