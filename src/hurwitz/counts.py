@@ -33,8 +33,11 @@ integer sum and one exact division per b.  The fock route is
 
 `route_series` is the one dispatch over the three: it takes a connected
 series from the route's disconnected series of the sub-multisets of mu by
-one inclusion-exclusion, shared by all routes.  `hurwitz_number`, the
-verifiers and the CLI reach the routes only through it.
+one inclusion-exclusion, shared by all routes.  Every cover of mu has
+b = |mu|/r + len(mu) mod 2, so it asks each block only through the last b
+of that block's parity that the answer reads, and b_max = 2k and 2k + 1
+share one block build.  `hurwitz_number`, the verifiers and the CLI reach
+the routes only through it.
 """
 
 from __future__ import annotations
@@ -316,16 +319,25 @@ def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
     raises ValueError.
 
     Each block N of the profile M is asked only as far as the answer can
-    read it.  A cover of X has b >= v(X) = max(0, |X|/r - len(X)), each
-    component c having b_c >= d_c/r - n_c, so D(X) and C(X) vanish below
-    v(X).  Every product reaching C(M) at b <= b_max pairs D(N) with factors
-    covering R = M - N, whose least b sum to at least v(R), as
-    sum max(0, a_i) >= max(0, sum a_i).  So N's block stops at
-    b_N = b_max - v(R).  M's own block (R empty, b_N = b_max) always
+    read it.  A cover of X is a factorization sigma_0 tau_1 ... tau_b
+    sigma_inf = 1, sigma_0 of type (r^{|X|/r}) and sigma_inf of type X, so
+    (-1)^b = sgn sigma_0 sgn sigma_inf and b = |X|/r + len(X) mod 2, for
+    every kind.  Each component c has b_c >= d_c/r - n_c, so D(X) and C(X)
+    vanish below v(X), the least b >= max(0, |X|/r - len(X)) of that
+    parity: |X|/r - len(X) when positive, else (|X|/r + len(X)) mod 2.
+    M's block is asked through top, the last b <= b_max of M's parity, or
+    0 when there is none, and the answer is padded with zeros to b_max.
+    Every product reaching C(M) at b <= top pairs D(N) with factors covering
+    R = M - N, whose least b sum to at least v(R): each v(P) has P's parity
+    and is at least max(0, a_P), a_P = |P|/r - len(P), so their sum has R's
+    parity and is at least max(0, sum a_P).  So N's block stops at
+    b_N = top - v(R), which has N's parity, and the requests at b_max = 2k
+    and 2k + 1 are one cache entry of the route.  M's own block always
     reaches its route, so a route's own refusal, the oracle's degree cap,
-    is never skipped.  A proper N is zero without asking its route when r
-    does not divide |M| or |N| (then some factor has a degree r does not
-    divide) or when b_N < v(N).  When every part is at least r,
+    is never skipped.  A proper N is zero, returned as (), without asking
+    its route when r does not divide |M| or |N| (then some factor has a
+    degree r does not divide; M is then asked through b_max itself) or when
+    b_N < v(N).  When every part is at least r, top = b_max and
     b_N = 2g - 2 + 2n - len(N) + |N|/r depends on (g, n) and N alone, so
     the verifier asks each profile once per run.
     """
@@ -341,15 +353,28 @@ def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
     if b_max < 0:
         raise ValueError(f"b_max must be nonnegative, got {b_max}")
     d, n = sum(mus), len(mus)
+    top = b_max
+    if d % r == 0 and (b_max - d // r - n) % 2:
+        top = max(0, b_max - 1)
+
+    # v(X) of a sub-multiset X of mus, given |X| and len(X)
+    def least_b(size: int, parts: int) -> int:
+        excess = size // r - parts
+        return excess if excess > 0 else (size // r + parts) % 2
 
     def disconnected(sub: tuple[int, ...]) -> tuple[Fraction, ...]:
+        if len(sub) == n:
+            return routes[route](kind, r, sub, top)
         size = sum(sub)
-        b_sub = b_max - max(0, (d - size) // r - (n - len(sub)))
-        if len(sub) < n and (d % r or size % r or b_sub < max(0, size // r - len(sub))):
-            return (Fraction(0),) * (b_sub + 1)
+        if d % r or size % r:
+            return ()
+        b_sub = top - least_b(d - size, n - len(sub))
+        if b_sub < least_b(size, len(sub)):
+            return ()
         return routes[route](kind, r, sub, b_sub)
 
-    return connected_from_subprofiles(mus, disconnected) if connected else disconnected(mus)
+    coeffs = connected_from_subprofiles(mus, disconnected) if connected else disconnected(mus)
+    return coeffs + (Fraction(0),) * (b_max - top)
 
 
 def hurwitz_number(req: HurwitzRequest) -> Fraction:

@@ -256,7 +256,10 @@ def test_character_memo_keeps_the_longest_series(kind, orders):
 
 def test_character_memo_under_threads():
     # concurrent requests at mixed orders: every answer is a prefix of the
-    # longest series, and one entry per order is left behind
+    # longest series.  A cover of (2,2,1,1) at r = 2 has odd b, so the
+    # dispatch asks the route only through the last odd b <= order: orders
+    # 2k and 2k + 1 share one entry, and one entry per top in 1, 3, 5, 7 is
+    # left behind
     mus = (2, 2, 1, 1)
     expected = counts._partition_sum.__wrapped__(K.MONOTONE, 2, mus, 8)
     counts._partition_sum.cache_clear()
@@ -281,7 +284,7 @@ def test_character_memo_under_threads():
     assert len(results) == len(threads)
     for order, got in results:
         assert got == expected[:order + 1], order
-    assert counts._partition_sum.cache_info().currsize == 8
+    assert counts._partition_sum.cache_info().currsize == 4
 
 
 def test_oracle_examples():
@@ -395,9 +398,11 @@ def test_oracle_reads_its_series_at_falling_b():
 
 
 def test_oracle_builds_each_phi_row_once(monkeypatch):
-    # b = 0..6 and then 6..0: rows 0..6 of each (kind, d), each built once
-    # from the row below, h and e with one product per J_k, the usual power
-    # sum with one product
+    # b = 0..6 and then 6..0: a cover of (3,2,1) or (2,2,2) at r = 1 has odd
+    # b, so the dispatch asks the oracle only through the last odd b <= 6 (b
+    # = 0 itself at b = 0) and rows 0..5 of each (kind, d) are built, each
+    # once from the row below, h and e with one product per J_k, the usual
+    # power sum with one product
     products = []
 
     def counted_elem_mul(a, b):
@@ -414,8 +419,8 @@ def test_oracle_builds_each_phi_row_once(monkeypatch):
             for mus in [(3, 2, 1), (2, 2, 2)]:
                 oracle_group_algebra(kind, 1, b, mus)
         info = counts._phi.cache_info()
-        assert info.misses == info.currsize == 7, kind
-        assert len(products) == 6 * (1 if kind is K.USUAL else d - 1), kind
+        assert info.misses == info.currsize == 6, kind
+        assert len(products) == 5 * (1 if kind is K.USUAL else d - 1), kind
 
 
 def test_oracle_past_its_cap_matches_character(monkeypatch):
@@ -619,9 +624,12 @@ def test_route_series_matches_reference_dispatch(route, max_d):
 
 
 def test_sub_profiles_stop_at_the_budget_the_rest_leaves(monkeypatch):
-    # mu = (3, 2, 1) at r = 1 through b = 6: N is asked through 6 - v(R),
-    # v(R) = |R| - len(R) the least b of a cover of the rest R = mu - N,
-    # so (1,), whose rest (3, 2) needs b >= 3, is asked through b = 3
+    # mu = (3, 2, 1) at r = 1 through b = 6: a cover of mu has b = |mu| +
+    # len(mu) = 1 mod 2, so mu itself is asked through top = 5, the last odd
+    # b <= 6, and N through 5 - v(R), v(R) the least b of a cover of the
+    # rest R = mu - N: |R| - len(R) when positive, else (|R| + len(R)) mod 2.
+    # So (1,), whose rest (3, 2) needs b >= 3, is asked through b = 2, and
+    # (3, 2), whose rest (1,) needs b >= 0, through b = 5
     seen = {}
 
     def recording(kind, r, sub, b_max):
@@ -630,8 +638,29 @@ def test_sub_profiles_stop_at_the_budget_the_rest_leaves(monkeypatch):
 
     monkeypatch.setattr(counts, "disconnected_block_series", recording)
     route_series("fock", K.MONOTONE, 1, (3, 2, 1), 6, True)
-    assert seen == {(3, 2, 1): 6, (3, 2): 6, (3, 1): 5, (2, 1): 4,
-                    (3,): 5, (2,): 4, (1,): 3}
+    assert seen == {(3, 2, 1): 5, (3, 2): 5, (3, 1): 4, (2, 1): 3,
+                    (3,): 4, (2,): 3, (1,): 2}
+    # each budget has its block's parity, the only b a cover of it has
+    assert all((b - sum(sub) - len(sub)) % 2 == 0 for sub, b in seen.items())
+
+
+def test_consecutive_b_share_one_block_build(monkeypatch):
+    # b = 0..5 on (3,2,1) at r = 1: every cover has odd b, so the profile's
+    # own block is asked through the last odd b <= b (0 at b = 0), and b =
+    # 2k, 2k + 1 reach one cache entry: 4 builds where one per b made 6
+    asked = []
+
+    def recording(kind, r, sub, b_max):
+        if sub == (3, 2, 1):
+            asked.append(b_max)
+        return disconnected_block_series(kind, r, sub, b_max)
+
+    monkeypatch.setattr(counts, "disconnected_block_series", recording)
+    disconnected_block_series.cache_clear()
+    for b in range(6):
+        fock_shifted_coefficient(K.MONOTONE, 1, (3, 2, 1), b, True)
+    assert asked == [0, 1, 1, 3, 3, 5]
+    assert len(set(asked)) == 4
 
 
 def genus_zero_closed_form(kind, mus):
@@ -853,6 +882,34 @@ def test_routes_compute_zero_at_negative_genus():
                             (kind, r, mus, b)
                         checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize("route, max_d, max_parts", [
+    ("character", 10, 10), ("fock", 8, 6), ("oracle", 6, 6)])
+def test_each_route_vanishes_at_the_wrong_parity_of_b(route, max_d, max_parts):
+    # sigma_0 tau_1 ... tau_b sigma_inf = 1 with sigma_0 of type (r^{d/r})
+    # and sigma_inf of type mu gives (-1)^b = sgn sigma_0 sgn sigma_inf, so
+    # every cover of mu, monotone, strict or not, has b = d/r + len(mu) mod 2.
+    # Past b_max = 0 the dispatch never asks a route for a top coefficient
+    # of the other parity, so each route's own function is checked here,
+    # through b = 9
+    build = {"character": counts._partition_sum.__wrapped__,
+             "fock": disconnected_block_series.__wrapped__,
+             "oracle": oracle_series}[route]
+    for kind in ALL_KINDS:
+        for r in (1, 2, 3):
+            nonzero = 0
+            for d in range(r, max_d + 1, r):
+                for mus in enumerate_partitions(d):
+                    if len(mus) > max_parts:
+                        continue
+                    parity = (d // r + len(mus)) % 2
+                    for b, h in enumerate(build(kind, r, mus, 9)):
+                        if b % 2 != parity:
+                            assert h == 0, (kind, r, mus, b)
+                        elif h:
+                            nonzero += 1
+            assert nonzero, (kind, r)
 
 
 def test_result_record():
