@@ -28,7 +28,12 @@ sorted profile, b_max).
 The oracle (`oracle_series`, degree <= 6) multiplies the orbifold class sum
 against symmetric polynomials in the Jucys-Murphy elements inside Z[S_d] and
 reads off the coefficient of one fixed permutation of cycle type mu, with one
-integer sum and one exact division per b.  The fock route is
+integer sum and one exact division per b.  Those polynomials are central in
+Z[S_k] (Jucys; Murphy), so each is held as a class function (`_phi`), its
+value on a class computed at one permutation of it, and the sum runs over
+the classes of the products, each with its count; the tests keep the full
+rows in Z[S_k] as the reference.  Like the other two routes it is an
+lru_cache on the route contract.  The fock route is
 `fock.disconnected_block_series`.
 
 `route_series` is the one dispatch over the three: it takes a connected
@@ -43,6 +48,7 @@ the routes only through it.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,7 +57,7 @@ from typing import Sequence
 
 from .fock import disconnected_block_series
 from .kinds import HurwitzKind
-from .partitions import active_cache, connected_from_subprofiles
+from .partitions import active_cache, connected_from_subprofiles, enumerate_partitions
 from .series import TruncatedSeries
 from .symfunc import complete_coeffs, elementary_coeffs
 
@@ -193,74 +199,94 @@ def canonical_permutation(mus: Sequence[int]) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _class_members(d: int, rho: tuple[int, ...]) -> tuple:
-    return tuple(p for p in itertools.permutations(range(d)) if cycle_type(p) == rho)
+def _class_members(d: int, r: int) -> tuple:
+    """The class (r^{d/r}) of S_d: each r-cycle from the least free point,
+    then r - 1 more free points in order."""
+    def extend(perm: list, free: tuple):
+        if not free:
+            yield tuple(perm)
+            return
+        head, rest = free[0], free[1:]
+        for others in itertools.permutations(rest, r - 1):
+            cycle = (head, *others)
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                perm[a] = b
+            yield from extend(perm, tuple(x for x in rest if x not in others))
 
-
-def _transposition(d: int, i: int, j: int) -> tuple:
-    p = list(range(d))
-    p[i], p[j] = p[j], p[i]
-    return tuple(p)
-
-
-def _elem_mul(a: dict, b: dict) -> dict:
-    out: dict[tuple, int] = {}
-    for pa, ca in a.items():
-        for pb, cb in b.items():
-            key = _compose(pa, pb)
-            out[key] = out.get(key, 0) + ca * cb
-    return {k: v for k, v in out.items() if v}
-
-
-@lru_cache(maxsize=None)
-def _jucys_murphy(d: int, k: int) -> dict:
-    # J_k = sum_{i<k} (i k), in 1-based labels; zero-based internally
-    return {_transposition(d, i, k - 1): 1 for i in range(k - 1)}
+    return tuple(extend(list(range(d)), tuple(range(d))))
 
 
 @lru_cache(maxsize=None)
-def _phi(kind: HurwitzKind, d: int, b: int) -> tuple[dict, ...]:
-    """Row b of the kind's table in Z[S_d], built once from row b - 1.
+def _steps(k: int) -> dict:
+    """Per class lam |- k, at x = canonical_permutation(lam), two tuples of
+    (key, multiplicity) pairs: the classes of x (i k-1), i < k-1, keyed with
+    whether the product fixes k-1, and the classes of x (i j), i < j.
 
-    Its last entry is h_b / e_b / (sum J)^b of the Jucys-Murphy elements
-    J_2..J_d.  For h and e the row holds the value on every prefix J_2..J_k,
-    k = 1..d, which the next row needs:
+    x (i j) is x with its entries at i and j swapped, and x (i k-1) fixes
+    k-1 exactly when x(i) = k-1.
+    """
+    def swapped(x: tuple, i: int, j: int) -> tuple:
+        y = list(x)
+        y[i], y[j] = y[j], y[i]
+        return tuple(y)
+
+    table = {}
+    for lam in enumerate_partitions(k):
+        x = canonical_permutation(lam)
+        last = Counter((cycle_type(swapped(x, i, k - 1)), x[i] == k - 1) for i in range(k - 1))
+        pairs = Counter(cycle_type(swapped(x, i, j)) for j in range(k) for i in range(j))
+        table[lam] = (tuple(last.items()), tuple(pairs.items()))
+    return table
+
+
+@lru_cache(maxsize=None)
+def _phi(kind: HurwitzKind, k: int, b: int) -> dict:
+    """h_b / e_b / (sum J)^b of J_2..J_k as a class function on S_k.
+
+    Symmetric polynomials in the Jucys-Murphy elements are central in Z[S_k],
+    so the row maps each class lam |- k to its value there, zeros left out,
+    and each value is read at one permutation x of the class (`_steps`).
+    With lam - 1 the class lam less one part 1, present when x fixes k-1:
+    h_b[k](lam) = h_b[k-1](lam - 1) + sum_i h_{b-1}[k](x (i k-1)) and
+    e_b[k](lam) = e_b[k-1](lam - 1) + sum_i e_{b-1}[k-1](x (i k-1) - 1), the
+    second sum over the i where x (i k-1) fixes k-1, from
     h_b(J_2..J_k) = h_b(J_2..J_{k-1}) + J_k h_{b-1}(J_2..J_k) and
-    e_b(J_2..J_k) = e_b(J_2..J_{k-1}) + J_k e_{b-1}(J_2..J_{k-1}).
+    e_b(J_2..J_k) = e_b(J_2..J_{k-1}) + J_k e_{b-1}(J_2..J_{k-1}); the power
+    sum is p_b[k](lam) = sum_{i<j} p_{b-1}[k](x (i j)).
     """
     if b == 0:
-        return ({tuple(range(d)): 1},) * (1 if kind is HurwitzKind.USUAL else d)
-    below = _phi(kind, d, b - 1)
+        return {(1,) * k: 1}
+    if k == 1:
+        return {}
+    steps = _steps(k)
     if kind is HurwitzKind.USUAL:
-        # J_2 + ... + J_d, every transposition once
-        total = {p: 1 for k in range(2, d + 1) for p in _jucys_murphy(d, k)}
-        return (_elem_mul(below[-1], total),)
-    # h reads the lower row on J_2..J_k (repeats allowed), e on J_2..J_{k-1}
-    lag = 1 if kind is HurwitzKind.MONOTONE else 2
-    row = [{}]
-    for k in range(2, d + 1):
-        acc = dict(row[-1])
-        for p, c in _elem_mul(below[k - lag], _jucys_murphy(d, k)).items():
-            acc[p] = acc.get(p, 0) + c
-        row.append(acc)
-    return tuple(row)
+        below = _phi(kind, k, b - 1)
+        row = {lam: sum(c * below.get(mu, 0) for mu, c in pairs)
+               for lam, (_, pairs) in steps.items()}
+    else:
+        lower = _phi(kind, k - 1, b)
+        row = {lam: lower.get(lam[:-1], 0) if lam[-1] == 1 else 0 for lam in steps}
+        if kind is HurwitzKind.MONOTONE:
+            below = _phi(kind, k, b - 1)
+            for lam, (last, _) in steps.items():
+                row[lam] += sum(c * below.get(mu, 0) for (mu, _), c in last)
+        else:
+            below = _phi(kind, k - 1, b - 1)
+            for lam, (last, _) in steps.items():
+                row[lam] += sum(c * below.get(mu[:-1], 0) for (mu, fixes), c in last if fixes)
+    return {lam: v for lam, v in row.items() if v}
 
 
 @lru_cache(maxsize=None)
-def _oracle_keys(r: int, mus: tuple[int, ...]) -> tuple:
-    """pi * sigma0 over the class (r^{d/r}), sigma0 the fixed permutation of type mus."""
-    d = sum(mus)
+def _oracle_classes(r: int, mus: tuple[int, ...]) -> tuple:
+    """(class, count) of pi sigma0 over pi in the class (r^{d/r}), sigma0
+    the fixed permutation of type mus."""
     sigma0 = canonical_permutation(mus)
-    return tuple(_compose(pi, sigma0) for pi in _class_members(d, (r,) * (d // r)))
+    tally = Counter(cycle_type(_compose(pi, sigma0)) for pi in _class_members(sum(mus), r))
+    return tuple(tally.items())
 
 
 @lru_cache(maxsize=None)
-def _oracle_sum(kind: HurwitzKind, r: int, mus: tuple[int, ...], b: int) -> int:
-    """The sum of Phi_b(pi sigma0) over the class, one per (kind, r, mus, b)."""
-    phi = _phi(kind, sum(mus), b)[-1]
-    return sum(phi.get(key, 0) for key in _oracle_keys(r, mus))
-
-
 def oracle_series(kind: HurwitzKind, r: int, mus: Sequence[int],
                   b_max: int) -> tuple[Fraction, ...]:
     """h_0..h_{b_max} of the oracle route by exact multiplication in Z[S_d].
@@ -268,7 +294,10 @@ def oracle_series(kind: HurwitzKind, r: int, mus: Sequence[int],
     [u^b] is the coefficient of one fixed permutation sigma0 of cycle type
     mus in C_{(r^{d/r})} * Phi_b: the sum of Phi_b(pi sigma0) over pi in the
     class (closed under inversion), divided by prod(mus), times b! in the
-    usual case.
+    usual case.  Phi_b is central, so the sum is taken over the classes of
+    the products pi sigma0, each counted once (`_oracle_classes`), against
+    the class-function row `_phi`; the tests keep the full rows in Z[S_k]
+    as the reference.  An lru_cache on the route contract.
     """
     d = sum(mus)
     if d > ORACLE_DEGREE_CAP:
@@ -276,7 +305,11 @@ def oracle_series(kind: HurwitzKind, r: int, mus: Sequence[int],
     if d % r != 0:
         return (Fraction(0),) * (b_max + 1)
     mus = tuple(sorted(mus, reverse=True))
-    acc = [_oracle_sum(kind, r, mus, b) for b in range(b_max + 1)]
+    classes = _oracle_classes(r, mus)
+    acc = []
+    for b in range(b_max + 1):
+        phi = _phi(kind, d, b)
+        acc.append(sum(c * phi.get(lam, 0) for lam, c in classes))
     norm = prod(mus)
     if kind is HurwitzKind.USUAL:
         return tuple(Fraction(a, norm * factorial(b)) for b, a in enumerate(acc))

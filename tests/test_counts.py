@@ -320,17 +320,63 @@ def _reference_inverse(p):
     return tuple(out)
 
 
-def _reference_elem_mul(a, b):
+# The full group algebra Z[S_d], the reference for the oracle's class
+# functions: a permutation is the tuple of its images, products compose.
+
+
+def _transposition(d, i, j):
+    p = list(range(d))
+    p[i], p[j] = p[j], p[i]
+    return tuple(p)
+
+
+def _elem_mul(a, b):
     out = {}
     for pa, ca in a.items():
         for pb, cb in b.items():
             key = counts._compose(pa, pb)
-            out[key] = out.get(key, Fraction(0)) + ca * cb
+            out[key] = out.get(key, 0) + ca * cb
     return {k: v for k, v in out.items() if v}
 
 
-def _reference_jucys_murphy(d, k):
-    return {counts._transposition(d, i, k - 1): Fraction(1) for i in range(k - 1)}
+@functools.lru_cache(maxsize=None)
+def _jucys_murphy(d, k):
+    # J_k = sum_{i<k} (i k), in 1-based labels; zero-based internally
+    return {_transposition(d, i, k - 1): 1 for i in range(k - 1)}
+
+
+@functools.lru_cache(maxsize=None)
+def full_phi(kind, d, b):
+    """Row b of the kind's table in Z[S_d], built once from row b - 1.
+
+    Its last entry is h_b / e_b / (sum J)^b of the Jucys-Murphy elements
+    J_2..J_d on every permutation of S_d.  For h and e the row holds the
+    value on every prefix J_2..J_k, k = 1..d, which the next row needs:
+    h_b(J_2..J_k) = h_b(J_2..J_{k-1}) + J_k h_{b-1}(J_2..J_k) and
+    e_b(J_2..J_k) = e_b(J_2..J_{k-1}) + J_k e_{b-1}(J_2..J_{k-1}).
+    """
+    if b == 0:
+        return ({tuple(range(d)): 1},) * (1 if kind is K.USUAL else d)
+    below = full_phi(kind, d, b - 1)
+    if kind is K.USUAL:
+        # J_2 + ... + J_d, every transposition once
+        total = {p: 1 for k in range(2, d + 1) for p in _jucys_murphy(d, k)}
+        return (_elem_mul(below[-1], total),)
+    # h reads the lower row on J_2..J_k (repeats allowed), e on J_2..J_{k-1}
+    lag = 1 if kind is K.MONOTONE else 2
+    row = [{}]
+    for k in range(2, d + 1):
+        acc = dict(row[-1])
+        for p, c in _elem_mul(below[k - lag], _jucys_murphy(d, k)).items():
+            acc[p] = acc.get(p, 0) + c
+        row.append(acc)
+    return tuple(row)
+
+
+@functools.lru_cache(maxsize=None)
+def filtered_class(d, rho):
+    """The class rho of S_d, by filtering all d! permutations."""
+    return tuple(p for p in itertools.permutations(range(d)) if cycle_type(p) == rho)
 
 
 @functools.lru_cache(maxsize=None)
@@ -342,17 +388,17 @@ def reference_phi(kind, d, b):
     if kind is K.USUAL:
         j_total = {}
         for k in range(2, d + 1):
-            for p, c in _reference_jucys_murphy(d, k).items():
+            for p, c in _jucys_murphy(d, k).items():
                 j_total[p] = j_total.get(p, Fraction(0)) + c
-        power = _reference_elem_mul(reference_phi(kind, d, b - 1), j_total) if b > 1 else j_total
+        power = _elem_mul(reference_phi(kind, d, b - 1), j_total) if b > 1 else j_total
         return {p: c / b for p, c in power.items()}
     table = [ident] + [{} for _ in range(b)]
     rows = range(1, b + 1) if kind is K.MONOTONE else range(b, 0, -1)
     for k in range(2, d + 1):
-        jk = _reference_jucys_murphy(d, k)
+        jk = _jucys_murphy(d, k)
         for j in rows:
             merged = dict(table[j])
-            for p, c in _reference_elem_mul(table[j - 1], jk).items():
+            for p, c in _elem_mul(table[j - 1], jk).items():
                 merged[p] = merged.get(p, Fraction(0)) + c
             table[j] = {p: c for p, c in merged.items() if c}
     return table[b]
@@ -366,7 +412,7 @@ def reference_oracle(kind, r, b, mus):
     phi = reference_phi(kind, d, b)
     sigma0 = canonical_permutation(mus)
     total = Fraction(0)
-    for pi in counts._class_members(d, tuple(sorted((r,) * (d // r), reverse=True))):
+    for pi in filtered_class(d, (r,) * (d // r)):
         total += phi.get(counts._compose(_reference_inverse(pi), sigma0), Fraction(0))
     return total / prod(mus)
 
@@ -381,9 +427,36 @@ def test_oracle_series_matches_fraction_reference():
                     assert oracle_series(kind, r, mus, b_max) == want, (kind, r, mus)
 
 
+def test_oracle_class_functions_match_the_full_group_algebra():
+    # each class-function row, read at one permutation per class, against
+    # the full row in Z[S_k] at every permutation, one past the oracle cap
+    for k in range(1, 8):
+        types = {p: cycle_type(p) for p in itertools.permutations(range(k))}
+        for kind in ALL_KINDS:
+            for b in range(8):
+                full, row = full_phi(kind, k, b)[-1], counts._phi(kind, k, b)
+                assert 0 not in row.values(), (kind, k, b)
+                for p, lam in types.items():
+                    assert row.get(lam, 0) == full.get(p, 0), (kind, k, b, p)
+    # the class (r^{d/r}) built cycle by cycle is the d!-filter's, each once
+    for d in range(1, 9):
+        for r in range(1, d + 1):
+            if d % r == 0:
+                assert sorted(counts._class_members(d, r)) == \
+                    sorted(filtered_class(d, (r,) * (d // r))), (d, r)
+    # pi sigma0 runs over the whole class (r^m), d!/(r^m m!) permutations
+    for r in (1, 2, 3, 6):
+        for d in range(r, 7, r):
+            m = d // r
+            for mus in enumerate_partitions(d):
+                got = sum(c for _, c in counts._oracle_classes(r, mus))
+                assert got == factorial(d) // (r ** m * factorial(m)), (r, mus)
+
+
 def clear_oracle_caches():
+    counts.oracle_series.cache_clear()
     counts._phi.cache_clear()
-    counts._oracle_sum.cache_clear()
+    counts._oracle_classes.cache_clear()
 
 
 def test_oracle_reads_its_series_at_falling_b():
@@ -397,30 +470,23 @@ def test_oracle_reads_its_series_at_falling_b():
                 assert oracle_group_algebra(kind, r, b, mus) == series[b], (kind, r, mus, b)
 
 
-def test_oracle_builds_each_phi_row_once(monkeypatch):
+def test_oracle_builds_each_phi_row_once():
     # b = 0..6 and then 6..0: a cover of (3,2,1) or (2,2,2) at r = 1 has odd
     # b, so the dispatch asks the oracle only through the last odd b <= 6 (b
-    # = 0 itself at b = 0) and rows 0..5 of each (kind, d) are built, each
-    # once from the row below, h and e with one product per J_k, the usual
-    # power sum with one product
-    products = []
-
-    def counted_elem_mul(a, b):
-        products.append(1)
-        return elem_mul(a, b)
-
-    elem_mul = counts._elem_mul
-    monkeypatch.setattr(counts, "_elem_mul", counted_elem_mul)
-    d = 6
-    for kind in ALL_KINDS:
+    # = 0 itself at b = 0), and it reads the rows (kind, 6, b), b = 0..5.
+    # Past its base cases (b = 0, and k = 1 with b > 0) a row (k, b) reads
+    # (k-1, b) and (k, b-1) (monotone), (k-1, b) and (k-1, b-1) (strict) or
+    # (k, b-1) (usual).  So the monotone rows reached are every (k, b),
+    # k = 1..6, b = 0..5, but (1, 0), which only base cases would read: 35;
+    # the strict rows are all 36 of them; the usual rows stay at k = 6: 6.
+    # Each is built once, however often and in whatever order it is asked
+    for kind, built in [(K.MONOTONE, 35), (K.STRICT, 36), (K.USUAL, 6)]:
         clear_oracle_caches()
-        products.clear()
         for b in [*range(7), *range(6, -1, -1)]:
             for mus in [(3, 2, 1), (2, 2, 2)]:
                 oracle_group_algebra(kind, 1, b, mus)
         info = counts._phi.cache_info()
-        assert info.misses == info.currsize == 6, kind
-        assert len(products) == 5 * (1 if kind is K.USUAL else d - 1), kind
+        assert info.misses == info.currsize == built, kind
 
 
 def test_oracle_past_its_cap_matches_character(monkeypatch):
