@@ -18,7 +18,6 @@ from .counts import (
     METHODS,
     DegreeCapError,
     HurwitzRequest,
-    ORACLE_DEGREE_CAP,
     hurwitz_number,
     request_status,
     result_record,
@@ -28,12 +27,12 @@ from .kinds import ALL_KINDS, HurwitzKind
 from .partitions import enumerate_partitions
 from .polycheck import admissible_residue_classes, verify_quasipolynomiality
 from .spectral import (
-    _apply_d_dx,
+    CheckReport,
     check_F01,
     check_bergman02,
     check_case_identities,
     xi_derivative_coefficient,
-    xi_series,
+    xi_derivative_series,
 )
 
 
@@ -113,14 +112,15 @@ def cmd_compute(args) -> dict:
     methods = METHODS if args.method == "all" else (args.method,)
     results, values, skipped = [], [], False
     for method in methods:
-        if method == "oracle" and sum(mus) > ORACLE_DEGREE_CAP:
-            if args.method != "all":
-                raise ValueError(f"oracle is capped at degree {ORACLE_DEGREE_CAP}")
-            skipped = True
-            continue
         req = HurwitzRequest(kind, args.r, args.g, mus, connected=connected,
                              method=method)
-        value = hurwitz_number(req)
+        try:
+            value = hurwitz_number(req)
+        except DegreeCapError:
+            if args.method != "all":
+                raise
+            skipped = True
+            continue
         record = result_record(req, value)
         reason = request_status(req)
         if reason:
@@ -203,12 +203,10 @@ def cmd_xi(args) -> dict:
                              f"{kind.value} exponents start at {start}")
         raise ValueError(f"--derivative {args.derivative} leaves no exponent "
                          f"to check at --order {args.order}")
-    series = xi_series(kind, args.r, args.i, args.order)
-    for _ in range(args.derivative):
-        series = _apply_d_dx(kind, series)
+    series = xi_derivative_series(kind, args.r, args.i, args.derivative,
+                                  args.order - args.derivative)
     results, ok = [], True
-    for mu in range(start, args.order + 1 - args.derivative):
-        got = series.coefficient(q=mu)
+    for mu, got in enumerate(series[start:], start):
         closed = xi_derivative_coefficient(kind, args.r, args.i, args.derivative, mu)
         match = got == closed
         ok = ok and match
@@ -228,29 +226,19 @@ def cmd_unstable_check(args) -> dict:
     kind = HurwitzKind.parse(args.kind)
     if args.order < args.r + 1:
         raise ValueError(f"--order {args.order} must be >= r + 1 = {args.r + 1}")
-    results, ok = [], True
-    rep = check_F01(kind, args.r, args.order)
-    results.append(rep.to_json())
-    ok = ok and rep.passed
+    reports = [check_F01(kind, args.r, args.order)]
     if kind is HurwitzKind.MONOTONE:
-        rep = check_bergman02(args.r, args.order)
-        results.append(rep.to_json())
-        ok = ok and rep.passed
-        identities_ok = True
-        for m1 in range(1, args.order):
-            for m2 in range(m1, args.order + 1 - m1):
-                if (m1 + m2) % args.r == 0:
-                    rep = check_case_identities(args.r, m1, m2)
-                    identities_ok = identities_ok and rep.passed
-                    if not rep.passed:
-                        results.append(rep.to_json())
-        ok = ok and identities_ok
-        results.append({"check": "case_identities",
-                        "params": {"r": args.r, "max_total": args.order},
-                        "status": "PASS" if identities_ok else "FAIL", "witness": None})
+        reports.append(check_bergman02(args.r, args.order))
+        # each failing case identity, then one row for all of them
+        cases = [check_case_identities(args.r, m1, m2) for m1 in range(1, args.order)
+                 for m2 in range(m1, args.order + 1 - m1) if (m1 + m2) % args.r == 0]
+        failed = [rep for rep in cases if not rep.passed]
+        reports += failed + [CheckReport("case_identities", {"r": args.r, "max_total": args.order},
+                                         not failed)]
+    ok = all(rep.passed for rep in reports)
     return {"command": "unstable-check",
             "params": {"kind": kind.value, "r": args.r, "order": args.order},
-            "results": results, "status": "PASS" if ok else "FAIL"}
+            "results": [rep.to_json() for rep in reports], "status": "PASS" if ok else "FAIL"}
 
 
 # (route, checked route, connected): cross-validate reports the first b at
@@ -303,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_kind_r(p, kinds=("monotone", "strict", "usual")):
-        p.add_argument("--kind", required=True, choices=kinds)
+    def add_kind_r(p, kinds=ALL_KINDS):
+        p.add_argument("--kind", required=True, choices=[k.value for k in kinds])
         p.add_argument("--r", type=_int_at_least(1), required=True)
 
     p = sub.add_parser("compute", help="one Hurwitz number, optionally by all routes")
@@ -341,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_xi)
 
     p = sub.add_parser("unstable-check", help="(0,1) and (0,2) identities")
-    add_kind_r(p, kinds=("monotone", "strict"))
+    add_kind_r(p, kinds=(HurwitzKind.MONOTONE, HurwitzKind.STRICT))
     p.add_argument("--order", type=_int_at_least(0), required=True)
     p.set_defaults(func=cmd_unstable_check)
 

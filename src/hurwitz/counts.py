@@ -38,11 +38,12 @@ lru_cache on the route contract.  The fock route is
 
 `route_series` is the one dispatch over the three: it takes a connected
 series from the route's disconnected series of the sub-multisets of mu by
-one inclusion-exclusion, shared by all routes.  Every cover of mu has
-b = |mu|/r + len(mu) mod 2, so it asks each block only through the last b
-of that block's parity that the answer reads, and b_max = 2k and 2k + 1
-share one block build.  `hurwitz_number`, the verifiers and the CLI reach
-the routes only through it.
+one inclusion-exclusion, shared by all routes.  It answers zeros when r
+does not divide |mu|; otherwise every cover of mu has b = |mu|/r + len(mu)
+mod 2, so it asks each block only through the last b of that block's
+parity that the answer reads, and b_max = 2k and 2k + 1 share one block
+build.  `hurwitz_number`, the verifiers and the CLI reach the routes only
+through it.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from math import factorial, prod
 from typing import Sequence
 
 from .fock import disconnected_block_series
-from .kinds import HurwitzKind
+from .kinds import HurwitzKind, check_r
 from .partitions import active_cache, connected_from_subprofiles, enumerate_partitions
 from .series import TruncatedSeries
 from .symfunc import complete_coeffs, elementary_coeffs
@@ -82,8 +83,7 @@ class HurwitzRequest:
     method: str = "character"
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("r must be positive")
+        check_r(self.r)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         mus = tuple(self.mus)
@@ -287,7 +287,7 @@ def _oracle_classes(r: int, mus: tuple[int, ...]) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def oracle_series(kind: HurwitzKind, r: int, mus: Sequence[int],
+def oracle_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
                   b_max: int) -> tuple[Fraction, ...]:
     """h_0..h_{b_max} of the oracle route by exact multiplication in Z[S_d].
 
@@ -297,14 +297,14 @@ def oracle_series(kind: HurwitzKind, r: int, mus: Sequence[int],
     usual case.  Phi_b is central, so the sum is taken over the classes of
     the products pi sigma0, each counted once (`_oracle_classes`), against
     the class-function row `_phi`; the tests keep the full rows in Z[S_k]
-    as the reference.  An lru_cache on the route contract.
+    as the reference.  An lru_cache on the route contract, and the one
+    route that refuses: past ORACLE_DEGREE_CAP it raises DegreeCapError.
     """
     d = sum(mus)
     if d > ORACLE_DEGREE_CAP:
-        raise DegreeCapError(f"degree {d} exceeds the oracle cap {ORACLE_DEGREE_CAP}")
+        raise DegreeCapError(f"the oracle is capped at degree {ORACLE_DEGREE_CAP}, got {d}")
     if d % r != 0:
         return (Fraction(0),) * (b_max + 1)
-    mus = tuple(sorted(mus, reverse=True))
     classes = _oracle_classes(r, mus)
     acc = []
     for b in range(b_max + 1):
@@ -349,7 +349,8 @@ def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
     The only dispatch over METHODS; the route functions are looked up by
     name at each call, so a rebound module attribute is the one that runs.
     An unknown route, r < 1, an empty profile, a part below 1 or b_max < 0
-    raises ValueError.
+    raises ValueError.  When r does not divide |mus| there is no cover, and
+    the answer is zeros before any route is asked.
 
     Each block N of the profile M is asked only as far as the answer can
     read it.  A cover of X is a factorization sigma_0 tau_1 ... tau_b
@@ -366,28 +367,28 @@ def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
     parity and is at least max(0, sum a_P).  So N's block stops at
     b_N = top - v(R), which has N's parity, and the requests at b_max = 2k
     and 2k + 1 are one cache entry of the route.  M's own block always
-    reaches its route, so a route's own refusal, the oracle's degree cap,
-    is never skipped.  A proper N is zero, returned as (), without asking
-    its route when r does not divide |M| or |N| (then some factor has a
-    degree r does not divide; M is then asked through b_max itself) or when
-    b_N < v(N).  When every part is at least r, top = b_max and
-    b_N = 2g - 2 + 2n - len(N) + |N|/r depends on (g, n) and N alone, so
-    the verifier asks each profile once per run.
+    reaches its route when r divides |M|, so the oracle's degree cap is
+    never skipped.  A proper N is zero, returned as (), without asking its
+    route when r does not divide |N| or when b_N < v(N).  When every part
+    is at least r, top = b_max and b_N = 2g - 2 + 2n - len(N) + |N|/r
+    depends on (g, n) and N alone, so the verifier asks each profile once
+    per run.
     """
     routes = {"character": _partition_sum, "fock": disconnected_block_series,
               "oracle": oracle_series}
     if route not in routes:
         raise ValueError(f"unknown method {route!r}")
-    if r < 1:
-        raise ValueError(f"r must be positive, got {r}")
+    check_r(r)
     mus = tuple(sorted(mus, reverse=True))
     if not mus or mus[-1] < 1:
         raise ValueError(f"mus must be a nonempty profile of positive parts, got {mus}")
     if b_max < 0:
         raise ValueError(f"b_max must be nonnegative, got {b_max}")
     d, n = sum(mus), len(mus)
+    if d % r:
+        return (Fraction(0),) * (b_max + 1)
     top = b_max
-    if d % r == 0 and (b_max - d // r - n) % 2:
+    if (b_max - d // r - n) % 2:
         top = max(0, b_max - 1)
 
     # v(X) of a sub-multiset X of mus, given |X| and len(X)
@@ -399,7 +400,7 @@ def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
         if len(sub) == n:
             return routes[route](kind, r, sub, top)
         size = sum(sub)
-        if d % r or size % r:
+        if size % r:
             return ()
         b_sub = top - least_b(d - size, n - len(sub))
         if b_sub < least_b(size, len(sub)):

@@ -27,3 +27,9 @@ class HurwitzKind(Enum):
 
 
 ALL_KINDS = (HurwitzKind.MONOTONE, HurwitzKind.STRICT, HurwitzKind.USUAL)
+
+
+def check_r(r: int) -> None:
+    """The one check of the orbifold order: r < 1 raises ValueError."""
+    if r < 1:
+        raise ValueError(f"r must be positive, got {r}")

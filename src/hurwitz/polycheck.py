@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .counts import HurwitzRequest, hurwitz_number
-from .kinds import HurwitzKind
+from .kinds import HurwitzKind, check_r
 from .polynomials import MultiPolynomial, interpolate_on_grid
-from .spectral import _check_r, xi_closed_coefficient
+from .spectral import xi_closed_coefficient
 
 
 def prefactor(kind: HurwitzKind, r: int, mu: int) -> Fraction:
@@ -28,7 +28,7 @@ def prefactor(kind: HurwitzKind, r: int, mu: int) -> Fraction:
     usual (the residue-dependent constant r^{<mu>/r} is absorbed into the
     polynomial).
     """
-    _check_r(r)
+    check_r(r)
     if mu < 1:
         raise ValueError("mu must be positive")
     return xi_closed_coefficient(kind, r, mu % r, mu)
@@ -92,7 +92,7 @@ def verify_quasipolynomiality(kind: HurwitzKind, r: int, g: int, n: int,
     ValueError.
     """
     residues = tuple(residues)
-    _check_r(r)
+    check_r(r)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if len(residues) != n or any(not 0 <= e < r for e in residues):

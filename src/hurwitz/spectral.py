@@ -10,9 +10,10 @@ marked function x, expanded in a kind-specific local variable:
 The xi basis functions attached to the critical points expand with the same
 per-entry coefficients that appear as quasi-polynomial prefactors:
 binom(mu+[mu], mu), binom(mu-1, [mu]) and mu^[mu]/[mu]! respectively.  This
-module inverts the curves exactly, builds the xi series, and verifies the
-closed forms together with the unstable (0,1) and (0,2) identities, all on
-exact coefficient lists; a TruncatedSeries is built only for return values.
+module inverts the curves exactly, builds the xi series and their d/dx
+derivatives, and verifies the closed forms and the unstable (0,1) and (0,2)
+identities, all on exact coefficient lists; a TruncatedSeries is built only
+for return values.
 """
 
 from __future__ import annotations
@@ -23,21 +24,16 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from .kinds import HurwitzKind
+from .kinds import HurwitzKind, check_r
 from .series import (TruncatedSeries, lagrange_inversion, list_mul, list_power,
                      list_reciprocal)
-
-
-def _check_r(r: int) -> None:
-    if r < 1:
-        raise ValueError(f"r must be positive, got {r}")
 
 
 @lru_cache(maxsize=None)
 def _curve_inverse(kind: HurwitzKind, r: int, order: int) -> tuple:
     """z[0..order] by Lagrange inversion, with phi = z/q read off the curve:
     1/(1 - z^r), 1 + z^r or e^{z^r} for the three reversion targets below."""
-    _check_r(r)
+    check_r(r)
     if kind is HurwitzKind.MONOTONE:
         phi = [int(j % r == 0) for j in range(order)]
     elif kind is HurwitzKind.STRICT:
@@ -62,17 +58,6 @@ def _as_series(coeffs: Sequence, order: int) -> TruncatedSeries:
     return TruncatedSeries(("q",), {(e,): c for e, c in enumerate(coeffs)}, {"q": order})
 
 
-def _apply_d_dx(kind: HurwitzKind, series: TruncatedSeries) -> TruncatedSeries:
-    """d/dx in the expansion variable: d/dq, -q^2 d/dq rewritten, or q d/dq."""
-    q = TruncatedSeries.monomial("q")
-    if kind is HurwitzKind.MONOTONE:
-        return series.differentiate("q")
-    if kind is HurwitzKind.USUAL:
-        return q * series.differentiate("q")
-    # strictly monotone: q = 1/x, d/dx = -q^2 d/dq
-    return -(q * q * series.differentiate("q"))
-
-
 def xi_series(kind: HurwitzKind, r: int, i: int, order: int) -> TruncatedSeries:
     """The i-th xi basis function expanded in the curve variable.
 
@@ -81,16 +66,36 @@ def xi_series(kind: HurwitzKind, r: int, i: int, order: int) -> TruncatedSeries:
     coefficients.  Usual: z^i/(1 - r z^r), whose e^x-expansion carries
     mu^[mu]/[mu]!.
     """
-    _check_r(r)
+    return _as_series(xi_derivative_series(kind, r, i, 0, order), order)
+
+
+def xi_derivative_series(kind: HurwitzKind, r: int, i: int, p: int,
+                         order: int) -> tuple:
+    """[q^0..q^order] of (d/dx)^p xi_i, the series side of `xi_derivative_coefficient`.
+
+    d/dx is d/dq at q = x (monotone), -q^2 d/dq at q = 1/x (strictly
+    monotone) and q d/dq at q = e^x (usual); only d/dq lowers exponents, so
+    xi_i is expanded through n = order + p.
+    """
+    check_r(r)
     if not 0 <= i <= r - 1:
         raise ValueError("need 0 <= i <= r-1")
+    if p < 0:
+        raise ValueError("p must be nonnegative")
+    n = order + p
     # each is z^i z' / (z/q)^k, k = 0, 2, 1: d/dq (z^{i+1}/(i+1)) = z^i z', and on
     # q = z e^{-z^r}, z' = (z/q)/(1 - r z^r)
-    z = _curve_inverse(kind, r, order + 2)
+    z = _curve_inverse(kind, r, n + 2)
     k = {HurwitzKind.MONOTONE: 0, HurwitzKind.STRICT: 2, HurwitzKind.USUAL: 1}[kind]
-    out = list_mul(list_power(z, i, order), [e * c for e, c in enumerate(z) if e], order)
-    out = list_mul(out, list_reciprocal(list_power(z[1:], k, order), order), order)
-    return _as_series(out, order)
+    xi = list_mul(list_power(z, i, n), [e * c for e, c in enumerate(z) if e], n)
+    xi = list_mul(xi, list_reciprocal(list_power(z[1:], k, n), n), n)
+    for _ in range(p):
+        xi = [e * c for e, c in enumerate(xi)]
+        if kind is HurwitzKind.MONOTONE:
+            xi = xi[1:]
+        elif kind is HurwitzKind.STRICT:
+            xi = [0] + [-c for c in xi]
+    return tuple(xi[:order + 1])
 
 
 def xi_closed_coefficient(kind: HurwitzKind, r: int, i: int, mu: int) -> Fraction:
@@ -99,7 +104,7 @@ def xi_closed_coefficient(kind: HurwitzKind, r: int, i: int, mu: int) -> Fractio
     Zero off the residue class mu = i mod r.  The strictly monotone basis
     starts at mu = 1; the other two include mu = 0.
     """
-    _check_r(r)
+    check_r(r)
     if not 0 <= i <= r - 1:
         raise ValueError("need 0 <= i <= r-1")
     if mu < 0 or (mu - i) % r != 0:
@@ -122,7 +127,7 @@ def xi_derivative_coefficient(kind: HurwitzKind, r: int, i: int, p: int,
     (mu+1)...(mu+p), the strictly monotone one with (-1)^p (mu-p)...(mu-1),
     and multiplies the usual coefficient by mu^p.
     """
-    _check_r(r)
+    check_r(r)
     if p < 0:
         raise ValueError("p must be nonnegative")
     if kind is HurwitzKind.MONOTONE:
@@ -162,7 +167,7 @@ def one_point_genus_zero(kind: HurwitzKind, r: int, quotient: int) -> Fraction:
     (mu+[mu]-2)!/(mu![mu]!) in the monotone case,
     (mu-1)!/((mu-[mu]+1)![mu]!) in the strictly monotone case.
     """
-    _check_r(r)
+    check_r(r)
     if quotient < 1:
         raise ValueError("quotient must be >= 1")
     mu, nu = r * quotient, quotient
@@ -221,7 +226,7 @@ def two_point_monotone(r: int, mu1: int, mu2: int) -> Fraction:
     residues nonzero) and Case II (both zero): when r divides mu1 + mu2,
     <mu1> = 0 exactly when <mu2> = 0.  Vanishes unless r divides mu1 + mu2.
     """
-    _check_r(r)
+    check_r(r)
     if mu1 < 1 or mu2 < 1:
         raise ValueError("parts must be positive")
     if (mu1 + mu2) % r != 0:
@@ -242,7 +247,7 @@ def check_case_identities(r: int, mu1: int, mu2: int) -> CheckReport:
     Case II (residues zero, the t-sum weighted by t not tr):
         (mu1+mu2) * S_II = 1/(r+1) * binom(...) * binom(...)
     """
-    _check_r(r)
+    check_r(r)
     if (mu1 + mu2) % r != 0:
         raise ValueError("r must divide mu1 + mu2")
     nu1, e1 = divmod(mu1, r)

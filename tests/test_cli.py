@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from hurwitz.cli import run
+from test_counts import oracle_cap_7  # noqa: F401  (a fixture)
 
 
 def invoke(capsys, *argv):
@@ -42,6 +43,37 @@ def test_compute_all_past_the_oracle_cap(capsys):
     _, out, _ = invoke(capsys, "compute", "--kind", "monotone", "--r", "1", "--g", "0",
                        "--mu", "3,3", "--method", "all")
     assert "oracle" not in json.loads(out)
+
+
+def test_compute_asks_the_oracle_for_its_own_cap(capsys, oracle_cap_7):
+    # compute reads the cap the oracle raises, not a copy of its own
+    base = ("compute", "--kind", "monotone", "--r", "1", "--g", "0", "--mu", "4,3")
+    code, out, _ = invoke(capsys, *base, "--method", "oracle")
+    assert code == 0
+    assert json.loads(out)["results"][0]["value"] == "100"
+    code, out, _ = invoke(capsys, *base, "--method", "all")
+    assert code == 0
+    data = json.loads(out)
+    assert "oracle" not in data
+    assert [(rec["method"], rec["value"]) for rec in data["results"]] == [
+        ("character", "100"), ("fock", "100"), ("oracle", "100")]
+
+
+def test_structural_zeros_past_the_oracle_cap(capsys):
+    # r = 2 does not divide |(4, 3)| = 7: every route answers 0, the oracle too
+    code, out, _ = invoke(capsys, "compute", "--kind", "usual", "--r", "2", "--g", "0",
+                          "--mu", "4,3", "--method", "all")
+    assert code == 0
+    data = json.loads(out)
+    assert "oracle" not in data
+    assert [rec["method"] for rec in data["results"]] == ["character", "fock", "oracle"]
+    assert {(rec["value"], rec["note"]) for rec in data["results"]} == {
+        ("0", "b = 2g-2+n+d/r = 7/2 is not an integer")}
+    for flag in ((), ("--disconnected",)):
+        code, out, _ = invoke(capsys, "series", "--kind", "usual", "--r", "2", "--mu", "4,3",
+                              "--order", "5", "--method", "oracle", *flag)
+        assert code == 0
+        assert [row["value"] for row in json.loads(out)["results"]] == ["0"] * 6
 
 
 def test_compute_single_value(capsys):
@@ -145,6 +177,8 @@ FLAG_AT_FAULT = {
     ("xi", "--kind", "monotone", "--i", "4", "--r", "3", "--order", "5"): "--i",
     ("unstable-check", "--kind", "monotone", "--order", "1", "--r", "1"): "--order",
     ("compute", "--kind", "monotone", "--r", "1", "--g", "0", "--mu", "4,3",
+     "--method", "oracle"): "capped at degree 6",
+    ("series", "--kind", "monotone", "--r", "1", "--mu", "4,3", "--order", "7",
      "--method", "oracle"): "capped at degree 6",
     # strict exponents start at 1, so it is the order that leaves none
     ("xi", "--kind", "strict", "--r", "1", "--i", "0", "--order", "0"): "--order 0 leaves",

@@ -459,6 +459,15 @@ def clear_oracle_caches():
     counts._oracle_classes.cache_clear()
 
 
+@pytest.fixture
+def oracle_cap_7(monkeypatch):
+    """The oracle's cap raised to 7; its caches are cleared when the test
+    ends, so no later test reads an entry past the real cap."""
+    monkeypatch.setattr(counts, "ORACLE_DEGREE_CAP", 7)
+    yield
+    clear_oracle_caches()
+
+
 def test_oracle_reads_its_series_at_falling_b():
     # each b asked on its own, top b first, after clearing the Phi cache
     for kind in ALL_KINDS:
@@ -489,8 +498,7 @@ def test_oracle_builds_each_phi_row_once():
         assert info.misses == info.currsize == built, kind
 
 
-def test_oracle_past_its_cap_matches_character(monkeypatch):
-    monkeypatch.setattr(counts, "ORACLE_DEGREE_CAP", 7)
+def test_oracle_past_its_cap_matches_character(oracle_cap_7):
     b_max, nonzero = 8, 0
     for kind in ALL_KINDS:
         for r in (1, 7):
@@ -499,6 +507,29 @@ def test_oracle_past_its_cap_matches_character(monkeypatch):
                 assert got == counts._partition_sum(kind, r, mus, b_max), (kind, r, mus)
                 nonzero += sum(1 for c in got if c)
     assert nonzero > 0
+
+
+def test_oracle_refuses_past_its_cap_with_one_message():
+    for route_call in (lambda: oracle_series(K.MONOTONE, 1, (4, 3), 7),
+                       lambda: route_series("oracle", K.USUAL, 7, (4, 3), 0, True),
+                       lambda: oracle_group_algebra(K.STRICT, 1, 1, (6, 1))):
+        with pytest.raises(counts.DegreeCapError, match=r"^the oracle is capped at degree 6"):
+            route_call()
+
+
+def test_route_series_answers_r_not_dividing_mu_before_any_route():
+    # r = 2 does not divide |(4, 3)| = 7, a degree past the oracle's cap: no
+    # cover exists, so every route's answer is zeros, none is asked and the
+    # oracle does not refuse
+    routes = {"character": counts._partition_sum, "fock": disconnected_block_series,
+              "oracle": oracle_series}
+    for route, cached in routes.items():
+        for kind in ALL_KINDS:
+            for connected in (True, False):
+                before = cached.cache_info()
+                got = route_series(route, kind, 2, (4, 3), 5, connected)
+                assert got == (0,) * 6, (route, kind, connected)
+                assert cached.cache_info() == before, (route, kind, connected)
 
 
 def test_permutation_helpers():
@@ -564,7 +595,9 @@ def test_route_series_rejects_unknown_route():
     (lambda: route_series("fock", K.STRICT, 0, (2, 2), 2, True), "r"),
     (lambda: route_series("character", K.MONOTONE, 1, (2, 1), -1, False), "b_max"),
     (lambda: fock_shifted_coefficient(K.MONOTONE, 1, (2, 1), -1, True), "b"),
-], ids=["empty-mu", "zero-part", "r-zero", "negative-b_max", "negative-b"])
+    (lambda: oracle_group_algebra(K.MONOTONE, 1, -1, (2, 1)), "b"),
+], ids=["empty-mu", "zero-part", "r-zero", "negative-b_max", "negative-b",
+        "oracle-negative-b"])
 def test_route_series_rejects_bad_input(call, argument):
     with pytest.raises(ValueError, match=rf"^{argument} must"):
         call()

@@ -8,7 +8,6 @@ from hurwitz.counts import HurwitzRequest, hurwitz_number
 from hurwitz.kinds import HurwitzKind as K
 from hurwitz.series import TruncatedSeries, compose_univariate
 from hurwitz.spectral import (
-    _apply_d_dx,
     _bergman_log,
     check_F01,
     check_bergman02,
@@ -18,9 +17,20 @@ from hurwitz.spectral import (
     two_point_monotone,
     xi_closed_coefficient,
     xi_derivative_coefficient,
+    xi_derivative_series,
     xi_series,
 )
 from test_series import truncate_total
+
+
+def _apply_d_dx(kind, series):
+    """Reference d/dx on a q-series: d/dq, -q^2 d/dq (q = 1/x) or q d/dq (q = e^x)."""
+    q = TruncatedSeries.monomial("q")
+    if kind is K.MONOTONE:
+        return series.differentiate("q")
+    if kind is K.USUAL:
+        return q * series.differentiate("q")
+    return -(q * q * series.differentiate("q"))
 
 
 def test_monotone_inverse_catalan():
@@ -114,20 +124,23 @@ def test_xi_derivative_examples():
 
 
 def test_xi_derivative_matches_series():
-    from hurwitz.spectral import _apply_d_dx
-
-    order = 9
+    # the list-level d/dx against the TruncatedSeries reference and the
+    # closed form, at every order up to 24
+    top = 24
     for kind in K:
-        for r in (1, 2, 3):
+        for r in (1, 2, 3, 4):
             for i in range(r):
-                for p in (1, 2):
-                    s = xi_series(kind, r, i, order + p)
+                for p in range(4):
+                    s = xi_series(kind, r, i, top + p)
                     for _ in range(p):
                         s = _apply_d_dx(kind, s)
+                    want = [s.coefficient(q=mu) for mu in range(top + 1)]
+                    for order in range(top + 1):
+                        got = xi_derivative_series(kind, r, i, p, order)
+                        assert list(got) == want[:order + 1], (kind, r, i, p, order)
                     start = 1 if kind is K.STRICT else 0
-                    for mu in range(start, order - p):
-                        assert s.coefficient(q=mu) == \
-                            xi_derivative_coefficient(kind, r, i, p, mu), \
+                    for mu in range(start, top + 1):
+                        assert want[mu] == xi_derivative_coefficient(kind, r, i, p, mu), \
                             (kind, r, i, p, mu)
 
 
