@@ -20,14 +20,13 @@ from .fock import EOpSpec, vacuum_expectation
 from .kinds import ALL_KINDS, HurwitzKind
 from .partitions import (
     character,
-    class_size,
     connected_from_disconnected,
     contents,
     enumerate_partitions,
 )
 from .polycheck import prefactor, verify_quasipolynomiality
 from .polynomials import MultiPolynomial, interpolate_on_grid
-from .series import TruncatedSeries, elementary_series, series_reversion
+from .series import TruncatedSeries, elementary_series
 from .spectral import (
     check_F01,
     check_bergman02,
@@ -54,7 +53,6 @@ __all__ = [
     "check_F01",
     "check_bergman02",
     "check_case_identities",
-    "class_size",
     "connected_from_disconnected",
     "connected_series_character",
     "contents",
@@ -67,7 +65,6 @@ __all__ = [
     "oracle_group_algebra",
     "prefactor",
     "route_series",
-    "series_reversion",
     "stirling",
     "sym_poly",
     "two_point_monotone",

@@ -23,7 +23,7 @@ from .counts import (
     result_record,
     route_series,
 )
-from .kinds import ALL_KINDS, HurwitzKind
+from .kinds import ALL_KINDS, HurwitzKind, check_profile
 from .partitions import enumerate_partitions
 from .polycheck import admissible_residue_classes, verify_quasipolynomiality
 from .spectral import (
@@ -36,21 +36,17 @@ from .spectral import (
 )
 
 
-def _parse_mu(text: str) -> tuple[int, ...]:
-    try:
-        mus = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ValueError(f"--mu expects comma-separated integers, got {text!r}")
-    if not mus or any(m < 1 for m in mus):
-        raise ValueError("--mu entries must be positive")
-    return mus
-
-
-def _parse_eta(text: str) -> tuple[int, ...]:
+def _parse_ints(flag: str, text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise ValueError(f"--eta expects comma-separated integers, got {text!r}")
+        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}")
+
+
+def _parse_mu(text: str) -> tuple[int, ...]:
+    mus = _parse_ints("--mu", text)
+    check_profile(mus, "--mu")
+    return mus
 
 
 def _int_at_least(low: int):
@@ -164,7 +160,7 @@ def cmd_series(args) -> dict:
 def cmd_verify_quasipoly(args) -> dict:
     kind = HurwitzKind.parse(args.kind)
     if args.eta is not None:
-        eta = _parse_eta(args.eta)
+        eta = _parse_ints("--eta", args.eta)
         if len(eta) != args.n or any(not 0 <= e < args.r for e in eta):
             raise ValueError(f"--eta {args.eta} must be --n {args.n} residues "
                              f"in [0, {args.r})")

@@ -21,7 +21,8 @@ r^m m! prod(mu) (times b! in the usual case).  It takes one lam of each
 conjugate pair {lam, lam'}: chi^lam'(rho) = sgn(rho) chi^lam(rho), and
 the contents of lam' are those of lam negated, so W_lam'[b] = (-1)^b W_lam[b].
 With eps = sgn((r^m)) sgn(mu), a pair adds (1 + eps (-1)^b) times lam's
-term, twice it or nothing, and a self-conjugate lam adds its term once.
+term, twice it or nothing, and a self-conjugate lam its term once, at the
+same b only: its chi chi needs eps = 1, and its W_lam[b] vanishes at odd b.
 Like the fock route it is an lru_cache on the route contract (kind, r,
 sorted profile, b_max).
 
@@ -57,7 +58,7 @@ from math import factorial, prod
 from typing import Sequence
 
 from .fock import disconnected_block_series
-from .kinds import HurwitzKind, check_r
+from .kinds import HurwitzKind, check_profile, check_r
 from .partitions import active_cache, connected_from_subprofiles, enumerate_partitions
 from .series import TruncatedSeries
 from .symfunc import complete_coeffs, elementary_coeffs
@@ -87,8 +88,7 @@ class HurwitzRequest:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         mus = tuple(self.mus)
-        if not mus or any(m < 1 for m in mus):
-            raise ValueError("profile entries must be positive integers")
+        check_profile(mus, "mus")
         object.__setattr__(self, "mus", mus)
 
     def branch_count(self) -> Fraction:
@@ -124,47 +124,49 @@ def _partition_sum(kind: HurwitzKind, r: int, rho: tuple[int, ...],
     # allocated first: an order past the index range raises OverflowError here
     acc = [0] * (order + 1)
     # eps = sgn((r^m)) sgn(rho) = (-1)^parity; the pair {lam, lam'} adds
-    # (1 + eps (-1)^b) chi chi W_lam[b], i.e. twice the term at b = parity mod 2
+    # (1 + eps (-1)^b) chi chi W_lam[b], twice the term at b = parity mod 2, and
+    # a self-conjugate lam its term once, nonzero only at those b (see above)
     parity = (d - m + d - len(rho)) % 2
     for lam, chi in small.items():
         if lam[0] < len(lam):
             continue
-        paired = True
+        weight = 2
         if lam[0] == len(lam):
             conj = tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
             if lam < conj:
                 continue
-            paired = lam != conj
-        chi *= other.get(lam, 0)
+            weight = 1 + (lam != conj)
+        chi *= other.get(lam, 0) * weight
         if not chi:
             continue
         w = _weight_coeffs(kind, lam, order)
-        if paired:
-            chi *= 2
-            for b in range(parity, order + 1, 2):
-                acc[b] += chi * w[b]
-        else:
-            acc = [a + chi * x for a, x in zip(acc, w)]
+        for b in range(parity, order + 1, 2):
+            acc[b] += chi * w[b]
     norm = r ** m * factorial(m) * prod(rho)
     if kind is HurwitzKind.USUAL:
         return tuple(Fraction(a, norm * factorial(b)) for b, a in enumerate(acc))
     return tuple(Fraction(a, norm) for a in acc)
 
 
+def _series_character(kind: HurwitzKind, r: int, mus: Sequence[int], u_order: int,
+                      connected: bool) -> TruncatedSeries:
+    """sum_b h_b u^b through u_order, from the character route's `route_series`."""
+    if u_order < 0:
+        raise ValueError(f"u_order must be nonnegative, got {u_order}")
+    coeffs = route_series("character", kind, r, mus, u_order, connected)
+    return TruncatedSeries(("u",), {(b,): c for b, c in enumerate(coeffs)}, {"u": u_order})
+
+
 def disconnected_series_character(kind: HurwitzKind, r: int, mus: Sequence[int],
                                   u_order: int) -> TruncatedSeries:
     """Genus series of disconnected Hurwitz numbers, sum_b h_b u^b."""
-    if u_order < 0:
-        raise ValueError(f"u_order must be nonnegative, got {u_order}")
-    coeffs = route_series("character", kind, r, mus, u_order, False)
-    return TruncatedSeries(("u",), {(b,): c for b, c in enumerate(coeffs)}, {"u": u_order})
+    return _series_character(kind, r, mus, u_order, False)
 
 
 def connected_series_character(kind: HurwitzKind, r: int, mus: Sequence[int],
                                u_order: int) -> TruncatedSeries:
     """Connected genus series of the character route, as `route_series` builds it."""
-    coeffs = route_series("character", kind, r, mus, u_order, True)
-    return TruncatedSeries(("u",), {(b,): c for b, c in enumerate(coeffs)}, {"u": u_order})
+    return _series_character(kind, r, mus, u_order, True)
 
 
 # -- group-algebra oracle ----------------------------------------------------
@@ -192,9 +194,9 @@ def cycle_type(p: tuple) -> tuple[int, ...]:
 def canonical_permutation(mus: Sequence[int]) -> tuple:
     """One fixed permutation of cycle type mus: consecutive cycles."""
     out, start = [], 0
-    for m in mus:
-        out.extend(list(range(start + 1, start + m)) + [start])
-        start += m
+    for part in mus:
+        out.extend(list(range(start + 1, start + part)) + [start])
+        start += part
     return tuple(out)
 
 
@@ -348,9 +350,10 @@ def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
 
     The only dispatch over METHODS; the route functions are looked up by
     name at each call, so a rebound module attribute is the one that runs.
-    An unknown route, r < 1, an empty profile, a part below 1 or b_max < 0
-    raises ValueError.  When r does not divide |mus| there is no cover, and
-    the answer is zeros before any route is asked.
+    An unknown route, r < 1, an empty profile, a part that is not a
+    positive integer or b_max < 0 raises ValueError.  When r does not
+    divide |mus| there is no cover, and the answer is zeros before any
+    route is asked.
 
     Each block N of the profile M is asked only as far as the answer can
     read it.  A cover of X is a factorization sigma_0 tau_1 ... tau_b
@@ -380,8 +383,7 @@ def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
         raise ValueError(f"unknown method {route!r}")
     check_r(r)
     mus = tuple(sorted(mus, reverse=True))
-    if not mus or mus[-1] < 1:
-        raise ValueError(f"mus must be a nonempty profile of positive parts, got {mus}")
+    check_profile(mus, "mus")
     if b_max < 0:
         raise ValueError(f"b_max must be nonnegative, got {b_max}")
     d, n = sum(mus), len(mus)

@@ -220,15 +220,13 @@ def _s_power_coefficient(scale: int, p: int, n: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _slot_base(kind: HurwitzKind, r: int, mu: int, t: int, e: int) -> Fraction:
-    """[w^e] P(w) * S(r w)^(t + [mu]), the S-powers of one operator slot.
+    """[w^e] S(w)^p * S(r w)^(t + [mu]), the S-powers of one operator slot.
 
-    P is S(w)^(mu - 1) monotone, S(w)^(-mu - 1) strictly monotone and 1
-    usual.
+    p is mu - 1 monotone, -mu - 1 strictly monotone and 0 usual, where
+    S(w)^0 = 1 leaves [w^e] S(r w)^(t + [mu]) alone.
     """
+    p = {HurwitzKind.MONOTONE: mu - 1, HurwitzKind.STRICT: -mu - 1}.get(kind, 0)
     q = t + mu // r
-    if kind is HurwitzKind.USUAL:
-        return _s_power_coefficient(r, q, e)
-    p = mu - 1 if kind is HurwitzKind.MONOTONE else -mu - 1
     # the odd coefficients of S^p vanish
     return sum((_s_power_coefficient(1, p, j) * _s_power_coefficient(r, q, e - j)
                 for j in range(0, e + 1, 2)), Fraction(0))
@@ -277,7 +275,7 @@ def _slot_frame(kind: HurwitzKind, r: int, mu: int, t: int,
 
     The slot's scalar at w^e is folded(t, t) * mu^e for the usual kind and
     folded(t, t + e) otherwise (`_folded_scalar`), where e = -1 only at
-    zero energy; its S-powers are P(w) * S(r w)^(t + [mu]) (`_slot_base`).
+    zero energy; its S-powers are S(w)^p * S(r w)^(t + [mu]) (`_slot_base`).
     D = L * A * B for L, A and B common denominators of the scalars, of the
     atoms and of the S-powers; scales holds (e, scalar * L) for e in
     [-1, k_budget] where the scalar is nonzero, and base the coefficients
@@ -309,7 +307,7 @@ def _slot_weight(kind: HurwitzKind, r: int, mu: int, t: int, k_budget: int,
                  atom) -> tuple[tuple[int, int], ...]:
     """One operator slot's u-polynomial for one atom, as (e, D * g[e]) by rising e.
 
-    g[e] = scalar[e] * [w^e] atom(w) * P(w) * S(r w)^(t + [mu]) for e in
+    g[e] = scalar[e] * [w^e] atom(w) * S(w)^p * S(r w)^(t + [mu]) for e in
     [-1, k_budget]: the atom, the slot's S-powers and its scalars folded
     into one functional, over the slot's denominator D of `_slot_frame`.
     """
@@ -374,7 +372,7 @@ def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
     for j in range(n - 1, -1, -1):
         mu, eta = mus[j], mus[j] % r
         room -= d - mu
-        cap = k_hi + sum(m % r == 0 for m in mus[:j])
+        cap = k_hi + sum(part % r == 0 for part in mus[:j])
         sizes = {sum(lam) for lam in state}
         live = []
         for t in range(-(mu // r), (d - mu + eta) // r + 1):

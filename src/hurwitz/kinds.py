@@ -33,3 +33,9 @@ def check_r(r: int) -> None:
     """The one check of the orbifold order: r < 1 raises ValueError."""
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
+
+
+def check_profile(mus: tuple[int, ...], name: str) -> None:
+    """The one profile check: an empty mus or a part not a positive int raises ValueError."""
+    if not mus or not all(type(m) is int and m >= 1 for m in mus):  # a bool is no part
+        raise ValueError(f"{name} must be a nonempty profile of positive integers, got {mus}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, prod
+from math import comb, lcm, prod
 from typing import Callable, Sequence
 
 Partition = tuple[int, ...]
@@ -52,19 +52,6 @@ def contents(lam: Sequence[int]) -> list[int]:
     """Multiset of cell contents j - i of the Young diagram (0-based)."""
     lam = check_partition(lam)
     return [j - i for i, row in enumerate(lam) for j in range(row)]
-
-
-def class_size(rho: Sequence[int]) -> int:
-    """Number of permutations of cycle type rho: d! / prod(m_k! k^m_k)."""
-    rho = check_partition(rho)
-    d = sum(rho)
-    z = 1
-    mult: dict[int, int] = {}
-    for part in rho:
-        mult[part] = mult.get(part, 0) + 1
-    for k, m in mult.items():
-        z *= factorial(m) * k ** m
-    return factorial(d) // z
 
 
 def strip_additions(lam: Partition, k: int) -> list[tuple[Partition, int]]:

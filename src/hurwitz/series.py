@@ -212,22 +212,6 @@ class TruncatedSeries:
         terms = {exp: coeff * c ** exp[i] for exp, coeff in self.terms.items()}
         return TruncatedSeries(self.vars, terms, self.orders)
 
-    def differentiate(self, var: str) -> "TruncatedSeries":
-        if var not in self.vars:
-            return TruncatedSeries(self.vars, {}, self.orders)
-        i = self.vars.index(var)
-        terms = {}
-        for exp, c in self.terms.items():
-            if exp[i] == 0:
-                continue
-            new = list(exp)
-            new[i] -= 1
-            terms[tuple(new)] = c * exp[i]
-        orders = dict(self.orders)
-        if var in orders:
-            orders[var] -= 1
-        return TruncatedSeries(self.vars, terms, orders)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "TruncatedSeries(0)"
@@ -341,23 +325,6 @@ def compose_univariate(outer: Sequence, inner: TruncatedSeries) -> TruncatedSeri
     for c in reversed(coeffs[:-1]):
         acc = acc * inner + c
     return acc
-
-
-def series_reversion(s: TruncatedSeries, order: int) -> TruncatedSeries:
-    """Compositional inverse of a univariate series s = c1*var + ..., c1 != 0.
-
-    Lagrange inversion on coefficient lists, with phi = var/s.
-    """
-    if len(s.vars) != 1:
-        raise ValueError("reversion requires a univariate series")
-    var = s.vars[0]
-    if s.is_zero() or s.valuation(var) != 1:
-        raise ValueError("series must have valuation exactly 1")
-    if not 1 <= order <= s._effective_order(var):
-        raise ValueError(f"need 1 <= order <= the series order, got order {order}")
-    phi = list_reciprocal([s.terms.get((e + 1,), 0) for e in range(order)], order - 1)
-    coeffs = lagrange_inversion(phi, order)
-    return TruncatedSeries((var,), {(n,): c for n, c in enumerate(coeffs)}, {var: order})
 
 
 # -- univariate coefficient lists: c[k] = [t^k], ints or Fractions ---------

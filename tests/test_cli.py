@@ -182,6 +182,8 @@ FLAG_AT_FAULT = {
      "--method", "oracle"): "capped at degree 6",
     # strict exponents start at 1, so it is the order that leaves none
     ("xi", "--kind", "strict", "--r", "1", "--i", "0", "--order", "0"): "--order 0 leaves",
+    ("series", "--kind", "monotone", "--r", "2", "--mu", "0,2", "--order", "2"):
+        "--mu must be a nonempty profile of positive integers",
 }
 
 

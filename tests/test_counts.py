@@ -185,11 +185,33 @@ def test_conjugate_content_weights_differ_by_the_sign_of_b():
 
 def test_pair_sum_matches_unpaired_reference():
     for kind in ALL_KINDS:
-        for r in (1, 2, 3):
+        for r in (1, 2, 3, 4):
             for d in range(1, 13):
                 for rho in enumerate_partitions(d):
                     got = counts._partition_sum.__wrapped__(kind, r, rho, d + 4)
                     assert got == reference_partition_sum(kind, r, rho, d + 4), (kind, r, rho)
+
+
+def test_self_conjugate_terms_live_only_at_the_pair_parity():
+    # `_partition_sum` adds every lam only at b = parity mod 2.  A
+    # self-conjugate lam has nothing elsewhere: its contents are symmetric
+    # about 0, so W_lam[b] = 0 at odd b, and chi^lam(rho) = sgn(rho)
+    # chi^lam(rho), so chi^lam((r^m)) chi^lam(rho) = 0 unless eps = 1
+    cache = CharacterCache()
+    for d in range(1, 15):
+        for lam in enumerate_partitions(d):
+            if lam != conjugate(lam):
+                continue
+            for kind in ALL_KINDS:
+                w = counts._weight_coeffs(kind, lam, d + 4)
+                assert not any(w[1::2]), (kind, lam)
+            for r in (1, 2, 3, 4):
+                if d > 12 or d % r:
+                    continue
+                m = d // r
+                for rho in enumerate_partitions(d):
+                    if (d - m + d - len(rho)) % 2:
+                        assert cache.at((r,) * m).get(lam, 0) * cache.at(rho).get(lam, 0) == 0
 
 
 @pytest.mark.parametrize("lam, r, rho, eps", [
@@ -596,8 +618,11 @@ def test_route_series_rejects_unknown_route():
     (lambda: route_series("character", K.MONOTONE, 1, (2, 1), -1, False), "b_max"),
     (lambda: fock_shifted_coefficient(K.MONOTONE, 1, (2, 1), -1, True), "b"),
     (lambda: oracle_group_algebra(K.MONOTONE, 1, -1, (2, 1)), "b"),
+    (lambda: route_series("fock", K.MONOTONE, 1, (2.0, 1), 2, True), "mus"),
+    (lambda: route_series("character", K.STRICT, 2, (Fraction(3, 2), 1), 2, False), "mus"),
+    (lambda: route_series("oracle", K.USUAL, 1, (True, 1), 2, True), "mus"),
 ], ids=["empty-mu", "zero-part", "r-zero", "negative-b_max", "negative-b",
-        "oracle-negative-b"])
+        "oracle-negative-b", "float-part", "fraction-part", "bool-part"])
 def test_route_series_rejects_bad_input(call, argument):
     with pytest.raises(ValueError, match=rf"^{argument} must"):
         call()
@@ -611,9 +636,11 @@ def test_route_series_rejects_bad_input(call, argument):
     (lambda: oracle_group_algebra(K.MONOTONE, 0, 1, (2, 2)), "r"),
     (lambda: oracle_group_algebra(K.USUAL, 1, 1, (2, 0)), "mus"),
     (lambda: oracle_group_algebra(K.STRICT, 1, 1, ()), "mus"),
+    (lambda: HurwitzRequest(K.MONOTONE, 1, 0, (2.5, 1)), "mus"),
+    (lambda: connected_series_character(K.MONOTONE, 1, (2, 1), -1), "u_order"),
 ], ids=["character-r-zero", "character-zero-part", "character-empty-mu",
         "character-negative-u_order", "oracle-r-zero", "oracle-zero-part",
-        "oracle-empty-mu"])
+        "oracle-empty-mu", "request-float-part", "character-connected-negative-u_order"])
 def test_public_route_wrappers_reject_bad_input(call, argument):
     with pytest.raises(ValueError, match=rf"^{argument} must"):
         call()

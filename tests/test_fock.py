@@ -408,6 +408,18 @@ def test_s_power_recurrence_matches_series_powers():
                     (scale, p, n)
 
 
+def test_usual_slot_base_is_the_bare_s_power():
+    # S(w)^0 = 1, so the usual kind's p = 0 in `_slot_base` leaves
+    # [w^e] S(r w)^(t + [mu]), the usual slot's S-powers on their own
+    assert [fock._s_power_coefficient(1, 0, j) for j in range(24)] == [1] + [0] * 23
+    for r in range(1, 5):
+        for mu in range(1, 13):
+            for t in range(-(mu // r), 4):
+                for e in range(12):
+                    assert fock._slot_base(K.USUAL, r, mu, t, e) == \
+                        fock._s_power_coefficient(r, t + mu // r, e), (r, mu, t, e)
+
+
 @functools.lru_cache(maxsize=None)
 def scalar_table(kind, r, mu, t, k_hi):
     """Map k = v - t -> folded scalar; empty when the t is dead (t < -[mu]).
