@@ -7,70 +7,55 @@ structure, the spectral-curve xi expansions and the unstable (0,1)/(0,2)
 identities.
 """
 
-from .counts import (
-    METHODS,
-    HurwitzRequest,
-    connected_series_character,
-    disconnected_series_character,
-    hurwitz_number,
-    oracle_group_algebra,
-    route_series,
-)
-from .fock import EOpSpec, vacuum_expectation
-from .kinds import ALL_KINDS, HurwitzKind
-from .partitions import (
-    character,
-    connected_from_disconnected,
-    contents,
-    enumerate_partitions,
-)
-from .polycheck import prefactor, verify_quasipolynomiality
-from .polynomials import MultiPolynomial, interpolate_on_grid
-from .series import TruncatedSeries, elementary_series
-from .spectral import (
-    check_F01,
-    check_bergman02,
-    check_case_identities,
-    curve_inverse_series,
-    two_point_monotone,
-    xi_closed_coefficient,
-    xi_derivative_coefficient,
-    xi_series,
-)
-from .symfunc import stirling, sym_poly
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_KINDS",
-    "EOpSpec",
-    "HurwitzKind",
-    "HurwitzRequest",
-    "METHODS",
-    "MultiPolynomial",
-    "TruncatedSeries",
-    "character",
-    "check_F01",
-    "check_bergman02",
-    "check_case_identities",
-    "connected_from_disconnected",
-    "connected_series_character",
-    "contents",
-    "curve_inverse_series",
-    "disconnected_series_character",
-    "elementary_series",
-    "enumerate_partitions",
-    "hurwitz_number",
-    "interpolate_on_grid",
-    "oracle_group_algebra",
-    "prefactor",
-    "route_series",
-    "stirling",
-    "sym_poly",
-    "two_point_monotone",
-    "vacuum_expectation",
-    "verify_quasipolynomiality",
-    "xi_closed_coefficient",
-    "xi_derivative_coefficient",
-    "xi_series",
-]
+# each public name -> the submodule that defines it; a name is imported on
+# first access (PEP 562), so `import hurwitz` loads no submodule and each
+# CLI command compiles only the modules it runs
+_SOURCES = {
+    "ALL_KINDS": "kinds",
+    "EOpSpec": "fock",
+    "HurwitzKind": "kinds",
+    "HurwitzRequest": "counts",
+    "METHODS": "kinds",
+    "MultiPolynomial": "polynomials",
+    "TruncatedSeries": "series",
+    "character": "partitions",
+    "check_F01": "spectral",
+    "check_bergman02": "spectral",
+    "check_case_identities": "spectral",
+    "connected_from_disconnected": "partitions",
+    "connected_series_character": "counts",
+    "contents": "partitions",
+    "curve_inverse_series": "spectral",
+    "disconnected_series_character": "counts",
+    "elementary_series": "series",
+    "enumerate_partitions": "partitions",
+    "hurwitz_number": "counts",
+    "interpolate_on_grid": "polynomials",
+    "oracle_group_algebra": "counts",
+    "prefactor": "polycheck",
+    "route_series": "counts",
+    "stirling": "symfunc",
+    "sym_poly": "symfunc",
+    "two_point_monotone": "spectral",
+    "vacuum_expectation": "fock",
+    "verify_quasipolynomiality": "polycheck",
+    "xi_closed_coefficient": "spectral",
+    "xi_derivative_coefficient": "spectral",
+    "xi_series": "spectral",
+}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_SOURCES[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

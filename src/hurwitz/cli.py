@@ -13,27 +13,10 @@ import json
 import os
 import sys
 
+# each command imports the modules it runs when it runs, so a process loads
+# only those: `xi` and `unstable-check` import `spectral` alone
 from . import __version__
-from .counts import (
-    METHODS,
-    DegreeCapError,
-    HurwitzRequest,
-    hurwitz_number,
-    request_status,
-    result_record,
-    route_series,
-)
-from .kinds import ALL_KINDS, HurwitzKind, check_profile
-from .partitions import enumerate_partitions
-from .polycheck import admissible_residue_classes, verify_quasipolynomiality
-from .spectral import (
-    CheckReport,
-    check_F01,
-    check_bergman02,
-    check_case_identities,
-    xi_derivative_coefficient,
-    xi_derivative_series,
-)
+from .kinds import ALL_KINDS, METHODS, HurwitzKind, check_profile
 
 
 def _parse_ints(flag: str, text: str) -> tuple[int, ...]:
@@ -102,6 +85,9 @@ def _csv_cell(value) -> str:
 
 
 def cmd_compute(args) -> dict:
+    from .counts import (DegreeCapError, HurwitzRequest, hurwitz_number, request_status,
+                         result_record)
+
     kind = HurwitzKind.parse(args.kind)
     mus = _parse_mu(args.mu)
     connected = not args.disconnected
@@ -145,6 +131,8 @@ def _witness(route_a: str, value_a, route_b: str, value_b, **where) -> dict:
 
 
 def cmd_series(args) -> dict:
+    from .counts import route_series
+
     kind = HurwitzKind.parse(args.kind)
     mus = _parse_mu(args.mu)
     connected = not args.disconnected
@@ -158,6 +146,8 @@ def cmd_series(args) -> dict:
 
 
 def cmd_verify_quasipoly(args) -> dict:
+    from .polycheck import admissible_residue_classes, verify_quasipolynomiality
+
     kind = HurwitzKind.parse(args.kind)
     if args.eta is not None:
         eta = _parse_ints("--eta", args.eta)
@@ -189,6 +179,8 @@ def cmd_verify_quasipoly(args) -> dict:
 
 
 def cmd_xi(args) -> dict:
+    from .spectral import xi_derivative_coefficient, xi_derivative_series
+
     kind = HurwitzKind.parse(args.kind)
     if not 0 <= args.i < args.r:
         raise ValueError(f"--i {args.i} must lie in [0, {args.r - 1}] for --r {args.r}")
@@ -219,6 +211,8 @@ def cmd_xi(args) -> dict:
 
 
 def cmd_unstable_check(args) -> dict:
+    from .spectral import CheckReport, check_bergman02, check_case_identities, check_F01
+
     kind = HurwitzKind.parse(args.kind)
     if args.order < args.r + 1:
         raise ValueError(f"--order {args.order} must be >= r + 1 = {args.r + 1}")
@@ -243,6 +237,9 @@ CROSS_CHECKS = (("character", "oracle", False), ("character", "fock", True))
 
 
 def cmd_cross_validate(args) -> dict:
+    from .counts import DegreeCapError, route_series
+    from .partitions import enumerate_partitions
+
     kinds = ALL_KINDS if args.kind == "all" else (HurwitzKind.parse(args.kind),)
     if args.max_d < args.r:
         raise ValueError(f"--max-d {args.max_d} leaves no degree divisible by "

@@ -51,14 +51,13 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 from typing import Sequence
 
 from .fock import disconnected_block_series
-from .kinds import HurwitzKind, check_profile, check_r
+from .kinds import METHODS, HurwitzKind, check_profile, check_r
 from .partitions import active_cache, connected_from_subprofiles, enumerate_partitions
 from .series import TruncatedSeries
 from .symfunc import complete_coeffs, elementary_coeffs
@@ -70,26 +69,24 @@ class DegreeCapError(ValueError):
     """The profile's degree is beyond what the route computes."""
 
 
-# the three independent routes, in the order the CLI reports them
-METHODS = ("character", "fock", "oracle")
-
-
-@dataclass(frozen=True)
 class HurwitzRequest:
-    kind: HurwitzKind
-    r: int
-    g: int
-    mus: tuple[int, ...]
-    connected: bool = True
-    method: str = "character"
+    """One Hurwitz number: its kind, r, genus g, profile mus, connectedness and route.
 
-    def __post_init__(self):
-        check_r(self.r)
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        mus = tuple(self.mus)
+    r < 1, an unknown method or a profile `kinds.check_profile` refuses
+    raises ValueError; mus is kept as a tuple.
+    """
+
+    __slots__ = ("kind", "r", "g", "mus", "connected", "method")
+
+    def __init__(self, kind: HurwitzKind, r: int, g: int, mus: Sequence[int],
+                 connected: bool = True, method: str = "character"):
+        check_r(r)
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        mus = tuple(mus)
         check_profile(mus, "mus")
-        object.__setattr__(self, "mus", mus)
+        self.kind, self.r, self.g, self.mus = kind, r, g, mus
+        self.connected, self.method = connected, method
 
     def branch_count(self) -> Fraction:
         """b = 2g - 2 + n + d/r; integrality is a vanishing condition."""
@@ -320,8 +317,6 @@ def oracle_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
 
 def oracle_group_algebra(kind: HurwitzKind, r: int, b: int, mus: Sequence[int]) -> Fraction:
     """Disconnected [u^b] of the oracle route."""
-    if b < 0:
-        raise ValueError("b must be nonnegative")
     return route_series("oracle", kind, r, mus, b, False)[b]
 
 
@@ -424,8 +419,6 @@ def hurwitz_number(req: HurwitzRequest) -> Fraction:
 def fock_shifted_coefficient(kind: HurwitzKind, r: int, mus: Sequence[int],
                              b: int, connected: bool) -> Fraction:
     """[u^b] of the fock-route genus series."""
-    if b < 0:
-        raise ValueError("b must be nonnegative")
     return route_series("fock", kind, r, mus, b, connected)[b]
 
 

@@ -48,11 +48,10 @@ Connected series are taken from these in `counts.route_series`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .kinds import HurwitzKind
 from .series import TruncatedSeries, elementary_series, exp_linear, mul
@@ -61,8 +60,7 @@ Partition = tuple[int, ...]
 StateVector = dict[Partition, TruncatedSeries]
 
 
-@dataclass(frozen=True)
-class EOpSpec:
+class EOpSpec(NamedTuple):
     """E_energy(L) for a linear form L = sum scale_v * v in formal variables."""
 
     energy: int

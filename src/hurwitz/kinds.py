@@ -28,6 +28,9 @@ class HurwitzKind(Enum):
 
 ALL_KINDS = (HurwitzKind.MONOTONE, HurwitzKind.STRICT, HurwitzKind.USUAL)
 
+# the three independent routes, in the order the CLI reports them
+METHODS = ("character", "fock", "oracle")
+
 
 def check_r(r: int) -> None:
     """The one check of the orbifold order: r < 1 raises ValueError."""

@@ -11,7 +11,6 @@ held-out lattice points.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .counts import HurwitzRequest, hurwitz_number
@@ -34,21 +33,25 @@ def prefactor(kind: HurwitzKind, r: int, mu: int) -> Fraction:
     return xi_closed_coefficient(kind, r, mu % r, mu)
 
 
-@dataclass
 class QuasiPolyReport:
-    kind: HurwitzKind
-    r: int
-    g: int
-    n: int
-    residues: tuple[int, ...]
-    degree_bound: int
-    passed: bool
-    trivial: bool = False
-    reason: str | None = None
-    polynomial: MultiPolynomial | None = None
-    observed_degree: int | None = None
-    grid: list = field(default_factory=list)
-    holdouts: list = field(default_factory=list)
+    """One residue class's verdict; the verifier fills it in as it runs.
+
+    grid holds (point, normalized value) pairs and holdouts (point,
+    expected, predicted, ok) tuples, each a new list unless one is given.
+    """
+
+    def __init__(self, kind: HurwitzKind, r: int, g: int, n: int,
+                 residues: tuple[int, ...], degree_bound: int, passed: bool,
+                 trivial: bool = False, reason: str | None = None,
+                 polynomial: MultiPolynomial | None = None,
+                 observed_degree: int | None = None, grid: list | None = None,
+                 holdouts: list | None = None):
+        self.kind, self.r, self.g, self.n = kind, r, g, n
+        self.residues, self.degree_bound, self.passed = residues, degree_bound, passed
+        self.trivial, self.reason = trivial, reason
+        self.polynomial, self.observed_degree = polynomial, observed_degree
+        self.grid = [] if grid is None else grid
+        self.holdouts = [] if holdouts is None else holdouts
 
     def to_json(self) -> dict:
         return {

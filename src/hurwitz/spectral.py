@@ -18,11 +18,10 @@ for return values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .kinds import HurwitzKind, check_r
 from .series import (TruncatedSeries, lagrange_inversion, list_mul, list_power,
@@ -148,8 +147,7 @@ def xi_derivative_coefficient(kind: HurwitzKind, r: int, i: int, p: int,
 # -- unstable checks ---------------------------------------------------------
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     params: dict
     passed: bool

@@ -274,16 +274,16 @@ def test_compute_failure_names_the_routes(capsys, monkeypatch):
 
 
 def test_cross_validate_failure_keeps_both_witnesses(capsys, monkeypatch):
-    import hurwitz.cli as cli
+    import hurwitz.counts as counts
 
-    route_series = cli.route_series
+    route_series = counts.route_series
     wrong_at = {"oracle": 2, "fock": 1}
 
     def wrong_routes(route, kind, r, mus, b_max, connected):
         coeffs = route_series(route, kind, r, mus, b_max, connected)
         return tuple(c + (b == wrong_at.get(route)) for b, c in enumerate(coeffs))
 
-    monkeypatch.setattr(cli, "route_series", wrong_routes)
+    monkeypatch.setattr(counts, "route_series", wrong_routes)
     code, out, _ = invoke(capsys, "cross-validate", "--kind", "monotone", "--r", "2",
                           "--max-d", "2", "--max-b", "3")
     assert code == 1
@@ -298,16 +298,14 @@ def test_cross_validate_failure_keeps_both_witnesses(capsys, monkeypatch):
 
 
 def test_unstable_check_case_identities_keep_their_own_status(capsys, monkeypatch):
-    import dataclasses
+    import hurwitz.spectral as spectral
 
-    import hurwitz.cli as cli
-
-    check_F01 = cli.check_F01
+    check_F01 = spectral.check_F01
 
     def failing_F01(kind, r, order):
-        return dataclasses.replace(check_F01(kind, r, order), passed=False)
+        return check_F01(kind, r, order)._replace(passed=False)
 
-    monkeypatch.setattr(cli, "check_F01", failing_F01)
+    monkeypatch.setattr(spectral, "check_F01", failing_F01)
     code, out, _ = invoke(capsys, "unstable-check", "--kind", "monotone", "--r", "2",
                           "--order", "6")
     assert code == 1
@@ -412,7 +410,7 @@ def test_csv_rows_have_the_header_width(capsys, argv):
 
 
 def test_csv_rows_of_failures_have_the_header_width(capsys, monkeypatch):
-    import hurwitz.cli as cli
+    import hurwitz.counts as counts
     import hurwitz.polycheck as polycheck
 
     hurwitz_number = polycheck.hurwitz_number
@@ -425,8 +423,8 @@ def test_csv_rows_of_failures_have_the_header_width(capsys, monkeypatch):
     _, out, _ = invoke(capsys, "--format", "text", *argv)
     assert "  reason=holdout mismatch at (2; 1; 1)  " in out
 
-    route_series = cli.route_series
-    monkeypatch.setattr(cli, "route_series",
+    route_series = counts.route_series
+    monkeypatch.setattr(counts, "route_series",
                         lambda route, *args: route_series(route, *args)
                         if route != "fock" else (1,) + route_series(route, *args)[1:])
     code, rows = csv_rows(capsys, "cross-validate", "--kind", "monotone", "--r", "2",

@@ -616,8 +616,8 @@ def test_route_series_rejects_unknown_route():
     (lambda: route_series("character", K.USUAL, 1, (2, 0), 2, True), "mus"),
     (lambda: route_series("fock", K.STRICT, 0, (2, 2), 2, True), "r"),
     (lambda: route_series("character", K.MONOTONE, 1, (2, 1), -1, False), "b_max"),
-    (lambda: fock_shifted_coefficient(K.MONOTONE, 1, (2, 1), -1, True), "b"),
-    (lambda: oracle_group_algebra(K.MONOTONE, 1, -1, (2, 1)), "b"),
+    (lambda: fock_shifted_coefficient(K.MONOTONE, 1, (2, 1), -1, True), "b_max"),
+    (lambda: oracle_group_algebra(K.MONOTONE, 1, -1, (2, 1)), "b_max"),
     (lambda: route_series("fock", K.MONOTONE, 1, (2.0, 1), 2, True), "mus"),
     (lambda: route_series("character", K.STRICT, 2, (Fraction(3, 2), 1), 2, False), "mus"),
     (lambda: route_series("oracle", K.USUAL, 1, (True, 1), 2, True), "mus"),

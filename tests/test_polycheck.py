@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -242,7 +241,8 @@ def test_verifier_builds_each_character_profile_once(monkeypatch):
 
 def test_verifier_on_fock_builds_each_profile_once(monkeypatch):
     def on_fock(req):
-        return hurwitz_number(dataclasses.replace(req, method="fock"))
+        return hurwitz_number(HurwitzRequest(req.kind, req.r, req.g, req.mus,
+                                             req.connected, method="fock"))
 
     monkeypatch.setattr(polycheck, "hurwitz_number", on_fock)
     runs = [(kind, 2, 0, 4, eta) for kind in ALL_KINDS
