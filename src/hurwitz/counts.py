@@ -16,8 +16,8 @@ the contents, or exp(u * sum of contents) in the usual case.
 The sum runs over the smaller support of the two characters, as built by
 `partitions.CharacterCache.at`, and in Python integers: for each b it
 accumulates chi^lam((r^m)) * chi^lam(mu) * W_lam[b], with h_b, sigma_b or
-(sum of contents)^b as the integer weight, and divides once, by
-r^m m! prod(mu) (times b! in the usual case).  It takes one lam of each
+(sum of contents)^b as the integer weight, and `_over_norm` divides once,
+by r^m m! prod(mu) (times b! in the usual case).  It takes one lam of each
 conjugate pair {lam, lam'}: chi^lam'(rho) = sgn(rho) chi^lam(rho), and
 the contents of lam' are those of lam negated, so W_lam'[b] = (-1)^b W_lam[b].
 With eps = sgn((r^m)) sgn(mu), a pair adds (1 + eps (-1)^b) times lam's
@@ -29,13 +29,13 @@ sorted profile, b_max).
 The oracle (`oracle_series`, degree <= 6) multiplies the orbifold class sum
 against symmetric polynomials in the Jucys-Murphy elements inside Z[S_d] and
 reads off the coefficient of one fixed permutation of cycle type mu, with one
-integer sum and one exact division per b.  Those polynomials are central in
+integer sum per b and one `_over_norm`.  Those polynomials are central in
 Z[S_k] (Jucys; Murphy), so each is held as a class function (`_phi`), its
 value on a class computed at one permutation of it, and the sum runs over
 the classes of the products, each with its count; the tests keep the full
 rows in Z[S_k] as the reference.  Like the other two routes it is an
 lru_cache on the route contract.  The fock route is
-`fock.disconnected_block_series`.
+`fock.disconnected_block_series`, imported only when a call asks for it.
 
 `route_series` is the one dispatch over the three: it takes a connected
 series from the route's disconnected series of the sub-multisets of mu by
@@ -56,7 +56,6 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Sequence
 
-from .fock import disconnected_block_series
 from .kinds import METHODS, HurwitzKind, check_profile, check_r
 from .partitions import active_cache, connected_from_subprofiles, enumerate_partitions
 from .series import TruncatedSeries
@@ -139,10 +138,14 @@ def _partition_sum(kind: HurwitzKind, r: int, rho: tuple[int, ...],
         w = _weight_coeffs(kind, lam, order)
         for b in range(parity, order + 1, 2):
             acc[b] += chi * w[b]
-    norm = r ** m * factorial(m) * prod(rho)
+    return _over_norm(kind, acc, r ** m * factorial(m) * prod(rho))
+
+
+def _over_norm(kind: HurwitzKind, sums: list[int], norm: int) -> tuple[Fraction, ...]:
+    """A route's integer sums h_b * norm as Fractions; the usual kind's over b! more."""
     if kind is HurwitzKind.USUAL:
-        return tuple(Fraction(a, norm * factorial(b)) for b, a in enumerate(acc))
-    return tuple(Fraction(a, norm) for a in acc)
+        return tuple(Fraction(a, norm * factorial(b)) for b, a in enumerate(sums))
+    return tuple(Fraction(a, norm) for a in sums)
 
 
 def _series_character(kind: HurwitzKind, r: int, mus: Sequence[int], u_order: int,
@@ -309,10 +312,7 @@ def oracle_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
     for b in range(b_max + 1):
         phi = _phi(kind, d, b)
         acc.append(sum(c * phi.get(lam, 0) for lam, c in classes))
-    norm = prod(mus)
-    if kind is HurwitzKind.USUAL:
-        return tuple(Fraction(a, norm * factorial(b)) for b, a in enumerate(acc))
-    return tuple(Fraction(a, norm) for a in acc)
+    return _over_norm(kind, acc, prod(mus))
 
 
 def oracle_group_algebra(kind: HurwitzKind, r: int, b: int, mus: Sequence[int]) -> Fraction:
@@ -343,9 +343,10 @@ def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
                  b_max: int, connected: bool) -> tuple[Fraction, ...]:
     """h_0..h_{b_max} of the (dis)connected genus series by one route.
 
-    The only dispatch over METHODS; the route functions are looked up by
-    name at each call, so a rebound module attribute is the one that runs.
-    An unknown route, r < 1, an empty profile, a part that is not a
+    The only dispatch over METHODS.  Each call picks its route, importing
+    `fock` only for the fock route, so a rebound `_partition_sum`,
+    `oracle_series` or `fock.disconnected_block_series` is the one that
+    runs.  An unknown route, r < 1, an empty profile, a part that is not a
     positive integer or b_max < 0 raises ValueError.  When r does not
     divide |mus| there is no cover, and the answer is zeros before any
     route is asked.
@@ -372,10 +373,12 @@ def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
     depends on (g, n) and N alone, so the verifier asks each profile once
     per run.
     """
-    routes = {"character": _partition_sum, "fock": disconnected_block_series,
-              "oracle": oracle_series}
-    if route not in routes:
+    if route not in METHODS:
         raise ValueError(f"unknown method {route!r}")
+    block = _partition_sum if route == "character" else oracle_series
+    if route == "fock":  # importing the module costs half of a from-import of its name
+        from . import fock
+        block = fock.disconnected_block_series
     check_r(r)
     mus = tuple(sorted(mus, reverse=True))
     check_profile(mus, "mus")
@@ -395,14 +398,14 @@ def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
 
     def disconnected(sub: tuple[int, ...]) -> tuple[Fraction, ...]:
         if len(sub) == n:
-            return routes[route](kind, r, sub, top)
+            return block(kind, r, sub, top)
         size = sum(sub)
         if size % r:
             return ()
         b_sub = top - least_b(d - size, n - len(sub))
         if b_sub < least_b(size, len(sub)):
             return ()
-        return routes[route](kind, r, sub, b_sub)
+        return block(kind, r, sub, b_sub)
 
     coeffs = connected_from_subprofiles(mus, disconnected) if connected else disconnected(mus)
     return coeffs + (Fraction(0),) * (b_max - top)

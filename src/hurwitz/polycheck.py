@@ -91,11 +91,13 @@ def verify_quasipolynomiality(kind: HurwitzKind, r: int, g: int, n: int,
     PASS requires interpolant total degree <= 3g-3+n and exact prediction of
     every holdout point.  Residue classes with sum not divisible by r carry
     no nonzero numbers at all; they report trivially as PASS-empty.  r < 1,
-    n < 1, holdout_count < 1 or a grid entry r*grid_base + eta_i < 1 raises
-    ValueError.
+    g < 0, n < 1, holdout_count < 1 or a grid entry r*grid_base + eta_i < 1
+    raises ValueError.
     """
     residues = tuple(residues)
     check_r(r)
+    if g < 0:
+        raise ValueError(f"g must be nonnegative, got {g}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if len(residues) != n or any(not 0 <= e < r for e in residues):

@@ -101,6 +101,11 @@ class TruncatedSeries:
     def _effective_order(self, var: str) -> int:
         return self.orders.get(var, _BIG)
 
+    def _least_orders(self, other: "TruncatedSeries", vs: tuple) -> dict:
+        """Each var's lesser order, untruncated ones left out: a sum's, and a zero product's."""
+        orders = {v: min(self._effective_order(v), other._effective_order(v)) for v in vs}
+        return {v: n for v, n in orders.items() if n < _BIG}
+
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "TruncatedSeries":
@@ -110,12 +115,7 @@ class TruncatedSeries:
         terms = dict(self._aligned_to(vs))
         for exp, c in other._aligned_to(vs).items():
             terms[exp] = terms.get(exp, Fraction(0)) + c
-        orders = {}
-        for v in vs:
-            n = min(self._effective_order(v), other._effective_order(v))
-            if n < _BIG:
-                orders[v] = n
-        return TruncatedSeries(vs, terms, orders)
+        return TruncatedSeries(vs, terms, self._least_orders(other, vs))
 
     __radd__ = __add__
 
@@ -228,12 +228,7 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     vs = tuple(sorted(set(a.vars) | set(b.vars)))
     ta, tb = a._aligned_to(vs), b._aligned_to(vs)
     if not ta or not tb:
-        orders = {}
-        for v in vs:
-            n = min(a._effective_order(v), b._effective_order(v))
-            if n < _BIG:
-                orders[v] = n
-        return TruncatedSeries(vs, {}, orders)
+        return TruncatedSeries(vs, {}, a._least_orders(b, vs))
     idx = range(len(vs))
     val_a = [min(e[i] for e in ta) for i in idx]
     val_b = [min(e[i] for e in tb) for i in idx]

@@ -7,7 +7,7 @@ from math import comb, factorial, prod
 
 import pytest
 
-from hurwitz import counts, partitions
+from hurwitz import counts, fock, partitions
 from hurwitz.counts import (
     METHODS,
     HurwitzRequest,
@@ -706,7 +706,7 @@ def test_connected_fock_skips_zero_blocks(monkeypatch):
         seen.append(sub)
         return disconnected_block_series(kind, r, sub, b_max)
 
-    monkeypatch.setattr(counts, "disconnected_block_series", recording)
+    monkeypatch.setattr(fock, "disconnected_block_series", recording)
     disconnected_block_series.cache_clear()
     route_series("fock", K.MONOTONE, 2, (3, 2, 1), 5, True)
     # only the sub-profiles of even degree reach the route and its cache
@@ -762,7 +762,7 @@ def test_sub_profiles_stop_at_the_budget_the_rest_leaves(monkeypatch):
         seen[sub] = b_max
         return disconnected_block_series(kind, r, sub, b_max)
 
-    monkeypatch.setattr(counts, "disconnected_block_series", recording)
+    monkeypatch.setattr(fock, "disconnected_block_series", recording)
     route_series("fock", K.MONOTONE, 1, (3, 2, 1), 6, True)
     assert seen == {(3, 2, 1): 5, (3, 2): 5, (3, 1): 4, (2, 1): 3,
                     (3,): 4, (2,): 3, (1,): 2}
@@ -781,7 +781,7 @@ def test_consecutive_b_share_one_block_build(monkeypatch):
             asked.append(b_max)
         return disconnected_block_series(kind, r, sub, b_max)
 
-    monkeypatch.setattr(counts, "disconnected_block_series", recording)
+    monkeypatch.setattr(fock, "disconnected_block_series", recording)
     disconnected_block_series.cache_clear()
     for b in range(6):
         fock_shifted_coefficient(K.MONOTONE, 1, (3, 2, 1), b, True)

@@ -58,6 +58,25 @@ def test_curve_commands_load_no_route_module(argv):
     assert not ROUTE_MODULES & loaded
 
 
+@pytest.mark.parametrize("argv", [
+    ("series", "--kind", "usual", "--r", "1", "--mu", "3,2", "--order", "5",
+     "--method", "character"),
+    ("compute", "--kind", "monotone", "--r", "2", "--g", "1", "--mu", "4,2"),
+    ("verify-quasipoly", "--kind", "monotone", "--r", "2", "--g", "0", "--n", "3",
+     "--eta", "0,0,0"),
+], ids=["series-character", "compute-default", "verify-quasipoly"])
+def test_character_route_commands_load_no_fock(argv):
+    loaded = loaded_by(run_quietly(*argv))
+    assert {"hurwitz.counts", "hurwitz.partitions"} <= loaded
+    assert "hurwitz.fock" not in loaded
+
+
+def test_fock_route_loads_fock():
+    loaded = loaded_by(run_quietly("series", "--kind", "strict", "--r", "2", "--mu", "4,2",
+                                   "--order", "6", "--method", "fock"))
+    assert "hurwitz.fock" in loaded
+
+
 def test_version_loads_no_route_module():
     loaded = loaded_by(run_quietly("--version"))
     assert {m for m in loaded if m.startswith("hurwitz")} == {

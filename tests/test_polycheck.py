@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitz import counts, polycheck
+from hurwitz import counts, fock, polycheck
 from hurwitz.cli import run
 from hurwitz.counts import HurwitzRequest, hurwitz_number
 from hurwitz.kinds import ALL_KINDS, HurwitzKind as K
@@ -184,10 +184,12 @@ def test_planted_fault_fails_the_check(monkeypatch, capsys, fault, g, n, holdout
     (1, (0,), {"grid_base": -3}, "grid_base"),
     (0, (), {}, "n must be"),
     (-1, (), {}, "n must be"),
+    (7, (0,) * 7, {"g": -1}, "^g must be nonnegative, got -1$"),
 ])
 def test_bad_check_settings_raise(n, residues, kwargs, name):
+    kwargs = {"g": 2, **kwargs}
     with pytest.raises(ValueError, match=name):
-        verify_quasipolynomiality(K.MONOTONE, 2, 2, n, residues, **kwargs)
+        verify_quasipolynomiality(K.MONOTONE, 2, n=n, residues=residues, **kwargs)
 
 
 @pytest.mark.parametrize("call", [
@@ -206,20 +208,21 @@ def test_r_below_one_raises_naming_r(call):
 # -- each profile built once per verifier run ----------------------------------
 
 
-def builds_per_run(monkeypatch, route_name, runs):
+def builds_per_run(monkeypatch, owner, route_name, runs):
     """The distinct (kind, r, profile, b_max) each run asks of one route.
 
-    The dispatch looks its routes up by name, so the spy sees every call;
-    the distinct keys of one run are the builds of a cache cleared before it.
+    The dispatch reads its route from the owning module at each call, so the
+    spy sees every call; the distinct keys of one run are the builds of a
+    cache cleared before it.
     """
-    route = getattr(counts, route_name)
+    route = getattr(owner, route_name)
     seen = set()
 
     def spy(kind, r, rho, b_max):
         seen.add((kind, r, rho, b_max))
         return route(kind, r, rho, b_max)
 
-    monkeypatch.setattr(counts, route_name, spy)
+    monkeypatch.setattr(owner, route_name, spy)
     for args in runs:
         seen.clear()
         assert verify_quasipolynomiality(*args).passed, args
@@ -235,7 +238,7 @@ def test_verifier_builds_each_character_profile_once(monkeypatch):
     # every part is at least r on the grid, so a sub-profile N is asked
     # through b = 2g - 2 + 2n - len(N) + |N|/r, the same for every parent
     assert len(VERIFIER_RUNS) == 228
-    for args, keys in builds_per_run(monkeypatch, "_partition_sum", VERIFIER_RUNS):
+    for args, keys in builds_per_run(monkeypatch, counts, "_partition_sum", VERIFIER_RUNS):
         assert len({key[:3] for key in keys}) == len(keys), args
 
 
@@ -247,6 +250,6 @@ def test_verifier_on_fock_builds_each_profile_once(monkeypatch):
     monkeypatch.setattr(polycheck, "hurwitz_number", on_fock)
     runs = [(kind, 2, 0, 4, eta) for kind in ALL_KINDS
             for eta in admissible_residue_classes(2, 4)]
-    for args, keys in builds_per_run(monkeypatch, "disconnected_block_series", runs):
+    for args, keys in builds_per_run(monkeypatch, fock, "disconnected_block_series", runs):
         assert len({key[:3] for key in keys}) == len(keys), args
         assert keys, args

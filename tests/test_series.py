@@ -55,6 +55,19 @@ def test_truncation_order_propagation():
         p.coefficient(z=7)
 
 
+def test_sum_and_zero_product_keep_the_lesser_order_per_variable():
+    # a sum, and a product with a zero factor, are known through each
+    # variable's lesser order, whatever the other factor's valuation (x^2
+    # here); a variable untruncated on both sides stays untruncated
+    a = TruncatedSeries(("x", "y"), {(2, 0): Fraction(3)}, {"x": 5})
+    zero = TruncatedSeries(("x", "z"), {}, {"x": 7, "z": 4})
+    for s in (a + zero, zero + a, a * zero, zero * a):
+        assert s.vars == ("x", "y", "z")
+        assert s.orders == {"x": 5, "z": 4}
+    assert (a * zero).is_zero() and (zero * a).is_zero()
+    assert (a + zero).coefficient(x=2) == 3
+
+
 def test_zeta_expansion():
     # zeta(z) = 2 sinh(z/2): z + z^3/24 + z^5/1920
     zeta = elementary_series("zeta", "z", 6)
