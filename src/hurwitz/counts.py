@@ -142,7 +142,7 @@ def _partition_sum(kind: HurwitzKind, r: int, rho: tuple[int, ...],
 
 
 def _over_norm(kind: HurwitzKind, sums: list[int], norm: int) -> tuple[Fraction, ...]:
-    """A route's integer sums h_b * norm as Fractions; the usual kind's over b! more."""
+    """h_0..h_b from a route's integer sums: each over norm, and over b! more in the usual kind."""
     if kind is HurwitzKind.USUAL:
         return tuple(Fraction(a, norm * factorial(b)) for b, a in enumerate(sums))
     return tuple(Fraction(a, norm) for a in sums)

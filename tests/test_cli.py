@@ -184,8 +184,7 @@ FLAG_AT_FAULT = {
     ("xi", "--kind", "strict", "--r", "1", "--i", "0", "--order", "0"): "--order 0 leaves",
     ("series", "--kind", "monotone", "--r", "2", "--mu", "0,2", "--order", "2"):
         "--mu must be a nonempty profile of positive integers",
-    # a negative genus is refused, not sampled as zeros (n = 7) or left
-    # without samples (n = 5)
+    # g < 0 on a grid of zero samples (n = 7) and on one with none (n = 5)
     ("verify-quasipoly", "--kind", "monotone", "--r", "1", "--g", "-1", "--n", "7",
      "--eta", "0,0,0,0,0,0,0"): "error: g must be nonnegative, got -1\n",
     ("verify-quasipoly", "--kind", "monotone", "--r", "1", "--g", "-1", "--n", "5",
