@@ -1,9 +1,11 @@
 """Hurwitz numbers by three routes behind one dispatch.
 
-Every route gives the disconnected genus series of a ramification profile
-mu over an r-orbifold point as the tuple h_0..h_{b_max} of Fractions, where
-b = 2g - 2 + len(mu) + |mu|/r counts simple ramifications; each takes
-(kind, r, mus sorted decreasingly, b_max).
+Every route gives the disconnected genus series h_0..h_{b_max} of a
+ramification profile mu over an r-orbifold point, where
+b = 2g - 2 + len(mu) + |mu|/r counts simple ramifications, as an integer
+block (den, nums) in lowest terms: h_b = nums[b] / den, den >= 1 and
+gcd(den, *nums) = 1 (`partitions.reduced_block`); each takes (kind, r, mus
+sorted decreasingly, b_max).
 
 The character route (`_partition_sum`) is the partition sum
 
@@ -16,10 +18,11 @@ the contents, or exp(u * sum of contents) in the usual case.
 The sum runs over the smaller support of the two characters, as built by
 `partitions.CharacterCache.at`, and in Python integers: for each b it
 accumulates chi^lam((r^m)) * chi^lam(mu) * W_lam[b], with h_b, sigma_b or
-(sum of contents)^b as the integer weight, and `_over_norm` divides once,
-by r^m m! prod(mu) (times b! in the usual case).  It takes one lam of each
-conjugate pair {lam, lam'}: chi^lam'(rho) = sgn(rho) chi^lam(rho), and
-the contents of lam' are those of lam negated, so W_lam'[b] = (-1)^b W_lam[b].
+(sum of contents)^b as the integer weight, and `_over_norm` makes the sums
+one block over r^m m! prod(mu) (times b! in the usual case).  It takes one
+lam of each conjugate pair {lam, lam'}: chi^lam'(rho) = sgn(rho)
+chi^lam(rho), and the contents of lam' are those of lam negated, so
+W_lam'[b] = (-1)^b W_lam[b].
 With eps = sgn((r^m)) sgn(mu), a pair adds (1 + eps (-1)^b) times lam's
 term, twice it or nothing, and a self-conjugate lam its term once, at the
 same b only: its chi chi needs eps = 1, and its W_lam[b] vanishes at odd b.
@@ -37,14 +40,16 @@ rows in Z[S_k] as the reference.  Like the other two routes it is an
 lru_cache on the route contract.  The fock route is
 `fock.disconnected_block_series`, imported only when a call asks for it.
 
-`route_series` is the one dispatch over the three: it takes a connected
-series from the route's disconnected series of the sub-multisets of mu by
-one inclusion-exclusion, shared by all routes.  It answers zeros when r
-does not divide |mu|; otherwise every cover of mu has b = |mu|/r + len(mu)
-mod 2, so it asks each block only through the last b of that block's
-parity that the answer reads, and b_max = 2k and 2k + 1 share one block
-build.  `hurwitz_number`, the verifiers and the CLI reach the routes only
-through it.
+`_route_block` is the one dispatch over the three: it takes a connected
+block from the route's disconnected blocks of the sub-multisets of mu by
+one inclusion-exclusion in integers, shared by all routes.  It answers
+zeros when r does not divide |mu|; otherwise every cover of mu has
+b = |mu|/r + len(mu) mod 2, so it asks each block only through the last b
+of that block's parity that the answer reads, and b_max = 2k and 2k + 1
+share one block build.  A Fraction is made only where a number is read:
+`route_series` turns a whole answer into Fractions, and `hurwitz_number`,
+`oracle_group_algebra` and `fock_shifted_coefficient` each the one b they
+read.  The verifiers and the CLI reach the routes only through these.
 """
 
 from __future__ import annotations
@@ -57,7 +62,8 @@ from math import factorial, prod
 from typing import Sequence
 
 from .kinds import METHODS, HurwitzKind, check_profile, check_r
-from .partitions import active_cache, connected_from_subprofiles, enumerate_partitions
+from .partitions import (Block, active_cache, connected_from_subprofiles,
+                         enumerate_partitions, reduced_block)
 from .series import TruncatedSeries
 from .symfunc import complete_coeffs, elementary_coeffs
 
@@ -108,12 +114,11 @@ def _weight_coeffs(kind: HurwitzKind, lam: tuple[int, ...], order: int) -> list[
 
 
 @lru_cache(maxsize=None)
-def _partition_sum(kind: HurwitzKind, r: int, rho: tuple[int, ...],
-                   order: int) -> tuple[Fraction, ...]:
-    """h_0..h_order of the character route at the sorted profile rho."""
+def _partition_sum(kind: HurwitzKind, r: int, rho: tuple[int, ...], order: int) -> Block:
+    """The block of h_0..h_order of the character route at the sorted profile rho."""
     d = sum(rho)
     if d % r != 0:
-        return (Fraction(0),) * (order + 1)
+        return 1, (0,) * (order + 1)
     m = d // r
     chars = active_cache()
     small, other = sorted((chars.at((r,) * m), chars.at(rho)), key=len)
@@ -141,11 +146,16 @@ def _partition_sum(kind: HurwitzKind, r: int, rho: tuple[int, ...],
     return _over_norm(kind, acc, r ** m * factorial(m) * prod(rho))
 
 
-def _over_norm(kind: HurwitzKind, sums: list[int], norm: int) -> tuple[Fraction, ...]:
-    """h_0..h_b from a route's integer sums: each over norm, and over b! more in the usual kind."""
+def _over_norm(kind: HurwitzKind, sums: list[int], norm: int) -> Block:
+    """The block of a route's integer sums: each over norm, and over b! more in the usual kind.
+
+    The usual kind's block goes over norm * top!, top the last b, with
+    sums[b] scaled by top!/b!.
+    """
     if kind is HurwitzKind.USUAL:
-        return tuple(Fraction(a, norm * factorial(b)) for b, a in enumerate(sums))
-    return tuple(Fraction(a, norm) for a in sums)
+        scale = factorial(len(sums) - 1)
+        return reduced_block(norm * scale, [a * (scale // factorial(b)) for b, a in enumerate(sums)])
+    return reduced_block(norm, sums)
 
 
 def _series_character(kind: HurwitzKind, r: int, mus: Sequence[int], u_order: int,
@@ -289,9 +299,8 @@ def _oracle_classes(r: int, mus: tuple[int, ...]) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def oracle_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
-                  b_max: int) -> tuple[Fraction, ...]:
-    """h_0..h_{b_max} of the oracle route by exact multiplication in Z[S_d].
+def oracle_series(kind: HurwitzKind, r: int, mus: tuple[int, ...], b_max: int) -> Block:
+    """The block of h_0..h_{b_max} of the oracle route by exact multiplication in Z[S_d].
 
     [u^b] is the coefficient of one fixed permutation sigma0 of cycle type
     mus in C_{(r^{d/r})} * Phi_b: the sum of Phi_b(pi sigma0) over pi in the
@@ -306,7 +315,7 @@ def oracle_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
     if d > ORACLE_DEGREE_CAP:
         raise DegreeCapError(f"the oracle is capped at degree {ORACLE_DEGREE_CAP}, got {d}")
     if d % r != 0:
-        return (Fraction(0),) * (b_max + 1)
+        return 1, (0,) * (b_max + 1)
     classes = _oracle_classes(r, mus)
     acc = []
     for b in range(b_max + 1):
@@ -317,7 +326,8 @@ def oracle_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
 
 def oracle_group_algebra(kind: HurwitzKind, r: int, b: int, mus: Sequence[int]) -> Fraction:
     """Disconnected [u^b] of the oracle route."""
-    return route_series("oracle", kind, r, mus, b, False)[b]
+    den, nums = _route_block("oracle", kind, r, mus, b, False)
+    return Fraction(nums[b], den)
 
 
 # -- dispatch ----------------------------------------------------------------
@@ -339,9 +349,12 @@ def request_status(req: HurwitzRequest) -> str | None:
     return None
 
 
-def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
-                 b_max: int, connected: bool) -> tuple[Fraction, ...]:
-    """h_0..h_{b_max} of the (dis)connected genus series by one route.
+_ZERO_BLOCK = (1, ())  # a proper sub-profile the answer reads as zero
+
+
+def _route_block(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
+                 b_max: int, connected: bool) -> Block:
+    """The block (den, nums) of h_0..h_{b_max} of the (dis)connected genus series by one route.
 
     The only dispatch over METHODS.  Each call picks its route, importing
     `fock` only for the fock route, so a rebound `_partition_sum`,
@@ -349,7 +362,7 @@ def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
     runs.  An unknown route, r < 1, an empty profile, a part that is not a
     positive integer or b_max < 0 raises ValueError.  When r does not
     divide |mus| there is no cover, and the answer is zeros before any
-    route is asked.
+    route is asked, as the block (1, zeros).
 
     Each block N of the profile M is asked only as far as the answer can
     read it.  A cover of X is a factorization sigma_0 tau_1 ... tau_b
@@ -367,8 +380,8 @@ def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
     b_N = top - v(R), which has N's parity, and the requests at b_max = 2k
     and 2k + 1 are one cache entry of the route.  M's own block always
     reaches its route when r divides |M|, so the oracle's degree cap is
-    never skipped.  A proper N is zero, returned as (), without asking its
-    route when r does not divide |N| or when b_N < v(N).  When every part
+    never skipped.  A proper N is zero, returned as (1, ()), without asking
+    its route when r does not divide |N| or when b_N < v(N).  When every part
     is at least r, top = b_max and b_N = 2g - 2 + 2n - len(N) + |N|/r
     depends on (g, n) and N alone, so the verifier asks each profile once
     per run.
@@ -386,7 +399,7 @@ def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
         raise ValueError(f"b_max must be nonnegative, got {b_max}")
     d, n = sum(mus), len(mus)
     if d % r:
-        return (Fraction(0),) * (b_max + 1)
+        return 1, (0,) * (b_max + 1)
     top = b_max
     if (b_max - d // r - n) % 2:
         top = max(0, b_max - 1)
@@ -396,19 +409,29 @@ def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
         excess = size // r - parts
         return excess if excess > 0 else (size // r + parts) % 2
 
-    def disconnected(sub: tuple[int, ...]) -> tuple[Fraction, ...]:
+    def disconnected(sub: tuple[int, ...]) -> Block:
         if len(sub) == n:
             return block(kind, r, sub, top)
         size = sum(sub)
         if size % r:
-            return ()
+            return _ZERO_BLOCK
         b_sub = top - least_b(d - size, n - len(sub))
         if b_sub < least_b(size, len(sub)):
-            return ()
+            return _ZERO_BLOCK
         return block(kind, r, sub, b_sub)
 
-    coeffs = connected_from_subprofiles(mus, disconnected) if connected else disconnected(mus)
-    return coeffs + (Fraction(0),) * (b_max - top)
+    den, nums = connected_from_subprofiles(mus, disconnected) if connected else disconnected(mus)
+    return den, nums + (0,) * (b_max - top)
+
+
+def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
+                 b_max: int, connected: bool) -> tuple[Fraction, ...]:
+    """h_0..h_{b_max} of the (dis)connected genus series by one route, as Fractions.
+
+    The answer of `_route_block`, which raises what it does.
+    """
+    den, nums = _route_block(route, kind, r, mus, b_max, connected)
+    return tuple(Fraction(x, den) for x in nums)
 
 
 def hurwitz_number(req: HurwitzRequest) -> Fraction:
@@ -416,13 +439,15 @@ def hurwitz_number(req: HurwitzRequest) -> Fraction:
     if request_status(req) is not None:
         return Fraction(0)
     b = int(req.branch_count())
-    return route_series(req.method, req.kind, req.r, req.mus, b, req.connected)[b]
+    den, nums = _route_block(req.method, req.kind, req.r, req.mus, b, req.connected)
+    return Fraction(nums[b], den)
 
 
 def fock_shifted_coefficient(kind: HurwitzKind, r: int, mus: Sequence[int],
                              b: int, connected: bool) -> Fraction:
     """[u^b] of the fock-route genus series."""
-    return route_series("fock", kind, r, mus, b, connected)[b]
+    den, nums = _route_block("fock", kind, r, mus, b, connected)
+    return Fraction(nums[b], den)
 
 
 def result_record(req: HurwitzRequest, value: Fraction) -> dict:

@@ -21,15 +21,16 @@ state, and two callers propagate with it:
   expectations are Laurent series whose only poles are the simple 1/zeta
   poles, one per variable at most.
 - `disconnected_block_series`, the route's one entry point, gives the
-  disconnected numbers h_0..h_{b_max} of a profile as a tuple, like the
-  other routes.  Its operators each have their own variable w_i, and what
+  disconnected numbers h_0..h_{b_max} of a profile as an integer block
+  (den, nums) in lowest terms, h_b = nums[b] / den, like the other routes.  Its operators each have their own variable w_i, and what
   follows the correlator (the A-operator's S-powers and its scalars, read
   off per exponent of w_i) is linear in each w_i on its own.  So each
   (operator slot, atom) pair folds into one memoized polynomial in the
   grading variable u (`_slot_weight`), and the wedge states carry
   u-polynomials: a move multiplies by one of them, and the vacuum
   coefficient is the answer, shifted by d/r.  These run in integers, over
-  one common denominator per slot, with one exact division at the vacuum.
+  one common denominator per slot, and the vacuum integers over the
+  product of those denominators are the block, reduced once.
   The slot data are coefficients of fixed series in w, each memoized by
   the coefficient it is: the S-powers by Miller's power recurrence
   (`_s_power_coefficient`), the slot's S-power product (`_slot_base`) and
@@ -54,6 +55,7 @@ from math import factorial, lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from .kinds import HurwitzKind
+from .partitions import Block, reduced_block
 from .series import TruncatedSeries, elementary_series, exp_linear, mul
 
 Partition = tuple[int, ...]
@@ -241,7 +243,7 @@ def _inv_zeta_coefficients(order: int) -> list[Fraction]:
 # that t's one common denominator (`_slot_frame`), the same for all atoms, and
 # a slot's moves over all its t are added at the lcm of those, so a state
 # reached through slots j..n-1 is an integer polynomial over the product of
-# their denominators, divided out once at the vacuum.
+# their denominators; at the vacuum that product is the block's denominator.
 
 
 @lru_cache(maxsize=None)
@@ -337,8 +339,8 @@ def _poly_muladd(cap: int, acc: dict, a: dict, b: tuple, factor: int) -> None:
 
 @lru_cache(maxsize=None)
 def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
-                              b_max: int) -> tuple[Fraction, ...]:
-    """The fock route's disconnected h_0..h_{b_max}.
+                              b_max: int) -> Block:
+    """The block of the fock route's disconnected h_0..h_{b_max}.
 
     The A-operator correlator <A_{mu_1} ... A_{mu_n}> is graded by
     k = 2g - 2 + len(mus); with the per-entry binomial/power prefactors
@@ -353,16 +355,16 @@ def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
     common denominator, the lcm of its live t's.  Energy t r - <mu_j> is at
     most d - mu_j, and a t is live when it moves some state to a size in
     [0, room], room the most energy slots 0..j-1 can still remove; a state
-    is moved only to such a size.  The vacuum coefficient is divided once
-    by the product of the slots' denominators.  A state keeps total degree
-    k_hi plus one per slot still to apply that can have energy 0 (each can
-    lower the degree by one through 1/zeta).
+    is moved only to such a size.  The vacuum coefficients over the product
+    of the slots' denominators are the block, reduced once.  A state keeps
+    total degree k_hi plus one per slot still to apply that can have
+    energy 0 (each can lower the degree by one through 1/zeta).
     """
     n, d = len(mus), sum(mus)
     shift = d // r
     k_hi = b_max - shift
     if d % r or k_hi < -n:
-        return (Fraction(0),) * (b_max + 1)
+        return 1, (0,) * (b_max + 1)
     # a slot's exponent is at most k_hi plus one per other slot
     k_budget = k_hi + (n - 1)
     room = sum(d - mu for mu in mus)
@@ -395,7 +397,10 @@ def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
                  if (q := {e: c for e, c in p.items() if c})}
         if not state:
             break
-    out = {k + shift: Fraction(c, den) for k, c in state.get((), {}).items()}
-    if any(c for b, c in out.items() if b < 0):
-        raise ArithmeticError(f"nonzero coefficient below b = 0 at mu = {mus}")
-    return tuple(out.get(b, Fraction(0)) for b in range(b_max + 1))
+    # the vacuum keeps only nonzero coefficients, of total degree <= k_hi
+    nums = [0] * (b_max + 1)
+    for k, c in state.get((), {}).items():
+        if k + shift < 0:
+            raise ArithmeticError(f"nonzero coefficient below b = 0 at mu = {mus}")
+        nums[k + shift] = c
+    return reduced_block(den, nums)

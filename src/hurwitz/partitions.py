@@ -5,23 +5,26 @@ characters of a class rho are built together, lam -> chi^lam(rho), by adding
 one border strip per part of rho, and memoized in memory per class.
 Connected values come from disconnected ones by inclusion-exclusion over
 sub-multisets (`connected_from_subprofiles`) or, as its reference, over
-index subsets.  The sub-multiset recursion runs in Python integers: each
-block D(N) is scaled by q^|N|, q the lcm of every block denominator and |N|
-the number of parts, so every connected value C(N) scaled the same way
-stays integral, and only the answer is divided.  Its shape (sub-vectors,
-weights, index pairs) depends only on the multiplicity vector and is
-memoized per vector (`_subprofile_plan`).
+index subsets.  The sub-multiset recursion runs in Python integers on the
+routes' integer blocks (den, nums), h_b = nums[b] / den in lowest terms
+(`reduced_block`): each block D(N) is scaled by q^|N|, q the lcm of every
+block denominator and |N| the number of parts, so every connected value
+C(N) scaled the same way stays integral, and the answer is handed back
+over q^|M| undivided.  Its shape (sub-vectors, weights, index pairs)
+depends only on the multiplicity vector and is memoized per vector
+(`_subprofile_plan`).
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from typing import Callable, Sequence
 
 Partition = tuple[int, ...]
+# a route's genus series h_0..h_{b_max} as (den, nums), h_b = nums[b] / den
+Block = tuple[int, tuple[int, ...]]
 
 
 def check_partition(parts: Sequence[int]) -> Partition:
@@ -163,6 +166,19 @@ def connected_from_disconnected(blocks: dict):
     return connected[full]
 
 
+def reduced_block(den: int, nums: Sequence[int]) -> Block:
+    """The block nums / den, den >= 1, in lowest terms: gcd(den, *nums) = 1.
+
+    Reducing keeps every route's block the one representation of its
+    numbers, and keeps the lcm that `connected_from_subprofiles` raises to
+    the power |M| as small as the numbers allow.
+    """
+    g = gcd(den, *nums)
+    if g == 1:
+        return den, tuple(nums)
+    return den // g, tuple(x // g for x in nums)
+
+
 @lru_cache(maxsize=None)
 def _subprofile_plan(full: tuple[int, ...]) -> tuple:
     """The shape of the sub-multiset recursion for one multiplicity vector.
@@ -189,18 +205,19 @@ def _subprofile_plan(full: tuple[int, ...]) -> tuple:
     return tuple(vectors), tuple(steps)
 
 
-def connected_from_subprofiles(mus: Sequence[int], block: Callable) -> tuple:
+def connected_from_subprofiles(mus: Sequence[int], block: Callable[..., Block]) -> Block:
     """Connected coefficients of the profile mus from its sub-multisets.
 
     `block(sub)` gives the disconnected coefficients h_0, h_1, ... of a
-    nonempty sub-multiset `sub` of mus (its parts decreasing) as a tuple of
-    Fractions.  The block of mus itself sets the answer's length b_max + 1.
-    A proper block may be shorter, even empty, but not longer: only its
-    nonzero (b, h_b) are read and products past b_max are dropped, so
-    `counts.route_series` stops each block where nothing reaching b_max
-    reads it.  Blocks depend only on the multiset, so the recursion of
-    connected_from_disconnected runs over multiplicity vectors, splitting
-    off the component of one fixed copy of the least part a:
+    nonempty sub-multiset `sub` of mus (its parts decreasing) as an integer
+    block (den, nums), h_b = nums[b] / den with den >= 1.  The block of mus
+    itself sets the answer's length b_max + 1.  A proper block may be
+    shorter, even empty, but not longer: only its nonzero (b, h_b) are read
+    and products past b_max are dropped, so `counts.route_series` stops each
+    block where nothing reaching b_max reads it.  Blocks depend only on the
+    multiset, so the recursion of connected_from_disconnected runs over
+    multiplicity vectors, splitting off the component of one fixed copy of
+    the least part a:
 
         C(M) = D(M) - sum_{a in N, N a proper sub-multiset of M} w(N) C(N) D(M - N),
 
@@ -209,12 +226,13 @@ def connected_from_subprofiles(mus: Sequence[int], block: Callable) -> tuple:
     reaches `block` once; the recursion's shape comes from
     `_subprofile_plan`, memoized per multiplicity vector.
 
-    The recursion runs in integers.  With q the lcm of every block
-    coefficient's denominator and |N| the number of parts of N, the scaled
-    blocks q^|N| D(N) are integral, and so is every q^|N| C(N) by induction:
-    |P| + |N - P| = |N| makes each term w q^|P| C(P) q^|N-P| D(N - P).  Only
-    the answer is divided, by q^|M|, one Fraction per coefficient.  A
-    one-part profile is its own connected part and returns its block.
+    The recursion runs in integers.  With q the lcm of the block
+    denominators and |N| the number of parts of N, the scaled blocks
+    q^|N| D(N) = nums * (q^|N| // den) are integral, and so is every
+    q^|N| C(N) by induction: |P| + |N - P| = |N| makes each term
+    w q^|P| C(P) q^|N-P| D(N - P).  The answer is returned as the block
+    (q^|M|, q^|M| C(M)), not divided and not reduced.  A one-part profile
+    is its own connected part and returns its block.
     """
     if len(mus) == 1:
         return block(tuple(mus))
@@ -222,15 +240,14 @@ def connected_from_subprofiles(mus: Sequence[int], block: Callable) -> tuple:
     full = tuple(list(mus).count(v) for v in values)
     vectors, steps = _subprofile_plan(full)
     blocks = [block(tuple(v for v, c in zip(values, n) for _ in range(c))) for n in vectors]
-    q = lcm(*(x.denominator for coeffs in blocks for x in coeffs))
+    q = lcm(*(den for den, _ in blocks))
     powers = [q ** k for k in range(len(mus) + 1)]
     # the nonzero (b, q^|N| D(N)_b) of each vector, which the products read
     disconnected = []
-    for n, coeffs in zip(vectors, blocks):
-        scale = powers[sum(n)]
-        disconnected.append([(b, x.numerator * (scale // x.denominator))
-                             for b, x in enumerate(coeffs) if x])
-    top = len(blocks[-1])
+    for n, (den, nums) in zip(vectors, blocks):
+        scale = powers[sum(n)] // den
+        disconnected.append([(b, x * scale) for b, x in enumerate(nums) if x])
+    top = len(blocks[-1][1])
     connected = {}
     for i, terms in steps:
         acc = [0] * top
@@ -246,4 +263,4 @@ def connected_from_subprofiles(mus: Sequence[int], block: Callable) -> tuple:
                     acc[e + b] -= x * y
         connected[i] = [(b, x) for b, x in enumerate(acc) if x]
     # the last step is the full vector, the last in product order
-    return tuple(Fraction(x, powers[-1]) for x in acc)
+    return powers[-1], tuple(acc)

@@ -121,9 +121,9 @@ def verify_quasipolynomiality(kind: HurwitzKind, r: int, g: int, n: int,
 
     width = degree_bound + 1
     axes = [range(grid_base, grid_base + width)] * n
-    grid_points = [tuple(p) for p in itertools.product(*axes)]
     samples = {}
-    for point in grid_points:
+    # streamed: the grid has width^n points, which are never all listed
+    for point in itertools.product(*axes):
         value = _normalized_value(kind, r, g, mu_of(point))
         if value is None:
             report.passed = False

@@ -18,6 +18,7 @@ from math import factorial, lcm
 from typing import Mapping, Sequence
 
 _BIG = 10**9  # stand-in for "exact in this variable"
+_ZERO = Fraction(0)  # Fractions are immutable: one zero serves every default
 
 
 def _as_fraction(c) -> Fraction:
@@ -83,9 +84,9 @@ class TruncatedSeries:
             if v in self.vars and e > self.orders.get(v, _BIG):
                 raise ValueError(f"coefficient of {v}^{e} is beyond truncation order")
             if v not in self.vars and e != 0:
-                return Fraction(0)
+                return _ZERO
         key = tuple(wanted.get(v, 0) for v in self.vars)
-        return self.terms.get(key, Fraction(0))
+        return self.terms.get(key, _ZERO)
 
     # -- alignment ---------------------------------------------------------
 
@@ -114,7 +115,7 @@ class TruncatedSeries:
         vs = tuple(sorted(set(self.vars) | set(other.vars)))
         terms = dict(self._aligned_to(vs))
         for exp, c in other._aligned_to(vs).items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
+            terms[exp] = terms.get(exp, _ZERO) + c
         return TruncatedSeries(vs, terms, self._least_orders(other, vs))
 
     __radd__ = __add__
@@ -250,7 +251,7 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             exp = tuple(x + y for x, y in zip(ea, eb))
             if any(e > n for e, n in zip(exp, caps)):
                 continue
-            out[exp] = out.get(exp, Fraction(0)) + ca * cb
+            out[exp] = out.get(exp, _ZERO) + ca * cb
     return TruncatedSeries(vs, out, orders)
 
 

@@ -258,12 +258,13 @@ def test_huge_argument_is_a_usage_error(capsys, argv):
 def test_compute_failure_names_the_routes(capsys, monkeypatch):
     import hurwitz.counts as counts
 
+    # compute reads one number, through the integer dispatch
     def wrong_fock(route, kind, r, mus, b_max, connected):
-        coeffs = route_series(route, kind, r, mus, b_max, connected)
-        return coeffs[:-1] + (coeffs[-1] + (route == "fock"),)
+        den, nums = route_block(route, kind, r, mus, b_max, connected)
+        return den, nums[:-1] + (nums[-1] + den * (route == "fock"),)
 
-    route_series = counts.route_series
-    monkeypatch.setattr(counts, "route_series", wrong_fock)
+    route_block = counts._route_block
+    monkeypatch.setattr(counts, "_route_block", wrong_fock)
     code, out, _ = invoke(capsys, "compute", "--kind", "monotone", "--r", "2",
                           "--g", "0", "--mu", "1,3", "--method", "all")
     assert code == 1
@@ -356,12 +357,13 @@ def test_csv_keeps_status_oracle_and_disagreements(capsys, monkeypatch):
         "true,0,monotone,fock,[4 3],skipped,1,PASS,100",
     ]
 
+    # compute reads one number, through the integer dispatch
     def wrong_fock(route, kind, r, mus, b_max, connected):
-        coeffs = route_series(route, kind, r, mus, b_max, connected)
-        return coeffs[:-1] + (coeffs[-1] + (route == "fock"),)
+        den, nums = route_block(route, kind, r, mus, b_max, connected)
+        return den, nums[:-1] + (nums[-1] + den * (route == "fock"),)
 
-    route_series = counts.route_series
-    monkeypatch.setattr(counts, "route_series", wrong_fock)
+    route_block = counts._route_block
+    monkeypatch.setattr(counts, "_route_block", wrong_fock)
     code, out, _ = invoke(capsys, "--format", "csv", "compute", "--kind", "monotone",
                           "--r", "2", "--g", "0", "--mu", "1,3", "--method", "all")
     assert code == 1

@@ -33,7 +33,13 @@ from hurwitz.partitions import (
 )
 from hurwitz.series import TruncatedSeries
 from hurwitz.symfunc import complete_coeffs, elementary_coeffs
-from test_partitions import conjugate, mn_character
+from test_partitions import (
+    block_fractions,
+    conjugate,
+    in_lowest_terms,
+    mn_character,
+    reference_connected_from_subprofiles,
+)
 
 
 def one_point_closed(kind, r, quotient):
@@ -189,7 +195,9 @@ def test_pair_sum_matches_unpaired_reference():
             for d in range(1, 13):
                 for rho in enumerate_partitions(d):
                     got = counts._partition_sum.__wrapped__(kind, r, rho, d + 4)
-                    assert got == reference_partition_sum(kind, r, rho, d + 4), (kind, r, rho)
+                    assert in_lowest_terms(got), (kind, r, rho)
+                    assert block_fractions(got) == reference_partition_sum(kind, r, rho, d + 4), \
+                        (kind, r, rho)
 
 
 def test_self_conjugate_terms_live_only_at_the_pair_parity():
@@ -234,7 +242,7 @@ def test_pair_sum_named_cases(lam, r, rho, eps):
         assert cache.at((r,) * m).get(mu, 0) * cache.at(rho).get(mu, 0) != 0, mu
     for kind in ALL_KINDS:
         got = counts._partition_sum.__wrapped__(kind, r, rho, d + 4)
-        assert got == reference_partition_sum(kind, r, rho, d + 4), kind
+        assert block_fractions(got) == reference_partition_sum(kind, r, rho, d + 4), kind
 
 
 def test_weights_are_built_once_per_conjugate_pair(monkeypatch):
@@ -252,7 +260,7 @@ def test_weights_are_built_once_per_conjugate_pair(monkeypatch):
     for kind in ALL_KINDS:
         calls.clear()
         got = counts._partition_sum.__wrapped__(kind, 1, rho, 12)
-        assert got == reference_partition_sum(kind, 1, rho, 12)
+        assert block_fractions(got) == reference_partition_sum(kind, 1, rho, 12)
         pairs = {frozenset((lam, conjugate(lam))) for lam in enumerate_partitions(8)}
         assert len(calls) == len(pairs) == 12
         assert {frozenset((lam, conjugate(lam))) for lam in calls} == pairs
@@ -268,7 +276,7 @@ def test_character_memo_keeps_the_longest_series(kind, orders):
     counts._partition_sum.cache_clear()
     for order in orders * 2:
         got = disconnected_series_character(kind, 2, mus[::-1], order)
-        fresh = counts._partition_sum.__wrapped__(kind, 2, mus, order)
+        fresh = block_fractions(counts._partition_sum.__wrapped__(kind, 2, mus, order))
         assert tuple(got.coefficient(u=b) for b in range(order + 1)) == fresh
         assert got.orders == {"u": order}
     info = counts._partition_sum.cache_info()
@@ -283,7 +291,7 @@ def test_character_memo_under_threads():
     # 2k and 2k + 1 share one entry, and one entry per top in 1, 3, 5, 7 is
     # left behind
     mus = (2, 2, 1, 1)
-    expected = counts._partition_sum.__wrapped__(K.MONOTONE, 2, mus, 8)
+    expected = block_fractions(counts._partition_sum.__wrapped__(K.MONOTONE, 2, mus, 8))
     counts._partition_sum.cache_clear()
     results = []
 
@@ -446,7 +454,9 @@ def test_oracle_series_matches_fraction_reference():
             for d in range(r, 7, r):
                 for mus in enumerate_partitions(d):
                     want = tuple(reference_oracle(kind, r, b, mus) for b in range(b_max + 1))
-                    assert oracle_series(kind, r, mus, b_max) == want, (kind, r, mus)
+                    got = oracle_series(kind, r, mus, b_max)
+                    assert in_lowest_terms(got), (kind, r, mus)
+                    assert block_fractions(got) == want, (kind, r, mus)
 
 
 def test_oracle_class_functions_match_the_full_group_algebra():
@@ -495,7 +505,7 @@ def test_oracle_reads_its_series_at_falling_b():
     for kind in ALL_KINDS:
         for r, mus in [(1, (3, 2, 1)), (2, (4, 2)), (3, (3, 3)), (1, (1,) * 6)]:
             clear_oracle_caches()
-            series = oracle_series(kind, r, mus, 6)
+            series = block_fractions(oracle_series(kind, r, mus, 6))
             clear_oracle_caches()
             for b in range(6, -1, -1):
                 assert oracle_group_algebra(kind, r, b, mus) == series[b], (kind, r, mus, b)
@@ -525,8 +535,9 @@ def test_oracle_past_its_cap_matches_character(oracle_cap_7):
     for kind in ALL_KINDS:
         for r in (1, 7):
             for mus in enumerate_partitions(7):
-                got = oracle_series(kind, r, mus, b_max)
-                assert got == counts._partition_sum(kind, r, mus, b_max), (kind, r, mus)
+                got = block_fractions(oracle_series(kind, r, mus, b_max))
+                assert got == block_fractions(counts._partition_sum(kind, r, mus, b_max)), \
+                    (kind, r, mus)
                 nonzero += sum(1 for c in got if c)
     assert nonzero > 0
 
@@ -552,6 +563,24 @@ def test_route_series_answers_r_not_dividing_mu_before_any_route():
                 got = route_series(route, kind, 2, (4, 3), 5, connected)
                 assert got == (0,) * 6, (route, kind, connected)
                 assert cached.cache_info() == before, (route, kind, connected)
+
+
+@pytest.mark.parametrize("route", METHODS)
+def test_route_blocks_are_integers_in_lowest_terms(route):
+    # every route hands over (den, nums) of Python ints, b_max + 1 of them,
+    # with den >= 1 and gcd(den, *nums) = 1; a zero block is (1, zeros)
+    build = {"character": counts._partition_sum, "fock": disconnected_block_series,
+             "oracle": oracle_series}[route]
+    for kind in ALL_KINDS:
+        for r in (1, 2, 3):
+            for d in range(1, 7):
+                for mus in enumerate_partitions(d):
+                    for b_max in (0, 3, 7):
+                        block = build(kind, r, mus, b_max)
+                        where = (kind, r, mus, b_max)
+                        assert in_lowest_terms(block) and len(block[1]) == b_max + 1, where
+                        if not any(block[1]):
+                            assert block[0] == 1, where
 
 
 def test_permutation_helpers():
@@ -674,7 +703,7 @@ def route_block(route, kind, r, sub, b_max):
     if route == "character":
         return disconnected_series_character(kind, r, rho, b_max)
     route_fn = {"fock": disconnected_block_series, "oracle": oracle_series}[route]
-    coeffs = route_fn(kind, r, rho, b_max)
+    coeffs = block_fractions(route_fn(kind, r, rho, b_max))
     assert len(coeffs) == b_max + 1
     return TruncatedSeries(("u",), {(b,): c for b, c in enumerate(coeffs)}, {"u": b_max})
 
@@ -715,11 +744,13 @@ def test_connected_fock_skips_zero_blocks(monkeypatch):
 
 
 def reference_route_series(route, kind, r, mus, b_max, connected):
-    """The dispatch with every block asked at b_max itself.
+    """The dispatch with every block asked at b_max itself, in Fractions.
 
     A proper sub-profile is zero without asking its route only when r does
     not divide its degree or b_max is below |sub|/r - len(sub); no budget
-    is taken from the rest of the profile.
+    is taken from the rest of the profile.  Each route's block is read as
+    Fractions, and the connected part is the Fraction recursion
+    `reference_connected_from_subprofiles`, not the package's integer one.
     """
     routes = {"character": counts._partition_sum, "fock": disconnected_block_series,
               "oracle": oracle_series}
@@ -728,9 +759,9 @@ def reference_route_series(route, kind, r, mus, b_max, connected):
     def disconnected(sub):
         if len(sub) < len(mus) and (sum(sub) % r or b_max < sum(sub) // r - len(sub)):
             return (Fraction(0),) * (b_max + 1)
-        return routes[route](kind, r, sub, b_max)
+        return block_fractions(routes[route](kind, r, sub, b_max))
 
-    return partitions.connected_from_subprofiles(mus, disconnected) if connected \
+    return reference_connected_from_subprofiles(mus, disconnected) if connected \
         else disconnected(mus)
 
 
@@ -1030,7 +1061,7 @@ def test_each_route_vanishes_at_the_wrong_parity_of_b(route, max_d, max_parts):
                     if len(mus) > max_parts:
                         continue
                     parity = (d // r + len(mus)) % 2
-                    for b, h in enumerate(build(kind, r, mus, 9)):
+                    for b, h in enumerate(block_fractions(build(kind, r, mus, 9))):
                         if b % 2 != parity:
                             assert h == 0, (kind, r, mus, b)
                         elif h:

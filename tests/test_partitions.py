@@ -2,7 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, lcm, prod
 
 import pytest
 
@@ -16,9 +16,36 @@ from hurwitz.partitions import (
     connected_from_subprofiles,
     contents,
     enumerate_partitions,
+    reduced_block,
     strip_additions,
 )
 from hurwitz.series import TruncatedSeries
+
+
+def block_fractions(block, length=None):
+    """h_0, h_1, ... of an integer block (den, nums) as Fractions, zero-padded to length.
+
+    Every test that compares a route's block or the integer
+    inclusion-exclusion with Fractions reads the block through this.
+    """
+    den, nums = block
+    coeffs = tuple(Fraction(x, den) for x in nums)
+    if length is not None:
+        coeffs += (Fraction(0),) * (length - len(coeffs))
+    return coeffs
+
+
+def fraction_block(coeffs):
+    """The integer block, in lowest terms, of a tuple of Fractions."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return reduced_block(den, [c.numerator * (den // c.denominator) for c in coeffs])
+
+
+def in_lowest_terms(block):
+    """Whether block is (den, nums) of Python ints with den >= 1 and gcd(den, *nums) = 1."""
+    den, nums = block
+    return (type(den) is int and den >= 1 and type(nums) is tuple
+            and all(type(x) is int for x in nums) and gcd(den, *nums) == 1)
 
 
 def _beta_set(lam, length):
@@ -418,7 +445,7 @@ def test_subprofile_recursion_matches_set_partition_sum():
                 zero = rng.random() < 0.2
                 table[sub] = tuple(Fraction(0 if zero else rng.randint(-4, 4),
                                             rng.randint(1, 3)) for _ in range(top + 1))
-                return table[sub]
+                return fraction_block(table[sub])
 
             got = connected_from_subprofiles(mus, block)
             distinct = 1
@@ -431,12 +458,27 @@ def test_subprofile_recursion_matches_set_partition_sum():
                 series[sub] = TruncatedSeries(
                     ("u",), {(b,): c for b, c in enumerate(coeffs)}, {"u": top})
             want = set_partition_sum(series)
-            assert got == tuple(want.coefficient(u=b) for b in range(top + 1)), mus
+            assert block_fractions(got) == tuple(want.coefficient(u=b) for b in range(top + 1)), mus
+
+
+def test_reduced_block_divides_out_the_common_gcd():
+    assert reduced_block(12, [6, -4, 0, 8]) == (6, (3, -2, 0, 4))
+    assert reduced_block(35, [3, 0, -7]) == (35, (3, 0, -7))
+    assert reduced_block(9, [0, 0, 0]) == (1, (0, 0, 0))
+    assert reduced_block(4, []) == (1, ())
+    rng = random.Random(15)
+    for _ in range(200):
+        den = rng.randint(1, 10 ** 6)
+        nums = [rng.randint(-10 ** 6, 10 ** 6) * rng.choice((1, 2, 6, 35)) for _ in range(5)]
+        got = reduced_block(den, nums)
+        assert in_lowest_terms(got)
+        assert block_fractions(got) == tuple(Fraction(x, den) for x in nums)
 
 
 def test_subprofile_recursion_matches_fraction_reference_on_random_blocks():
-    # profiles of up to 8 parts with repeated parts; blocks with negative
-    # entries, zero entries, whole zero tuples and mixed denominators
+    # profiles of up to 8 parts with repeated parts; integer blocks over mixed
+    # denominators, with negative and zero entries, whole zero blocks, and
+    # proper blocks cut short or empty, which the recursion reads as zeros
     rng = random.Random(14)
     for n in range(1, 9):
         for _ in range(4):
@@ -446,16 +488,22 @@ def test_subprofile_recursion_matches_fraction_reference_on_random_blocks():
 
             def block(sub):
                 if sub not in table:
+                    length = top + 1
+                    if len(sub) < n and rng.random() < 0.3:
+                        length = rng.randint(0, top)
                     zero = rng.random() < 0.25
-                    table[sub] = tuple(
-                        Fraction(0 if zero or rng.random() < 0.2 else rng.randint(-9, 9),
-                                 rng.choice((1, 2, 3, 4, 6, 9, 35)))
-                        for _ in range(top + 1))
+                    nums = [0 if zero or rng.random() < 0.2 else rng.randint(-9, 9)
+                            for _ in range(length)]
+                    table[sub] = reduced_block(rng.choice((1, 2, 3, 4, 6, 9, 35)), nums)
                 return table[sub]
 
-            got = connected_from_subprofiles(mus, block)
-            assert got == reference_connected_from_subprofiles(mus, table.__getitem__), mus
-            assert all(type(x) is Fraction for x in got)
+            den, nums = connected_from_subprofiles(mus, block)
+            # the answer comes over q^|M|, q the lcm of the block denominators
+            assert den == lcm(*(d for d, _ in table.values())) ** n, mus
+            assert len(nums) == top + 1 and all(type(x) is int for x in nums), mus
+            want = reference_connected_from_subprofiles(
+                mus, lambda sub: block_fractions(table[sub], top + 1))
+            assert block_fractions((den, nums)) == want, mus
 
 
 ROUTES = {"character": counts._partition_sum, "fock": fock.disconnected_block_series,
@@ -476,8 +524,10 @@ def test_subprofile_recursion_matches_fraction_reference_on_route_blocks(route):
                     def block(sub):
                         return ROUTES[route](kind, r, sub, b_max)
 
-                    want = reference_connected_from_subprofiles(mus, block)
-                    assert connected_from_subprofiles(mus, block) == want, (kind, r, mus)
+                    want = reference_connected_from_subprofiles(
+                        mus, lambda sub: block_fractions(block(sub)))
+                    assert block_fractions(connected_from_subprofiles(mus, block)) == want, \
+                        (kind, r, mus)
                     assert counts.route_series(route, kind, r, mus, b_max, True) == want
 
 

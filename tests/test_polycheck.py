@@ -192,6 +192,21 @@ def test_bad_check_settings_raise(n, residues, kwargs, name):
         verify_quasipolynomiality(K.MONOTONE, 2, n=n, residues=residues, **kwargs)
 
 
+def test_verifier_streams_its_grid(monkeypatch):
+    # (g, n) = (0, 12) at r = 1 has a grid of 10^12 points: the first sample
+    # is asked at once, with no list of the points built before it
+    class FirstSample(Exception):
+        pass
+
+    def first_sample(req):
+        raise FirstSample(req.mus)
+
+    monkeypatch.setattr(polycheck, "hurwitz_number", first_sample)
+    with pytest.raises(FirstSample) as caught:
+        verify_quasipolynomiality(K.MONOTONE, 1, 0, 12, (0,) * 12)
+    assert caught.value.args == ((1,) * 12,)
+
+
 @pytest.mark.parametrize("call", [
     lambda: prefactor(K.MONOTONE, 0, 3),
     lambda: one_point_genus_zero(K.MONOTONE, 0, 2),
