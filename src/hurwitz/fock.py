@@ -22,7 +22,8 @@ state, and two callers propagate with it:
   poles, one per variable at most.
 - `disconnected_block_series`, the route's one entry point, gives the
   disconnected numbers h_0..h_{b_max} of a profile as an integer block
-  (den, nums) in lowest terms, h_b = nums[b] / den, like the other routes.  Its operators each have their own variable w_i, and what
+  (den, nums) in lowest terms, h_b = nums[b] / den, like the other
+  routes.  Its operators each have their own variable w_i, and what
   follows the correlator (the A-operator's S-powers and its scalars, read
   off per exponent of w_i) is linear in each w_i on its own.  So each
   (operator slot, atom) pair folds into one memoized polynomial in the
@@ -44,7 +45,7 @@ states, applying all its live t to each, and the sum over t-tuples is
 never written out.  A state is moved only while the slots still to apply
 can bring it back to the vacuum.
 A nonzero vacuum term below b = 0 raises instead of being dropped.
-Connected series are taken from these in `counts.route_series`.
+Connected series are taken from these in `counts._route_block`.
 """
 
 from __future__ import annotations

@@ -213,7 +213,7 @@ def connected_from_subprofiles(mus: Sequence[int], block: Callable[..., Block]) 
     block (den, nums), h_b = nums[b] / den with den >= 1.  The block of mus
     itself sets the answer's length b_max + 1.  A proper block may be
     shorter, even empty, but not longer: only its nonzero (b, h_b) are read
-    and products past b_max are dropped, so `counts.route_series` stops each
+    and products past b_max are dropped, so `counts._route_block` stops each
     block where nothing reaching b_max reads it.  Blocks depend only on the
     multiset, so the recursion of connected_from_disconnected runs over
     multiplicity vectors, splitting off the component of one fixed copy of

@@ -565,24 +565,6 @@ def test_route_series_answers_r_not_dividing_mu_before_any_route():
                 assert cached.cache_info() == before, (route, kind, connected)
 
 
-@pytest.mark.parametrize("route", METHODS)
-def test_route_blocks_are_integers_in_lowest_terms(route):
-    # every route hands over (den, nums) of Python ints, b_max + 1 of them,
-    # with den >= 1 and gcd(den, *nums) = 1; a zero block is (1, zeros)
-    build = {"character": counts._partition_sum, "fock": disconnected_block_series,
-             "oracle": oracle_series}[route]
-    for kind in ALL_KINDS:
-        for r in (1, 2, 3):
-            for d in range(1, 7):
-                for mus in enumerate_partitions(d):
-                    for b_max in (0, 3, 7):
-                        block = build(kind, r, mus, b_max)
-                        where = (kind, r, mus, b_max)
-                        assert in_lowest_terms(block) and len(block[1]) == b_max + 1, where
-                        if not any(block[1]):
-                            assert block[0] == 1, where
-
-
 def test_permutation_helpers():
     p = canonical_permutation((3, 2))
     assert cycle_type(p) == (3, 2)
