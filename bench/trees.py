@@ -155,10 +155,10 @@ def tree_identity(src: Path) -> dict:
             "src_sha256": digest.hexdigest()}
 
 
-def summarize(src, cases: list, rounds: list) -> tuple[dict, list]:
+def summarize(src, work: list, rounds: list) -> tuple[dict, list]:
     """A tree's groups and cases over its rounds, and the problems found in them."""
     groups, entries, problems = {}, [], []
-    for i, case in enumerate(cases):
+    for i, case in enumerate(work):
         runs = [r[i] for r in rounds]
         codes = sorted({run["exit"] for run in runs})
         digests = sorted({run["stdout_sha256"] for run in runs})
