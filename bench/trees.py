@@ -30,6 +30,13 @@ per group the sums of those medians, the largest RSS and the group's totals
 in every round; per tree its path, git sha, dirty flag and a SHA-256 over
 its `hurwitz/*.py`; and the Python version, CPU count, rounds and env.
 
+Each tree after the first also gets, per group, the median over rounds of
+its ratio to the first tree in the same round, for `cpu_s` and `run_cpu_s`,
+and the number of rounds in which it was lower (`paired`).  The trees of one
+round run back to back, so a ratio divides out most of the host's drift
+between rounds, which moved the group medians of two identical trees apart
+by up to 38% in BENCH_29.json.
+
 Exits 1 when a case exits nonzero (the problem carries its last stderr
 line), when a case's stdout differs between rounds, or when two trees'
 stdout differ on any case; the record is written either way.
@@ -57,6 +64,7 @@ from workloads import (ROUTE_B_MAX, cli_population, quasipoly_population,  # noq
 
 ENV = {"PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1"}
 TIMES = ("wall_s", "cpu_s", "run_cpu_s", "run_wall_s")
+PAIRED = ("cpu_s", "run_cpu_s")
 
 CHILD = r'''
 import hashlib, json, sys, time
@@ -195,6 +203,25 @@ def compare_trees(records: list) -> list:
             if mine["stdout_sha256"] != theirs["stdout_sha256"]]
 
 
+def paired_rounds(base: dict, record: dict) -> dict:
+    """Per group and PAIRED key, record's median ratio to base over rounds run side by side.
+
+    Round k of each tree's group totals is its k-th visit of every case;
+    `lower` counts the rounds whose ratio is below 1.  A key some round
+    lacks (a failed case) is left out.
+    """
+    paired = {}
+    for name, group in record["groups"].items():
+        mine, theirs = group["rounds"], base["groups"][name]["rounds"]
+        for key in PAIRED:
+            if all(key in run for run in mine + theirs):
+                ratios = [m[key] / t[key] for m, t in zip(mine, theirs)]
+                paired.setdefault(name, {})[key] = {
+                    "median_ratio": statistics.median(ratios),
+                    "lower": sum(ratio < 1 for ratio in ratios), "rounds": len(ratios)}
+    return paired
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, action="append", required=True,
@@ -221,6 +248,8 @@ def main(argv=None) -> int:
         records.append({**tree_identity(src), **summary})
         problems += found
     problems += compare_trees(records)
+    for record in records[1:]:
+        record["paired"] = paired_rounds(records[0], record)
     result = {"python": platform.python_version(), "nproc": os.cpu_count(),
               "rounds": args.rounds, "cases": len(work), "env": ENV,
               "trees": records, "problems": problems}
@@ -231,6 +260,12 @@ def main(argv=None) -> int:
             run = f"  run {group['run_cpu_s']:.3f} s cpu" if "run_cpu_s" in group else ""
             print(f"  {name:16} {group['cases']:3} cases  {group['wall_s']:.3f} s wall  "
                   f"{group['cpu_s']:.3f} s cpu  {group['peak_rss_mb']:.1f} MB{run}")
+    for record in records[1:]:
+        print(f"{record['src']} against {records[0]['src']}, median of per-round ratios:")
+        for name, ratios in record["paired"].items():
+            print(f"  {name:16} " + "  ".join(
+                f"{key} {r['median_ratio']:.3f} ({r['lower']}/{r['rounds']} lower)"
+                for key, r in ratios.items()))
     for problem in problems:
         print(f"problem: {problem}", file=sys.stderr)
     return 1 if problems else 0

@@ -32,12 +32,12 @@ state, and two callers propagate with it:
   coefficient is the answer, shifted by d/r.  These run in integers, over
   one common denominator per slot, and the vacuum integers over the
   product of those denominators are the block, reduced once.
-  The slot data are coefficients of fixed series in w, each memoized by
-  the coefficient it is: the S-powers by Miller's power recurrence
-  (`_s_power_coefficient`), the slot's S-power product (`_slot_base`) and
-  the folded scalars (`_folded_scalar`).  A block at a larger b_max only
-  gathers them, so it reruns the wedge walk but no series arithmetic;
-  this route uses no TruncatedSeries at all.
+  The slot data are integers too (`_slot_frame`): a slot's S-power product
+  is the convolution of two integer rows of S-power coefficients, each
+  computed once by Miller's power recurrence (`_s_power_coefficient`, the
+  route's one Fraction step), and its folded scalars are factorial ratios
+  over one closed-form denominator.  An energy-0 slot applies the diagonal
+  as one atom, the tuple of its exponentials.  No TruncatedSeries is used.
 
 The block follows the paper's vacuum correlator <A_{mu_1} ... A_{mu_n}>:
 each A-operator is one sum over t, so each slot is one pass over the
@@ -168,74 +168,62 @@ def vacuum_expectation(ops: Sequence[EOpSpec], orders: Mapping[str, int]) -> Tru
     return result
 
 
-# -- A-operators -------------------------------------------------------------
-
-
-def inv_factorial(n: int) -> Fraction:
-    """1/n! with the convention that 1/n! = 0 for negative n."""
-    if n < 0:
-        return Fraction(0)
-    return Fraction(1, factorial(n))
+# -- A-operators: S-power rows and folded scalars, in integers -----------------
 
 
 @lru_cache(maxsize=None)
-def _folded_scalar(kind: HurwitzKind, r: int, mu: int, t: int, v: int) -> Fraction:
-    """The (t, v) scalar of one A-operator times the kind's per-entry prefactor.
+def _s_power_coefficient(p: int, n: int) -> Fraction:
+    """[w^n] S(w)^p for any integer p, by Miller's power recurrence.
 
-    Folding in the prefactor keeps it a finite factorial ratio (the bare
-    Pochhammer ratio is infinite for the strictly monotone kind at r = 1,
-    where the prefactor vanishes); it is 0 for t < -[mu] and, strictly
-    monotone, for v > mu - [mu].
-    """
-    nu = mu // r
-    if kind is HurwitzKind.MONOTONE:
-        top = mu + nu + v - 1
-        if top < 0:
-            return Fraction(0)
-        return Fraction(factorial(top), factorial(mu)) * inv_factorial(nu + t)
-    if kind is HurwitzKind.STRICT:
-        return (factorial(mu - 1) * inv_factorial(mu - nu - v)
-                * inv_factorial(nu + t))
-    return Fraction(mu) ** (nu + t - 1) * inv_factorial(nu + t)
-
-
-# -- S-power coefficients, memoized per coefficient, not per truncation order --
-
-
-@lru_cache(maxsize=None)
-def _s_power_coefficient(scale: int, p: int, n: int) -> Fraction:
-    """[w^n] S(scale * w)^p for any integer p, by Miller's power recurrence.
-
-    S(scale * w) = sum_k a_k w^k with a_0 = 1 and a_k = scale^k / (2^k (k+1)!)
-    for even k (0 for odd k), so g = S^p has g_0 = 1 and
-    n g_n = sum_{k=1}^{n} ((p + 1) k - n) a_k g_{n-k}.
+    S(w) = sum_k a_k w^k with a_0 = 1 and a_k = 1 / (2^k (k+1)!) for even k
+    (0 for odd k), so g = S^p has g_0 = 1 and
+    n g_n = sum_{k=1}^{n} ((p + 1) k - n) a_k g_{n-k}.  No scale is needed:
+    [w^n] S(s w)^p = s^n g_n.
     """
     if n == 0:
         return Fraction(1)
     if n % 2:  # S is even, so are its powers
         return Fraction(0)
-    acc = sum(((p + 1) * k - n) * Fraction(scale ** k, 2 ** k * factorial(k + 1))
-              * _s_power_coefficient(scale, p, n - k) for k in range(2, n + 1, 2))
-    return Fraction(acc, n)
+    return sum(Fraction((p + 1) * k - n, 2 ** k * factorial(k + 1)) * _s_power_coefficient(p, n - k)
+               for k in range(2, n + 1, 2)) / n
 
 
 @lru_cache(maxsize=None)
-def _slot_base(kind: HurwitzKind, r: int, mu: int, t: int, e: int) -> Fraction:
-    """[w^e] S(w)^p * S(r w)^(t + [mu]), the S-powers of one operator slot.
+def _s_power_row(p: int, order: int) -> Block:
+    """[w^0..w^order] S(w)^p as integers over their least common denominator."""
+    coeffs = [_s_power_coefficient(p, n) for n in range(order + 1)]
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
 
-    p is mu - 1 monotone, -mu - 1 strictly monotone and 0 usual, where
-    S(w)^0 = 1 leaves [w^e] S(r w)^(t + [mu]) alone.
+
+def _folded_scalars(kind: HurwitzKind, r: int, mu: int, t: int, low: int,
+                    k_budget: int) -> tuple[int, list[int]]:
+    """The (t, t + e) scalars of one A-operator times the kind's per-entry prefactor.
+
+    One integer per e in [low, k_budget] over one closed-form denominator,
+    with q = [mu] + t >= 0 and v = t + e:
+      monotone  (mu + q + e - 1)! / (mu! q!), 0 below 0!;
+      strict    (mu - 1)! / ((mu - q - e)! q!), 0 for v > mu - [mu], over
+                m! q! with m = mu - q - low, the factor m! / (mu - q - e)!
+                moving to the numerators;
+      usual     mu^(q - 1 + e) / q!, over q! mu^max(0, 2 - q).
+    Folding in the prefactor keeps each a finite factorial ratio (the bare
+    Pochhammer ratio is infinite for the strictly monotone kind at r = 1,
+    where the prefactor vanishes).
     """
-    p = {HurwitzKind.MONOTONE: mu - 1, HurwitzKind.STRICT: -mu - 1}.get(kind, 0)
-    q = t + mu // r
-    # the odd coefficients of S^p vanish
-    return sum((_s_power_coefficient(1, p, j) * _s_power_coefficient(r, q, e - j)
-                for j in range(0, e + 1, 2)), Fraction(0))
-
-
-def _inv_zeta_coefficients(order: int) -> list[Fraction]:
-    """[z^j] 1/zeta(z) for j = -1..order: 1/zeta(z) = z^-1 S(z)^-1."""
-    return [_s_power_coefficient(1, -1, j + 1) for j in range(-1, order + 1)]
+    q, es = mu // r + t, range(low, k_budget + 1)
+    if kind is HurwitzKind.MONOTONE:
+        return (factorial(mu) * factorial(q),
+                [factorial(mu + q + e - 1) if mu + q + e >= 1 else 0 for e in es])
+    if kind is HurwitzKind.STRICT:
+        m = mu - q - low
+        if m < 0:
+            return 1, [0] * len(es)
+        top = factorial(mu - 1) * factorial(m)
+        return (factorial(m) * factorial(q),
+                [top // factorial(m + low - e) if m + low >= e else 0 for e in es])
+    lift = max(0, 2 - q)
+    return factorial(q) * mu ** lift, [mu ** (q - 1 + e + lift) for e in es]
 
 
 # -- the block: u-polynomials per operator slot --------------------------------
@@ -249,9 +237,8 @@ def _inv_zeta_coefficients(order: int) -> list[Fraction]:
 
 @lru_cache(maxsize=None)
 def _atom_denominator(order: int) -> int:
-    """A common denominator of [z^j] of every atom, j <= order."""
-    return lcm(2 ** order * factorial(order),
-               *(c.denominator for c in _inv_zeta_coefficients(order)))
+    """A common denominator of [z^j] of every atom, j <= order; 1/zeta(z) = z^-1 S(z)^-1."""
+    return lcm(2 ** order * factorial(order), _s_power_row(-1, order + 1)[0])
 
 
 @lru_cache(maxsize=None)
@@ -263,8 +250,8 @@ def _atom_numerators(atom, order: int) -> tuple[tuple[int, int], ...]:
     """
     den = _atom_denominator(order)
     if atom is None:
-        return tuple((j, c.numerator * (den // c.denominator))
-                     for j, c in enumerate(_inv_zeta_coefficients(order), start=-1) if c)
+        zeta_den, nums = _s_power_row(-1, order + 1)
+        return tuple((j - 1, c * (den // zeta_den)) for j, c in enumerate(nums) if c)
     terms = ((j, atom ** j * (den // (2 ** j * factorial(j)))) for j in range(order + 1))
     return tuple((j, c) for j, c in terms if c)
 
@@ -274,33 +261,36 @@ def _slot_frame(kind: HurwitzKind, r: int, mu: int, t: int,
                 k_budget: int) -> tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]:
     """What one operator slot's u-polynomials share: (D, scales, base).
 
-    The slot's scalar at w^e is folded(t, t) * mu^e for the usual kind and
-    folded(t, t + e) otherwise (`_folded_scalar`), where e = -1 only at
-    zero energy; its S-powers are S(w)^p * S(r w)^(t + [mu]) (`_slot_base`).
-    D = L * A * B for L, A and B common denominators of the scalars, of the
-    atoms and of the S-powers; scales holds (e, scalar * L) for e in
-    [-1, k_budget] where the scalar is nonzero, and base the coefficients
-    [w^0..w^order] of the S-powers times B.  k_budget only says how many
-    memoized coefficients to gather over one denominator.  Empty scales
+    The slot's scalar at w^e is `_folded_scalars` at e, where e = -1 only at
+    zero energy or for the usual kind; its S-powers are
+    S(w)^p * S(r w)^(t + [mu]), p = mu - 1 monotone, -mu - 1 strictly
+    monotone and 0 usual, the convolution of two `_s_power_row`s, with
+    [w^n] S(r w)^q = r^n [w^n] S(w)^q.  D = L * A * B for L, A and B the
+    least common denominators of the scalars, of the atoms and of the
+    S-powers; scales holds (e, scalar * L) for e in [-1, k_budget] where the
+    scalar is nonzero, and base the coefficients [w^0..w^order] of the
+    S-powers times B.  All of it is integer arithmetic on memoized
+    coefficients, which k_budget only says how far to read.  Empty scales
     mean the t is dead: t < -[mu], or strictly monotone every v > mu - [mu].
     """
-    if kind is HurwitzKind.USUAL:
-        folded = _folded_scalar(kind, r, mu, t, t)
-        scalars = [(e, folded * Fraction(mu) ** e) for e in range(-1, k_budget + 1)]
-    else:
-        low = -1 if t * r == mu % r else 0
-        scalars = [(e, _folded_scalar(kind, r, mu, t, t + e))
-                   for e in range(low, k_budget + 1)]
-    scalars = [(e, c) for e, c in scalars if c]
-    if not scalars:
+    q = t + mu // r
+    low = -1 if kind is HurwitzKind.USUAL or t * r == mu % r else 0
+    if q < 0 or k_budget < low:
+        return 1, (), ()
+    table_den, nums = reduced_block(*_folded_scalars(kind, r, mu, t, low, k_budget))
+    scales = tuple((e, c) for e, c in enumerate(nums, start=low) if c)
+    if not scales:
         return 1, (), ()
     order = max(k_budget, 0) + 1
-    table_den = lcm(*(c.denominator for _, c in scalars))
-    base = [_slot_base(kind, r, mu, t, j) for j in range(order + 1)]
-    base_den = lcm(*(c.denominator for c in base))
-    return (table_den * _atom_denominator(order) * base_den,
-            tuple((e, c.numerator * (table_den // c.denominator)) for e, c in scalars),
-            tuple(c.numerator * (base_den // c.denominator) for c in base))
+    p = mu - 1 if kind is HurwitzKind.MONOTONE else -mu - 1 if kind is HurwitzKind.STRICT else 0
+    p_den, p_nums = _s_power_row(p, order)
+    q_den, q_nums = _s_power_row(q, order)
+    q_nums = [c * r ** n for n, c in enumerate(q_nums)]
+    # the zero coefficients of S^p, odd or of S^0 = 1, are skipped
+    p_terms = [(j, a) for j, a in enumerate(p_nums) if a]
+    base_den, base = reduced_block(p_den * q_den, [
+        sum(a * q_nums[e - j] for j, a in p_terms if j <= e) for e in range(order + 1)])
+    return table_den * _atom_denominator(order) * base_den, scales, base
 
 
 @lru_cache(maxsize=None)
@@ -310,8 +300,15 @@ def _slot_weight(kind: HurwitzKind, r: int, mu: int, t: int, k_budget: int,
 
     g[e] = scalar[e] * [w^e] atom(w) * S(w)^p * S(r w)^(t + [mu]) for e in
     [-1, k_budget]: the atom, the slot's S-powers and its scalars folded
-    into one functional, over the slot's denominator D of `_slot_frame`.
+    into one functional, over the slot's denominator D of `_slot_frame`; a
+    diagonal's tuple of (2c, sign) weighs the signed sum of their weights.
     """
+    if isinstance(atom, tuple):
+        summed: dict = {}
+        for c2, sign in atom:
+            for e, c in _slot_weight(kind, r, mu, t, k_budget, c2):
+                summed[e] = summed.get(e, 0) + sign * c
+        return tuple((e, c) for e, c in sorted(summed.items()) if c)
     _, scales, base = _slot_frame(kind, r, mu, t, k_budget)
     atom_num = _atom_numerators(atom, max(k_budget, 0) + 1)
     out = []
@@ -390,7 +387,10 @@ def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
             for t, energy, frame_den in live:
                 if 0 <= size - energy <= room:
                     factor = scale // frame_den
-                    for atom, sign, new in _transitions(lam, energy):
+                    terms = _transitions(lam, energy)
+                    if not energy and len(terms) > 1:  # one atom for the diagonal
+                        terms = ((tuple(term[:2] for term in terms[:-1]), 1, lam), terms[-1])
+                    for atom, sign, new in terms:
                         _poly_muladd(cap, merged.setdefault(new, {}), p,
                                      _slot_weight(kind, r, mu, t, k_budget, atom),
                                      sign * factor)

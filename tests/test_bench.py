@@ -94,3 +94,26 @@ def test_the_case_list():
     assert [(c["name"], len(c["requests"])) for c in cases if "requests" in c] == [
         ("route_agreement", 174), ("degree_sweep", 126), ("quasipoly", 54)]
     assert len({c["name"] for c in cases}) == 70
+
+
+def test_paired_rounds_take_each_round_against_the_first_tree():
+    # the host slows in round 2 for both trees; the ratio per round divides
+    # that out, where the medians per tree would not
+    base = trees.summarize("a", CASES, [clean_round(w) for w in (0.1, 0.3, 0.2)])[0]
+    other = trees.summarize("b", CASES, [clean_round(w) for w in (0.09, 0.27, 0.22)])[0]
+    paired = trees.paired_rounds(base, other)
+    assert {name: set(ratios) for name, ratios in paired.items()} == {
+        "import": {"cpu_s"}, "compute": {"cpu_s"}, "degree_sweep": {"cpu_s", "run_cpu_s"}}
+    for ratios in paired.values():
+        for ratio in ratios.values():
+            assert abs(ratio.pop("median_ratio") - 0.9) < 1e-9
+            assert ratio == {"lower": 2, "rounds": 3}
+
+
+def test_paired_rounds_leave_out_a_key_some_round_lacks():
+    failed = [run(), run(), run(exit=1, stderr="ZeroDivisionError: division by zero")]
+    base = trees.summarize("a", CASES, [clean_round(), clean_round()])[0]
+    other = trees.summarize("b", CASES, [clean_round(0.2), failed])[0]
+    paired = trees.paired_rounds(base, other)
+    assert "run_cpu_s" not in paired["degree_sweep"]
+    assert paired["compute"]["cpu_s"] == {"median_ratio": 1.5, "lower": 0, "rounds": 2}

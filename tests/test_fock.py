@@ -2,7 +2,7 @@ import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import factorial, lcm, prod
 
 import pytest
 
@@ -10,12 +10,10 @@ from hurwitz import fock
 from hurwitz.counts import connected_series_character, fock_shifted_coefficient, route_series
 from hurwitz.fock import (
     EOpSpec,
-    _folded_scalar,
     _slot_frame,
     _slot_weight,
     apply_E,
     disconnected_block_series,
-    inv_factorial,
     vacuum_expectation,
 )
 from hurwitz.kinds import ALL_KINDS, HurwitzKind as K
@@ -264,6 +262,130 @@ def test_transitions_are_border_strips():
     assert moves > 4000
 
 
+# -- the slot data in Fraction arithmetic, kept as the reference ---------------
+
+
+def inv_factorial(n):
+    """1/n! with the convention that 1/n! = 0 for negative n."""
+    if n < 0:
+        return Fraction(0)
+    return Fraction(1, factorial(n))
+
+
+@functools.lru_cache(maxsize=None)
+def folded_scalar(kind, r, mu, t, v):
+    """The (t, v) scalar of one A-operator times the kind's per-entry prefactor.
+
+    The reference for the scales of `fock._slot_frame`: 0 for t < -[mu] and,
+    strictly monotone, for v > mu - [mu].
+    """
+    nu = mu // r
+    if kind is K.MONOTONE:
+        top = mu + nu + v - 1
+        if top < 0:
+            return Fraction(0)
+        return Fraction(factorial(top), factorial(mu)) * inv_factorial(nu + t)
+    if kind is K.STRICT:
+        return factorial(mu - 1) * inv_factorial(mu - nu - v) * inv_factorial(nu + t)
+    return Fraction(mu) ** (nu + t - 1) * inv_factorial(nu + t)
+
+
+def slot_power(kind, mu):
+    """p of the slot's S(w)^p: mu - 1 monotone, -mu - 1 strictly monotone, 0 usual."""
+    return {K.MONOTONE: mu - 1, K.STRICT: -mu - 1, K.USUAL: 0}[kind]
+
+
+@functools.lru_cache(maxsize=None)
+def slot_base(kind, r, mu, t, e):
+    """[w^e] S(w)^p * S(r w)^(t + [mu]) as a Fraction sum over the S-power coefficients.
+
+    The reference for the base of `fock._slot_frame`.
+    """
+    p, q = slot_power(kind, mu), t + mu // r
+    return sum((fock._s_power_coefficient(p, j) * r ** (e - j)
+                * fock._s_power_coefficient(q, e - j) for j in range(0, e + 1, 2)), Fraction(0))
+
+
+@functools.lru_cache(maxsize=None)
+def atom_coefficient(atom, j):
+    """[z^j] of an atom, j >= -1.
+
+    e^{c z} for the integer 2c, 1/zeta(z) = z^-1 S(z)^-1 for None, or the
+    signed sum of the e^{c z} of a tuple of (2c, sign).
+    """
+    if atom is None:
+        return fock._s_power_coefficient(-1, j + 1)
+    if j < 0:
+        return Fraction(0)
+    signed = atom if isinstance(atom, tuple) else ((atom, 1),)
+    return sum(Fraction(sign * c2 ** j, 2 ** j * factorial(j)) for c2, sign in signed)
+
+
+def reference_scalars(kind, r, mu, t, k_budget):
+    """The slot's nonzero (e, folded scalar) by rising e, e in [-1, k_budget]."""
+    table = scalar_table(kind, r, mu, t, k_budget)
+    if kind is K.USUAL and table:
+        return [(e, table[None] * Fraction(mu) ** e) for e in range(-1, k_budget + 1)]
+    return sorted(table.items())
+
+
+def reference_slot_frame(kind, r, mu, t, k_budget):
+    """`fock._slot_frame` from the Fraction scalars and S-power sums.
+
+    Each over its least common denominator, and D their product with the
+    least common denominator of the atoms.
+    """
+    scalars = reference_scalars(kind, r, mu, t, k_budget)
+    if not scalars:
+        return 1, (), ()
+    order = max(k_budget, 0) + 1
+    table_den = lcm(*(c.denominator for _, c in scalars))
+    atom_den = lcm(2 ** order * factorial(order),
+                   *(atom_coefficient(None, j).denominator for j in range(-1, order + 1)))
+    base = [slot_base(kind, r, mu, t, j) for j in range(order + 1)]
+    base_den = lcm(*(c.denominator for c in base))
+    return (table_den * atom_den * base_den,
+            tuple((e, c.numerator * (table_den // c.denominator)) for e, c in scalars),
+            tuple(c.numerator * (base_den // c.denominator) for c in base))
+
+
+# an atom e^{c z} by 2c, 1/zeta, and two diagonals as (2c, sign) tuples:
+# that of (1) and that of (3, 1)
+REFERENCE_ATOMS = (None, -3, ((1, 1), (-1, -1)), ((5, 1), (-1, 1), (-3, -1)))
+
+
+def test_integer_slot_data_match_fraction_reference():
+    # every kind, r <= 4, mu <= 12, every t from the first dead one up,
+    # k_budget <= 12: the integer frame is the reference's, integer for
+    # integer; at k_budget = 12, every e <= 12, each weight over its D is the
+    # Fraction scalar[e] * [w^e] atom * S-powers
+    frames = weights = 0
+    for kind in ALL_KINDS:
+        for r in range(1, 5):
+            for mu in range(1, 13):
+                for t in range(-(mu // r) - 1, 13 // r + 2):
+                    for k_budget in range(-1, 13):
+                        frame = _slot_frame(kind, r, mu, t, k_budget)
+                        assert frame == reference_slot_frame(kind, r, mu, t, k_budget), \
+                            (kind, r, mu, t, k_budget)
+                        frames += bool(frame[1])
+                        if not frame[1] or k_budget != 12:
+                            continue
+                        base = [slot_base(kind, r, mu, t, e) for e in range(k_budget + 2)]
+                        for atom in REFERENCE_ATOMS:
+                            want = []
+                            for e, scalar in reference_scalars(kind, r, mu, t, k_budget):
+                                c = scalar * sum(atom_coefficient(atom, j) * base[e - j]
+                                                 for j in range(-1, e + 1))
+                                if c:
+                                    want.append((e, c))
+                            got = [(e, Fraction(c, frame[0]))
+                                   for e, c in _slot_weight(kind, r, mu, t, k_budget, atom)]
+                            assert got == want, (kind, r, mu, t, k_budget, atom)
+                            weights += 1
+    assert frames > 15000 and weights > 5000
+
+
 def scale_exponents(kind, r, mu, t, k_budget):
     """The exponents e = v - t at which the slot frame keeps a nonzero scalar."""
     return [e for e, _ in _slot_frame(kind, r, mu, t, k_budget)[1]]
@@ -274,7 +396,7 @@ def test_a_operator_terms_monotone_01():
     live = {t: _slot_frame(K.MONOTONE, 2, 2, t, -1)[1] for t in range(-4, 5)}
     assert {t: scales for t, scales in live.items() if scales} == {0: ((-1, 1),)}
     # folded scalar: ([mu]+mu+1)_{-2} = 1/(3*2) times binom(3,2)
-    assert _folded_scalar(K.MONOTONE, 2, 2, 0, -1) == Fraction(1, 2)
+    assert folded_scalar(K.MONOTONE, 2, 2, 0, -1) == Fraction(1, 2)
 
 
 def test_a_operator_terms_cuts():
@@ -401,24 +523,27 @@ def s_power(var, scale_num, scale_den, exponent, order):
 
 
 def test_s_power_recurrence_matches_series_powers():
+    # one memo for every scale: [w^n] S(s w)^p = s^n [w^n] S(w)^p
     for scale in (1, 2, 3, 4):
         for p in range(-9, 10):
             powers = s_power("w", scale, 1, p, 14)
             for n in range(15):
-                assert fock._s_power_coefficient(scale, p, n) == powers.coefficient(w=n), \
+                assert scale ** n * fock._s_power_coefficient(p, n) == powers.coefficient(w=n), \
                     (scale, p, n)
 
 
 def test_usual_slot_base_is_the_bare_s_power():
-    # S(w)^0 = 1, so the usual kind's p = 0 in `_slot_base` leaves
-    # [w^e] S(r w)^(t + [mu]), the usual slot's S-powers on their own
-    assert [fock._s_power_coefficient(1, 0, j) for j in range(24)] == [1] + [0] * 23
+    # S(w)^0 = 1, so the usual kind's slot base is [w^e] S(r w)^(t + [mu])
+    # alone, over the least denominator of those coefficients
+    assert fock._s_power_row(0, 23) == (1, (1,) + (0,) * 23)
     for r in range(1, 5):
         for mu in range(1, 13):
             for t in range(-(mu // r), 4):
-                for e in range(12):
-                    assert fock._slot_base(K.USUAL, r, mu, t, e) == \
-                        fock._s_power_coefficient(r, t + mu // r, e), (r, mu, t, e)
+                _, scales, base = _slot_frame(K.USUAL, r, mu, t, 10)
+                assert scales, (r, mu, t)
+                bare = [r ** e * fock._s_power_coefficient(t + mu // r, e) for e in range(12)]
+                assert [Fraction(c, lcm(*(b.denominator for b in bare))) for c in base] == bare, \
+                    (r, mu, t)
 
 
 @functools.lru_cache(maxsize=None)
@@ -433,12 +558,12 @@ def scalar_table(kind, r, mu, t, k_hi):
         return {}
     if kind is K.USUAL:
         # no v-sum: the scalar is attached to the operator, any k admissible
-        return {None: _folded_scalar(kind, r, mu, t, t)}
+        return {None: folded_scalar(kind, r, mu, t, t)}
     table = {}
     for k in range(-1, k_hi + 1):
         if k == -1 and energy != 0:
             continue
-        folded = _folded_scalar(kind, r, mu, t, t + k)
+        folded = folded_scalar(kind, r, mu, t, t + k)
         if folded:
             table[k] = folded
     return table
@@ -543,11 +668,13 @@ def test_slot_weight_folds_atom_s_powers_and_table():
                    s_power("w", r, 1, t + mu // r, order))
         # an atom of e^{c w} is the integer 2c; the diagonal eigenvalue
         # e^{w/2} - e^{-w/2} of (1) weighs, by linearity, the difference of
-        # the weights of its two atoms
+        # the weights of its two atoms, and so does the one atom the block
+        # folds them into, the tuple of their (2c, sign)
+        zeta = elementary_series("zeta", "w", order)
         for atoms, series in [({3: 1}, exp_series("w", Fraction(3, 2), order)),
                               ({-1: 1}, exp_series("w", Fraction(-1, 2), order)),
                               ({None: 1}, elementary_series("inv_zeta", "w", order)),
-                              ({1: 1, -1: -1}, elementary_series("zeta", "w", order))]:
+                              ({1: 1, -1: -1}, zeta), ({((1, 1), (-1, -1)): 1}, zeta)]:
             folded = mul(series, rest)
             want = []
             for e in range(-1, k_budget + 1):
@@ -591,15 +718,17 @@ def test_fock_matches_character_past_five_parts(r, mus, b_max):
 
 
 SLOT_CACHES = (fock.disconnected_block_series, fock._slot_frame, fock._slot_weight,
-               fock._slot_base, fock._s_power_coefficient, fock._folded_scalar)
+               fock._atom_numerators, fock._atom_denominator, fock._s_power_row,
+               fock._s_power_coefficient)
 
 
 @pytest.mark.parametrize("r, mus", [(1, (3, 2, 1)), (2, (4, 2)), (3, (3, 3))])
 def test_rising_b_max_computes_each_slot_coefficient_once(r, mus):
-    # a block at a larger b_max reuses the S-power coefficients and folded
-    # scalars of every smaller one: b = 0..8 one at a time computes exactly
-    # what b = 8 alone does, each coefficient once
-    memos = (fock._s_power_coefficient, fock._slot_base, fock._folded_scalar)
+    # a block at a larger b_max reuses the S-power coefficients of every
+    # smaller one, and the memos keyed by order only gather them: b = 0..8
+    # one at a time computes exactly the coefficients b = 8 alone does, each
+    # once
+    memos = (fock._s_power_coefficient,)
     for kind in ALL_KINDS:
         for cache in SLOT_CACHES:
             cache.cache_clear()
