@@ -7,7 +7,7 @@ Usage, from the repository root:
 Every case runs as one fresh `python -s` process per tree and round, with
 PYTHONPATH set to the tree, PYTHONHASHSEED=0 and PYTHONDONTWRITEBYTECODE=1
 (so it compiles what it imports), the trees' order rotating by round.  The
-70 cases, in order, by group:
+76 cases, in order, by group:
 
     import           `import hurwitz, hurwitz.cli`
     each command     the 66 calls of `perfbench/workloads.py`'s
@@ -18,8 +18,12 @@ PYTHONPATH set to the tree, PYTHONHASHSEED=0 and PYTHONDONTWRITEBYTECODE=1
     degree_sweep     all 126 connected character series through genus 1
     quasipoly        `verify_quasipolynomiality` on the first residue class
                      of each orbit (54 requests)
+    frontier         six cases, one per verifier tensor grid with residues
+                     0: (g,n) = (2,3) at r = 3 for every kind, monotone
+                     (1,4) and (3,3) at r = 3, and usual (2,3) at r = 4;
+                     each point's connected number on the fock route
 
-A library case (the last three) reads its requests on stdin, prints the
+A library case (the last nine) reads its requests on stdin, prints the
 answer count and a SHA-256 over every answer on stdout, and the CPU and
 wall time of its requests alone as JSON on stderr.
 
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -65,11 +70,15 @@ from workloads import (ROUTE_B_MAX, cli_population, quasipoly_population,  # noq
 ENV = {"PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1"}
 TIMES = ("wall_s", "cpu_s", "run_cpu_s", "run_wall_s")
 PAIRED = ("cpu_s", "run_cpu_s")
+# (kind, r, g, n) of each frontier case
+FRONTIER = [("monotone", 3, 2, 3), ("strict", 3, 2, 3), ("usual", 3, 2, 3),
+            ("monotone", 3, 1, 4), ("monotone", 3, 3, 3), ("usual", 4, 2, 3)]
 
 CHILD = r'''
 import hashlib, json, sys, time
-from hurwitz.counts import (connected_series_character, disconnected_series_character,
-                            fock_shifted_coefficient, oracle_group_algebra)
+from hurwitz.counts import (HurwitzRequest, connected_series_character,
+                            disconnected_series_character, fock_shifted_coefficient,
+                            hurwitz_number, oracle_group_algebra)
 from hurwitz.kinds import HurwitzKind
 from hurwitz.polycheck import verify_quasipolynomiality
 
@@ -90,7 +99,10 @@ def sweep(kind, r, mus, order):
 def quasipoly(kind, r, g, n, eta):
     return verify_quasipolynomiality(HurwitzKind.parse(kind), r, g, n, eta).to_json()
 
-runners = {"route": route, "sweep": sweep, "quasipoly": quasipoly}
+def fock(kind, r, g, mus):
+    return str(hurwitz_number(HurwitzRequest(HurwitzKind.parse(kind), r, g, mus, method="fock")))
+
+runners = {"route": route, "sweep": sweep, "quasipoly": quasipoly, "fock": fock}
 answers = []
 cpu, wall = time.process_time(), time.perf_counter()
 for request in job["requests"]:
@@ -120,6 +132,13 @@ def cases() -> list:
                            ("quasipoly", list(orbits.values()))):
         found.append({"group": name, "name": name, "argv": ["-c", CHILD],
                       "requests": requests})
+    for kind, r, g, n in FRONTIER:
+        # the verifier's tensor grid: nu from 1 to 3g - 2 + n per axis, mu = r nu
+        grid = itertools.product(range(1, 3 * g - 1 + n), repeat=n)
+        found.append({"group": "frontier", "name": f"frontier {kind} r={r} (g,n)=({g},{n})",
+                      "argv": ["-c", CHILD],
+                      "requests": [["fock", kind, r, g, [r * nu for nu in point]]
+                                   for point in grid]})
     return found
 
 

@@ -26,13 +26,15 @@ W_lam'[b] = (-1)^b W_lam[b].
 With eps = sgn((r^m)) sgn(mu), a pair adds (1 + eps (-1)^b) times lam's
 term, twice it or nothing, and a self-conjugate lam its term once, at the
 same b only: its chi chi needs eps = 1, and its W_lam[b] vanishes at odd b.
-Like the fock route it is an lru_cache on the route contract (kind, r,
-sorted profile, b_max).
+When r does not divide d the two supports are of sizes r * (d // r) and d,
+so they never meet and the block is zero.  Like the fock route it is an
+lru_cache on the route contract (kind, r, sorted profile, b_max).
 
 The oracle (`oracle_series`, degree <= 6) multiplies the orbifold class sum
 against symmetric polynomials in the Jucys-Murphy elements inside Z[S_d] and
 reads off the coefficient of one fixed permutation of cycle type mu, with one
-integer sum per b and one `_over_norm`.  Those polynomials are central in
+integer sum per b and one `_over_norm`; the class is empty, and the block
+zero, when r does not divide d.  Those polynomials are central in
 Z[S_k] (Jucys; Murphy), so each is held as a class function (`_phi`), its
 value on a class computed at one permutation of it, and the sum runs over
 the classes of the products, each with its count; the tests keep the full
@@ -117,8 +119,6 @@ def _weight_coeffs(kind: HurwitzKind, lam: tuple[int, ...], order: int) -> list[
 def _partition_sum(kind: HurwitzKind, r: int, rho: tuple[int, ...], order: int) -> Block:
     """The block of h_0..h_order of the character route at the sorted profile rho."""
     d = sum(rho)
-    if d % r != 0:
-        return 1, (0,) * (order + 1)
     m = d // r
     chars = active_cache()
     small, other = sorted((chars.at((r,) * m), chars.at(rho)), key=len)
@@ -129,7 +129,8 @@ def _partition_sum(kind: HurwitzKind, r: int, rho: tuple[int, ...], order: int) 
     # a self-conjugate lam its term once, nonzero only at those b (see above)
     parity = (d - m + d - len(rho)) % 2
     for lam, chi in small.items():
-        if lam[0] < len(lam):
+        chi *= other.get(lam, 0)
+        if not chi or lam[0] < len(lam):
             continue
         weight = 2
         if lam[0] == len(lam):
@@ -137,9 +138,7 @@ def _partition_sum(kind: HurwitzKind, r: int, rho: tuple[int, ...], order: int) 
             if lam < conj:
                 continue
             weight = 1 + (lam != conj)
-        chi *= other.get(lam, 0) * weight
-        if not chi:
-            continue
+        chi *= weight
         w = _weight_coeffs(kind, lam, order)
         for b in range(parity, order + 1, 2):
             acc[b] += chi * w[b]
@@ -314,8 +313,6 @@ def oracle_series(kind: HurwitzKind, r: int, mus: tuple[int, ...], b_max: int) -
     d = sum(mus)
     if d > ORACLE_DEGREE_CAP:
         raise DegreeCapError(f"the oracle is capped at degree {ORACLE_DEGREE_CAP}, got {d}")
-    if d % r != 0:
-        return 1, (0,) * (b_max + 1)
     classes = _oracle_classes(r, mus)
     acc = []
     for b in range(b_max + 1):

@@ -36,8 +36,7 @@ state, and two callers propagate with it:
   is the convolution of two integer rows of S-power coefficients, each
   computed once by Miller's power recurrence (`_s_power_coefficient`, the
   route's one Fraction step), and its folded scalars are factorial ratios
-  over one closed-form denominator.  An energy-0 slot applies the diagonal
-  as one atom, the tuple of its exponentials.  No TruncatedSeries is used.
+  over one closed-form denominator.  No TruncatedSeries is used.
 
 The block follows the paper's vacuum correlator <A_{mu_1} ... A_{mu_n}>:
 each A-operator is one sum over t, so each slot is one pass over the
@@ -300,15 +299,8 @@ def _slot_weight(kind: HurwitzKind, r: int, mu: int, t: int, k_budget: int,
 
     g[e] = scalar[e] * [w^e] atom(w) * S(w)^p * S(r w)^(t + [mu]) for e in
     [-1, k_budget]: the atom, the slot's S-powers and its scalars folded
-    into one functional, over the slot's denominator D of `_slot_frame`; a
-    diagonal's tuple of (2c, sign) weighs the signed sum of their weights.
+    into one functional, over the slot's denominator D of `_slot_frame`.
     """
-    if isinstance(atom, tuple):
-        summed: dict = {}
-        for c2, sign in atom:
-            for e, c in _slot_weight(kind, r, mu, t, k_budget, c2):
-                summed[e] = summed.get(e, 0) + sign * c
-        return tuple((e, c) for e, c in sorted(summed.items()) if c)
     _, scales, base = _slot_frame(kind, r, mu, t, k_budget)
     atom_num = _atom_numerators(atom, max(k_budget, 0) + 1)
     out = []
@@ -344,7 +336,8 @@ def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
     k = 2g - 2 + len(mus); with the per-entry binomial/power prefactors
     folded into the term scalars, its [u^k] is the disconnected Hurwitz
     number h_b at b = k + d/r.  Every k is at least -len(mus), so the series
-    is zero when r does not divide d or when b_max - d/r < -len(mus).
+    is zero when b_max - d/r < -len(mus), and when r does not divide d: the
+    slots' energies then sum to -d != 0 mod r, so no walk reaches the vacuum.
 
     The A-operators act on one shared state from the right, each once, in
     one pass over the states: slot j applies E_{t r - <mu_j>} for each of
@@ -361,7 +354,7 @@ def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
     n, d = len(mus), sum(mus)
     shift = d // r
     k_hi = b_max - shift
-    if d % r or k_hi < -n:
+    if k_hi < -n:
         return 1, (0,) * (b_max + 1)
     # a slot's exponent is at most k_hi plus one per other slot
     k_budget = k_hi + (n - 1)
@@ -387,10 +380,7 @@ def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
             for t, energy, frame_den in live:
                 if 0 <= size - energy <= room:
                     factor = scale // frame_den
-                    terms = _transitions(lam, energy)
-                    if not energy and len(terms) > 1:  # one atom for the diagonal
-                        terms = ((tuple(term[:2] for term in terms[:-1]), 1, lam), terms[-1])
-                    for atom, sign, new in terms:
+                    for atom, sign, new in _transitions(lam, energy):
                         _poly_muladd(cap, merged.setdefault(new, {}), p,
                                      _slot_weight(kind, r, mu, t, k_budget, atom),
                                      sign * factor)

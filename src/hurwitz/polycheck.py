@@ -37,21 +37,17 @@ class QuasiPolyReport:
     """One residue class's verdict; the verifier fills it in as it runs.
 
     grid holds (point, normalized value) pairs and holdouts (point,
-    expected, predicted, ok) tuples, each a new list unless one is given.
+    expected, predicted, ok) tuples.
     """
 
     def __init__(self, kind: HurwitzKind, r: int, g: int, n: int,
-                 residues: tuple[int, ...], degree_bound: int, passed: bool,
-                 trivial: bool = False, reason: str | None = None,
-                 polynomial: MultiPolynomial | None = None,
-                 observed_degree: int | None = None, grid: list | None = None,
-                 holdouts: list | None = None):
+                 residues: tuple[int, ...], degree_bound: int, passed: bool):
         self.kind, self.r, self.g, self.n = kind, r, g, n
         self.residues, self.degree_bound, self.passed = residues, degree_bound, passed
-        self.trivial, self.reason = trivial, reason
-        self.polynomial, self.observed_degree = polynomial, observed_degree
-        self.grid = [] if grid is None else grid
-        self.holdouts = [] if holdouts is None else holdouts
+        self.trivial, self.reason = False, None
+        self.polynomial: MultiPolynomial | None = None
+        self.observed_degree: int | None = None
+        self.grid, self.holdouts = [], []
 
     def to_json(self) -> dict:
         return {

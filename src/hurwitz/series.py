@@ -58,9 +58,6 @@ class TruncatedSeries:
 
     # -- inspection --------------------------------------------------------
 
-    def order_of(self, var: str) -> int | None:
-        return self.orders.get(var)
-
     def valuation(self, var: str) -> int:
         """Lowest exponent of var present (0 if the series does not involve it).
 

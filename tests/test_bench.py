@@ -85,15 +85,28 @@ def test_stdout_that_differs_between_trees_names_the_case():
 
 def test_the_case_list():
     cases = trees.cases()
-    assert len(cases) == 70
+    assert len(cases) == 76
     assert [c["name"] for c in cases if c["group"] == "import"] == ["import"]
     calls = [c for c in cases if c["argv"][:2] == ["-m", "hurwitz.cli"]]
     assert len(calls) == 66 and all(c["group"] == c["argv"][2] for c in calls)
     assert Counter(c["group"] for c in calls) == {
         "compute": 18, "series": 12, "xi": 12, "verify-quasipoly": 12, "unstable-check": 12}
     assert [(c["name"], len(c["requests"])) for c in cases if "requests" in c] == [
-        ("route_agreement", 174), ("degree_sweep", 126), ("quasipoly", 54)]
-    assert len({c["name"] for c in cases}) == 70
+        ("route_agreement", 174), ("degree_sweep", 126), ("quasipoly", 54),
+        ("frontier monotone r=3 (g,n)=(2,3)", 343), ("frontier strict r=3 (g,n)=(2,3)", 343),
+        ("frontier usual r=3 (g,n)=(2,3)", 343), ("frontier monotone r=3 (g,n)=(1,4)", 625),
+        ("frontier monotone r=3 (g,n)=(3,3)", 1000), ("frontier usual r=4 (g,n)=(2,3)", 343)]
+    # each frontier case is one verifier tensor grid with residues 0, on fock:
+    # (3g - 2 + n)^n distinct profiles, every part a positive multiple of r
+    for case in cases[-6:]:
+        head, profiles = case["requests"][0][:4], [req[4] for req in case["requests"]]
+        assert case["group"] == "frontier" and head[0] == "fock"
+        assert all(req[:4] == head for req in case["requests"])
+        r, g, n = head[2], head[3], len(profiles[0])
+        assert len({tuple(mus) for mus in profiles}) == (3 * g - 2 + n) ** n
+        assert all(len(mus) == n and min(mus) >= r and all(mu % r == 0 for mu in mus)
+                   for mus in profiles)
+    assert len({c["name"] for c in cases}) == 76
 
 
 def test_paired_rounds_take_each_round_against_the_first_tree():

@@ -46,7 +46,7 @@ def test_differentiate():
     d = differentiate(s, "x")
     assert d.coefficient(x=1) == 6
     assert d.coefficient(x=4) == Fraction(5, 2)
-    assert d.order_of("x") == 5
+    assert d.orders.get("x") == 5
 
 
 def _apply_d_dx(kind, series):
