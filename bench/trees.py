@@ -29,17 +29,18 @@ wall time of its requests alone as JSON on stderr.
 
 Per case the record holds the exit codes, the median wall time and child
 CPU (user + system, from os.wait4), the largest peak RSS, the stdout
-SHA-256 and, for a library case, the medians of its requests' own times;
+SHA-256, for a library case the medians of its requests' own times, and
+its CPU times in every round;
 per group the sums of those medians, the largest RSS and the group's totals
 in every round; per tree its path, git sha, dirty flag and a SHA-256 over
 its `hurwitz/*.py`; and the Python version, CPU count, rounds and env.
 
-Each tree after the first also gets, per group, the median over rounds of
-its ratio to the first tree in the same round, for `cpu_s` and `run_cpu_s`,
-and the number of rounds in which it was lower (`paired`).  The trees of one
-round run back to back, so a ratio divides out most of the host's drift
-between rounds, which moved the group medians of two identical trees apart
-by up to 38% in BENCH_29.json.
+Each tree after the first also gets, per group (`paired`) and per case
+(`paired_cases`), the median over rounds of its ratio to the first tree in
+the same round, for `cpu_s` and `run_cpu_s`, and the number of rounds in
+which it was lower.  The trees of one round run back to back, so a ratio
+divides out most of the host's drift between rounds, which moved the group
+medians of two identical trees apart by up to 38% in BENCH_29.json.
 
 Exits 1 when a case exits nonzero (the problem carries its last stderr
 line), when a case's stdout differs between rounds, or when two trees'
@@ -198,7 +199,8 @@ def summarize(src, work: list, rounds: list) -> tuple[dict, list]:
         entry = {"group": case["group"], "name": case["name"], "exit": codes,
                  **{key: statistics.median(run[key] for run in runs) for key in keys},
                  "peak_rss_mb": max(run["peak_rss_mb"] for run in runs),
-                 "stdout_sha256": digests[0]}
+                 "stdout_sha256": digests[0],
+                 "rounds": [{key: run[key] for key in PAIRED if key in run} for run in runs]}
         if "requests" in case:
             entry["requests"] = len(case["requests"])
             entry.update({key: runs[0][key] for key in ("answers", "sha256") if key in runs[0]})
@@ -222,6 +224,17 @@ def compare_trees(records: list) -> list:
             if mine["stdout_sha256"] != theirs["stdout_sha256"]]
 
 
+def _paired(mine: list, theirs: list) -> dict:
+    """Per PAIRED key every round holds: the median of mine/theirs by round, and rounds lower."""
+    paired = {}
+    for key in PAIRED:
+        if all(key in run for run in mine + theirs):
+            ratios = [m[key] / t[key] for m, t in zip(mine, theirs)]
+            paired[key] = {"median_ratio": statistics.median(ratios),
+                           "lower": sum(ratio < 1 for ratio in ratios), "rounds": len(ratios)}
+    return paired
+
+
 def paired_rounds(base: dict, record: dict) -> dict:
     """Per group and PAIRED key, record's median ratio to base over rounds run side by side.
 
@@ -229,16 +242,14 @@ def paired_rounds(base: dict, record: dict) -> dict:
     `lower` counts the rounds whose ratio is below 1.  A key some round
     lacks (a failed case) is left out.
     """
-    paired = {}
-    for name, group in record["groups"].items():
-        mine, theirs = group["rounds"], base["groups"][name]["rounds"]
-        for key in PAIRED:
-            if all(key in run for run in mine + theirs):
-                ratios = [m[key] / t[key] for m, t in zip(mine, theirs)]
-                paired.setdefault(name, {})[key] = {
-                    "median_ratio": statistics.median(ratios),
-                    "lower": sum(ratio < 1 for ratio in ratios), "rounds": len(ratios)}
-    return paired
+    return {name: paired for name, group in record["groups"].items()
+            if (paired := _paired(group["rounds"], base["groups"][name]["rounds"]))}
+
+
+def paired_cases(base: dict, record: dict) -> dict:
+    """`paired_rounds` per case, by name: a case's own time in round k against base's."""
+    return {mine["name"]: paired for theirs, mine in zip(base["cases"], record["cases"])
+            if (paired := _paired(mine["rounds"], theirs["rounds"]))}
 
 
 def main(argv=None) -> int:
@@ -269,6 +280,7 @@ def main(argv=None) -> int:
     problems += compare_trees(records)
     for record in records[1:]:
         record["paired"] = paired_rounds(records[0], record)
+        record["paired_cases"] = paired_cases(records[0], record)
     result = {"python": platform.python_version(), "nproc": os.cpu_count(),
               "rounds": args.rounds, "cases": len(work), "env": ENV,
               "trees": records, "problems": problems}
@@ -281,7 +293,10 @@ def main(argv=None) -> int:
                   f"{group['cpu_s']:.3f} s cpu  {group['peak_rss_mb']:.1f} MB{run}")
     for record in records[1:]:
         print(f"{record['src']} against {records[0]['src']}, median of per-round ratios:")
-        for name, ratios in record["paired"].items():
+        # every group, then each library case of a group of several
+        library = {name: ratios for name, ratios in record["paired_cases"].items()
+                   if "run_cpu_s" in ratios and name not in record["paired"]}
+        for name, ratios in [*record["paired"].items(), *library.items()]:
             print(f"  {name:16} " + "  ".join(
                 f"{key} {r['median_ratio']:.3f} ({r['lower']}/{r['rounds']} lower)"
                 for key, r in ratios.items()))

@@ -48,7 +48,11 @@ one inclusion-exclusion in integers, shared by all routes.  It answers
 zeros when r does not divide |mu|; otherwise every cover of mu has
 b = |mu|/r + len(mu) mod 2, so it asks each block only through the last b
 of that block's parity that the answer reads, and b_max = 2k and 2k + 1
-share one block build.  A Fraction is made only where a number is read:
+share one block build.  The answer through that last b is memoized
+(`_answer`) on the route function itself, kind, r, sorted profile, top b
+and connectedness, so they share one inclusion-exclusion too, a rebound
+route is asked afresh, and only the zero padding to b_max is made per
+call.  A Fraction is made only where a number is read:
 `route_series` turns a whole answer into Fractions, and `hurwitz_number`,
 `oracle_group_algebra` and `fock_shifted_coefficient` each the one b they
 read.  The verifiers and the CLI reach the routes only through these.
@@ -375,7 +379,8 @@ def _route_block(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
     and is at least max(0, a_P), a_P = |P|/r - len(P), so their sum has R's
     parity and is at least max(0, sum a_P).  So N's block stops at
     b_N = top - v(R), which has N's parity, and the requests at b_max = 2k
-    and 2k + 1 are one cache entry of the route.  M's own block always
+    and 2k + 1 are one cache entry of the route, and one of `_answer`, so
+    they share the inclusion-exclusion too.  M's own block always
     reaches its route when r divides |M|, so the oracle's degree cap is
     never skipped.  A proper N is zero, returned as (1, ()), without asking
     its route when r does not divide |N| or when b_N < v(N).  When every part
@@ -400,6 +405,21 @@ def _route_block(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
     top = b_max
     if (b_max - d // r - n) % 2:
         top = max(0, b_max - 1)
+    den, nums = _answer(block, kind, r, mus, top, connected)
+    return den, nums + (0,) * (b_max - top)
+
+
+@lru_cache(maxsize=None)
+def _answer(block, kind: HurwitzKind, r: int, mus: tuple[int, ...], top: int,
+            connected: bool) -> Block:
+    """The (dis)connected block of mus through top, from the route function block.
+
+    The memo behind `_route_block`, keyed on the route function itself, so
+    a rebound route is asked again, and on top, so b_max = 2k and 2k + 1
+    share one inclusion-exclusion as they share one block build.  r must
+    divide |mus| and mus be sorted decreasingly.
+    """
+    d, n = sum(mus), len(mus)
 
     # v(X) of a sub-multiset X of mus, given |X| and len(X)
     def least_b(size: int, parts: int) -> int:
@@ -417,8 +437,7 @@ def _route_block(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
             return _ZERO_BLOCK
         return block(kind, r, sub, b_sub)
 
-    den, nums = connected_from_subprofiles(mus, disconnected) if connected else disconnected(mus)
-    return den, nums + (0,) * (b_max - top)
+    return connected_from_subprofiles(mus, disconnected) if connected else disconnected(mus)
 
 
 def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],

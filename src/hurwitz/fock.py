@@ -42,7 +42,11 @@ The block follows the paper's vacuum correlator <A_{mu_1} ... A_{mu_n}>:
 each A-operator is one sum over t, so each slot is one pass over the
 states, applying all its live t to each, and the sum over t-tuples is
 never written out.  A state is moved only while the slots still to apply
-can bring it back to the vacuum.
+can bring it back to the vacuum: to a size their energies can remove, and
+to a Frobenius rank (the occupied slots m >= 1, `_rank`) of at most their
+number, since one move changes the rank by one at most and the vacuum has
+rank 0.  `_transitions` leaves out the moves that would break the rank
+rule, so they are never built.
 A nonzero vacuum term below b = 0 raises instead of being dropped.
 Connected series are taken from these in `counts._route_block`.
 """
@@ -81,7 +85,7 @@ class EOpSpec(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _transitions(lam: Partition, energy: int) -> tuple:
+def _transitions(lam: Partition, energy: int, rise: int = 1) -> tuple:
     """(atom, sign, new state) for every term of E_energy acting on v_lam.
 
     An atom is the integer 2c for e^{c z}, or None for the scalar 1/zeta(z).
@@ -92,7 +96,14 @@ def _transitions(lam: Partition, energy: int) -> tuple:
     At energy 0 the diagonal eigenvalue is one term per exponential, +e^{c z}
     for each occupied m >= 1 and -e^{c z} for each empty m <= 0, with 2c =
     2m - 1, followed by 1/zeta.
+
+    A term whose new state's Frobenius rank (`_rank`) exceeds lam's by more
+    than rise is left out.  A move changes the rank by one at most: it
+    rises for an empty m <= 0 moving to m - energy >= 1, falls for an
+    occupied m >= 1 moving to m - energy <= 0, and the diagonal keeps it.
     """
+    if rise < 0 and not energy:
+        return ()
     beta = [part - i for i, part in enumerate(lam + (0,) * (abs(energy) + 1))]
     if not energy:
         out = [(2 * m - 1, 1, lam) for m in beta if m >= 1]
@@ -102,6 +113,8 @@ def _transitions(lam: Partition, energy: int) -> tuple:
     for i, m in enumerate(beta):
         target = m - energy
         if target in beta or target <= -len(beta):  # occupied, or in the sea
+            continue
+        if (target >= 1) - (m >= 1) > rise:
             continue
         new = sorted(beta[:i] + beta[i + 1:] + [target], reverse=True)
         out.append((2 * m - 1 - energy, (-1) ** abs(i - new.index(target)),
@@ -328,34 +341,19 @@ def _poly_muladd(cap: int, acc: dict, a: dict, b: tuple, factor: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
-                              b_max: int) -> Block:
-    """The block of the fock route's disconnected h_0..h_{b_max}.
+def _rank(lam: Partition) -> int:
+    """The Frobenius rank of lam, its Durfee size: the occupied slots m >= 1."""
+    return sum(1 for i, part in enumerate(lam) if part > i)
 
-    The A-operator correlator <A_{mu_1} ... A_{mu_n}> is graded by
-    k = 2g - 2 + len(mus); with the per-entry binomial/power prefactors
-    folded into the term scalars, its [u^k] is the disconnected Hurwitz
-    number h_b at b = k + d/r.  Every k is at least -len(mus), so the series
-    is zero when b_max - d/r < -len(mus), and when r does not divide d: the
-    slots' energies then sum to -d != 0 mod r, so no walk reaches the vacuum.
 
-    The A-operators act on one shared state from the right, each once, in
-    one pass over the states: slot j applies E_{t r - <mu_j>} for each of
-    its live t to every state, each move multiplying by that t's
-    `_slot_weight`, and adds all moves into one result over the slot's
-    common denominator, the lcm of its live t's.  Energy t r - <mu_j> is at
-    most d - mu_j, and a t is live when it moves some state to a size in
-    [0, room], room the most energy slots 0..j-1 can still remove; a state
-    is moved only to such a size.  The vacuum coefficients over the product
-    of the slots' denominators are the block, reduced once.  A state keeps
-    total degree k_hi plus one per slot still to apply that can have
-    energy 0 (each can lower the degree by one through 1/zeta).
+def _walk(kind: HurwitzKind, r: int, mus: tuple[int, ...], k_hi: int):
+    """The wedge walk of `disconnected_block_series`: (j, den, state) after each slot j.
+
+    Slots run from n - 1 down to 0, and the walk stops after a slot that
+    leaves no state.  A state maps each partition to its u-polynomial, as
+    integers over den, the product of the slots' denominators so far.
     """
     n, d = len(mus), sum(mus)
-    shift = d // r
-    k_hi = b_max - shift
-    if k_hi < -n:
-        return 1, (0,) * (b_max + 1)
     # a slot's exponent is at most k_hi plus one per other slot
     k_budget = k_hi + (n - 1)
     room = sum(d - mu for mu in mus)
@@ -377,17 +375,55 @@ def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
         merged: dict = {}
         for lam, p in state.items():
             size = sum(lam)
+            # j slots are left, and each changes the rank by one at most
+            rise = min(1, j - _rank(lam))
             for t, energy, frame_den in live:
                 if 0 <= size - energy <= room:
                     factor = scale // frame_den
-                    for atom, sign, new in _transitions(lam, energy):
+                    for atom, sign, new in _transitions(lam, energy, rise):
                         _poly_muladd(cap, merged.setdefault(new, {}), p,
                                      _slot_weight(kind, r, mu, t, k_budget, atom),
                                      sign * factor)
         state = {lam: q for lam, p in merged.items()
                  if (q := {e: c for e, c in p.items() if c})}
+        yield j, den, state
         if not state:
-            break
+            return
+
+
+@lru_cache(maxsize=None)
+def disconnected_block_series(kind: HurwitzKind, r: int, mus: tuple[int, ...],
+                              b_max: int) -> Block:
+    """The block of the fock route's disconnected h_0..h_{b_max}.
+
+    The A-operator correlator <A_{mu_1} ... A_{mu_n}> is graded by
+    k = 2g - 2 + len(mus); with the per-entry binomial/power prefactors
+    folded into the term scalars, its [u^k] is the disconnected Hurwitz
+    number h_b at b = k + d/r.  Every k is at least -len(mus), so the series
+    is zero when b_max - d/r < -len(mus), and when r does not divide d: the
+    slots' energies then sum to -d != 0 mod r, so no walk reaches the vacuum.
+
+    The A-operators act on one shared state from the right, each once, in
+    one pass over the states (`_walk`): slot j applies E_{t r - <mu_j>} for
+    each of its live t to every state, each move multiplying by that t's
+    `_slot_weight`, and adds all moves into one result over the slot's
+    common denominator, the lcm of its live t's.  Energy t r - <mu_j> is at
+    most d - mu_j, and a t is live when it moves some state to a size in
+    [0, room], room the most energy slots 0..j-1 can still remove; a state
+    is moved only to such a size, and only to a Frobenius rank of at most
+    j: one move changes the rank by one at most, the vacuum has rank 0, and
+    j slots are left.  The vacuum coefficients over the product of the
+    slots' denominators are the block, reduced once.  A state keeps total
+    degree k_hi plus one per slot still to apply that can have energy 0
+    (each can lower the degree by one through 1/zeta).
+    """
+    n, d = len(mus), sum(mus)
+    shift = d // r
+    k_hi = b_max - shift
+    if k_hi < -n:
+        return 1, (0,) * (b_max + 1)
+    for _, den, state in _walk(kind, r, mus, k_hi):
+        pass
     # the vacuum keeps only nonzero coefficients, of total degree <= k_hi
     nums = [0] * (b_max + 1)
     for k, c in state.get((), {}).items():

@@ -130,3 +130,27 @@ def test_paired_rounds_leave_out_a_key_some_round_lacks():
     paired = trees.paired_rounds(base, other)
     assert "run_cpu_s" not in paired["degree_sweep"]
     assert paired["compute"]["cpu_s"] == {"median_ratio": 1.5, "lower": 0, "rounds": 2}
+
+
+def test_paired_cases_take_each_case_in_each_round_against_the_first_tree():
+    # one case goes down and one up in every round, so their group ratios
+    # and the median over both hide what each case did
+    base = trees.summarize("a", CASES, [clean_round(w) for w in (0.1, 0.3, 0.2)])[0]
+    rounds = [[run(wall=w), run(wall=w * s), library_run(3 * w * t)]
+              for w, s, t in ((0.1, 0.5, 1.2), (0.3, 0.6, 0.9), (0.2, 1.5, 1.1))]
+    other = trees.summarize("b", CASES, rounds)[0]
+    paired = trees.paired_cases(base, other)
+    assert set(paired) == {"import", CALL, "degree_sweep"}
+    got = {name: {key: (round(r["median_ratio"], 9), r["lower"], r["rounds"])
+                  for key, r in ratios.items()} for name, ratios in paired.items()}
+    assert got == {"import": {"cpu_s": (1.0, 0, 3)}, CALL: {"cpu_s": (0.6, 2, 3)},
+                   "degree_sweep": {"cpu_s": (1.1, 1, 3), "run_cpu_s": (1.1, 1, 3)}}
+
+
+def test_paired_cases_leave_out_a_key_some_round_lacks():
+    failed = [run(), run(), run(exit=1, stderr="ZeroDivisionError: division by zero")]
+    base = trees.summarize("a", CASES, [clean_round(), clean_round()])[0]
+    other = trees.summarize("b", CASES, [clean_round(0.2), failed])[0]
+    paired = trees.paired_cases(base, other)
+    assert set(paired["degree_sweep"]) == {"cpu_s"}
+    assert paired[CALL]["cpu_s"] == {"median_ratio": 1.5, "lower": 0, "rounds": 2}

@@ -271,10 +271,13 @@ def test_weights_are_built_once_per_conjugate_pair(monkeypatch):
 def test_character_memo_keeps_the_longest_series(kind, orders):
     # the route is an lru_cache on (kind, r, sorted profile, order): every
     # answer is the uncached sum at its order, and each distinct order
-    # reaches the route once, however often and in whichever order it is asked
+    # reaches the route once, however often and in whichever order it is
+    # asked; the dispatch's answer memo is cleared before each ask, so every
+    # ask reaches the route's own cache
     mus = (3, 2, 1)
     counts._partition_sum.cache_clear()
     for order in orders * 2:
+        counts._answer.cache_clear()
         got = disconnected_series_character(kind, 2, mus[::-1], order)
         fresh = block_fractions(counts._partition_sum.__wrapped__(kind, 2, mus, order))
         assert tuple(got.coefficient(u=b) for b in range(order + 1)) == fresh
@@ -293,6 +296,7 @@ def test_character_memo_under_threads():
     mus = (2, 2, 1, 1)
     expected = block_fractions(counts._partition_sum.__wrapped__(K.MONOTONE, 2, mus, 8))
     counts._partition_sum.cache_clear()
+    counts._answer.cache_clear()
     results = []
 
     def ask(order):
@@ -486,6 +490,7 @@ def test_oracle_class_functions_match_the_full_group_algebra():
 
 
 def clear_oracle_caches():
+    counts._answer.cache_clear()
     counts.oracle_series.cache_clear()
     counts._phi.cache_clear()
     counts._oracle_classes.cache_clear()
@@ -669,10 +674,12 @@ def test_subprofile_plan_is_built_once_per_multiplicity_vector():
     calls = sum(1 for _, _, mus in population if len(mus) > 1)
     plan = partitions._subprofile_plan
     plan.cache_clear()
+    counts._answer.cache_clear()
     for kind, r, mus in population:
         route_series("character", kind, r, mus, len(mus) + 8 // r, True)
     assert plan.cache_info().misses == plan.cache_info().currsize == 16
     assert plan.cache_info().hits == calls - 16
+    counts._answer.cache_clear()  # asked again past the dispatch's answer memo
     for kind, r, mus in population:
         route_series("character", kind, r, mus, len(mus) + 8 // r, True)
     assert plan.cache_info().misses == 16
@@ -719,6 +726,7 @@ def test_connected_fock_skips_zero_blocks(monkeypatch):
 
     monkeypatch.setattr(fock, "disconnected_block_series", recording)
     disconnected_block_series.cache_clear()
+    counts._answer.cache_clear()
     route_series("fock", K.MONOTONE, 2, (3, 2, 1), 5, True)
     # only the sub-profiles of even degree reach the route and its cache
     assert sorted(seen) == [(2,), (3, 1), (3, 2, 1)]
@@ -786,7 +794,9 @@ def test_sub_profiles_stop_at_the_budget_the_rest_leaves(monkeypatch):
 def test_consecutive_b_share_one_block_build(monkeypatch):
     # b = 0..5 on (3,2,1) at r = 1: every cover has odd b, so the profile's
     # own block is asked through the last odd b <= b (0 at b = 0), and b =
-    # 2k, 2k + 1 reach one cache entry: 4 builds where one per b made 6
+    # 2k, 2k + 1 reach one cache entry: 4 builds where one per b made 6.
+    # The dispatch's answer memo is cleared before each b, so every b asks
+    # the route
     asked = []
 
     def recording(kind, r, sub, b_max):
@@ -797,9 +807,48 @@ def test_consecutive_b_share_one_block_build(monkeypatch):
     monkeypatch.setattr(fock, "disconnected_block_series", recording)
     disconnected_block_series.cache_clear()
     for b in range(6):
+        counts._answer.cache_clear()
         fock_shifted_coefficient(K.MONOTONE, 1, (3, 2, 1), b, True)
     assert asked == [0, 1, 1, 3, 3, 5]
     assert len(set(asked)) == 4
+
+
+def test_consecutive_b_share_one_inclusion_exclusion(monkeypatch):
+    # b = 0..5 on (3,2,1) at r = 1 reach the tops 0, 1, 1, 3, 3, 5: the
+    # dispatch's answer memo runs the inclusion-exclusion once per top, and
+    # a second pass over the same b runs none
+    want = list(route_series("character", K.MONOTONE, 1, (3, 2, 1), 5, True))
+    tops = []
+
+    def recording(mus, disconnected):
+        tops.append(len(disconnected(mus)[1]) - 1)
+        return partitions.connected_from_subprofiles(mus, disconnected)
+
+    monkeypatch.setattr(counts, "connected_from_subprofiles", recording)
+    counts._answer.cache_clear()
+    for _ in range(2):
+        got = [fock_shifted_coefficient(K.MONOTONE, 1, (3, 2, 1), b, True) for b in range(6)]
+        assert got == want
+    assert tops == [0, 1, 3, 5]
+
+
+def test_a_rebound_route_is_asked_again(monkeypatch):
+    # the answer memo is keyed on the route function, so a route rebound
+    # after an answer was memoized runs, and the original's answers come
+    # back once it is restored
+    args = (K.MONOTONE, 2, (2, 2, 1, 1), 7)
+    want = {connected: route_series("fock", *args, connected) for connected in (False, True)}
+
+    def doubled(kind, r, sub, b_max):
+        den, nums = disconnected_block_series(kind, r, sub, b_max)
+        return den, tuple(2 * x for x in nums)
+
+    monkeypatch.setattr(fock, "disconnected_block_series", doubled)
+    assert route_series("fock", *args, False) == tuple(2 * x for x in want[False])
+    assert route_series("fock", *args, True) != want[True]
+    monkeypatch.undo()
+    assert {connected: route_series("fock", *args, connected)
+            for connected in (False, True)} == want
 
 
 def genus_zero_closed_form(kind, mus):

@@ -17,7 +17,7 @@ from hurwitz.fock import (
     vacuum_expectation,
 )
 from hurwitz.kinds import ALL_KINDS, HurwitzKind as K
-from hurwitz.partitions import contents, enumerate_partitions, strip_additions
+from hurwitz.partitions import contents, enumerate_partitions, reduced_block, strip_additions
 from hurwitz.polycheck import prefactor
 from hurwitz.series import (
     TruncatedSeries,
@@ -729,9 +729,103 @@ def test_fock_matches_character_past_five_parts(r, mus, b_max):
             route_series("character", kind, r, mus, b_max, True), kind
 
 
-SLOT_CACHES = (fock.disconnected_block_series, fock._slot_frame, fock._slot_weight,
-               fock._atom_numerators, fock._atom_denominator, fock._s_power_row,
-               fock._s_power_coefficient)
+def unpruned_walk(kind, r, mus, k_hi):
+    """The block walk with no rank prune, as `fock._walk` yields it: (j, den, state).
+
+    Every move `_transitions` lists is applied, one per atom, the energy-0
+    diagonal included: the reference for the pruned walk.
+    """
+    n, d = len(mus), sum(mus)
+    k_budget = k_hi + (n - 1)
+    room = sum(d - mu for mu in mus)
+    state, den = {(): {0: 1}}, 1
+    for j in range(n - 1, -1, -1):
+        mu, eta = mus[j], mus[j] % r
+        room -= d - mu
+        cap = k_hi + sum(part % r == 0 for part in mus[:j])
+        sizes = {sum(lam) for lam in state}
+        live = []
+        for t in range(-(mu // r), (d - mu + eta) // r + 1):
+            energy = t * r - eta
+            if any(0 <= size - energy <= room for size in sizes):
+                frame_den, scales, _ = _slot_frame(kind, r, mu, t, k_budget)
+                if scales:
+                    live.append((t, energy, frame_den))
+        scale = lcm(*(frame_den for _, _, frame_den in live))
+        den *= scale
+        merged = {}
+        for lam, p in state.items():
+            size = sum(lam)
+            for t, energy, frame_den in live:
+                if 0 <= size - energy <= room:
+                    for atom, sign, new in fock._transitions(lam, energy):
+                        fock._poly_muladd(cap, merged.setdefault(new, {}), p,
+                                          _slot_weight(kind, r, mu, t, k_budget, atom),
+                                          sign * (scale // frame_den))
+        state = {lam: q for lam, p in merged.items()
+                 if (q := {e: c for e, c in p.items() if c})}
+        yield j, den, state
+        if not state:
+            return
+
+
+def unpruned_block_series(kind, r, mus, b_max):
+    """`disconnected_block_series` on the unpruned walk."""
+    shift = sum(mus) // r
+    k_hi = b_max - shift
+    if k_hi < -len(mus):
+        return 1, (0,) * (b_max + 1)
+    for _, den, state in unpruned_walk(kind, r, mus, k_hi):
+        pass
+    nums = [0] * (b_max + 1)
+    for k, c in state.get((), {}).items():
+        nums[k + shift] = c
+    return reduced_block(den, nums)
+
+
+def many_part_cases():
+    """Every kind, r <= 4 and profile of at least 4 parts and degree <= 12 divisible by r."""
+    return [(kind, r, mus) for kind in ALL_KINDS for r in range(1, 5)
+            for d in range(r, 13, r) for mus in enumerate_partitions(d) if len(mus) >= 4]
+
+
+def test_rank_prune_keeps_every_block():
+    # the walk leaves out every move to a rank above the slots still to
+    # apply; the unpruned walk is the reference, on every b through 8
+    cases = many_part_cases()
+    assert len(cases) == 1272
+    for kind, r, mus in cases:
+        for b_max in range(9):
+            assert disconnected_block_series(kind, r, mus, b_max) == \
+                unpruned_block_series(kind, r, mus, b_max), (kind, r, mus, b_max)
+
+
+def test_walk_stores_no_state_of_rank_above_the_slots_left():
+    # after slot j, j slots are left and each moves the rank by one at most,
+    # so a state of rank above j can never reach the vacuum, and neither can
+    # any state it leads to: the pruned walk stores exactly the unpruned
+    # walk's states of rank <= j, with the same polynomials, and the unpruned
+    # walk stores some of higher rank
+    assert [fock._rank(lam) for lam in [(), (1,), (3, 1, 1), (2, 2), (4, 3, 3, 1)]] == \
+        [0, 1, 1, 2, 3]
+    dropped = 0
+    for kind, r, mus in many_part_cases():
+        k_hi = 8 - sum(mus) // r
+        if k_hi < -len(mus):
+            continue
+        for (j, den, state), (_, want_den, want) in zip(fock._walk(kind, r, mus, k_hi),
+                                                        unpruned_walk(kind, r, mus, k_hi)):
+            assert all(fock._rank(lam) <= j for lam in state), (kind, r, mus, j)
+            kept = {lam: p for lam, p in want.items() if fock._rank(lam) <= j}
+            assert (den, state) == (want_den, kept), (kind, r, mus, j)
+            dropped += len(want) - len(kept)
+    assert dropped > 10000
+
+
+# the dispatch's answer memo first: it sits in front of every route cache
+SLOT_CACHES = (counts._answer, fock.disconnected_block_series, fock._slot_frame,
+               fock._slot_weight, fock._atom_numerators, fock._atom_denominator,
+               fock._s_power_row, fock._s_power_coefficient)
 
 
 @pytest.mark.parametrize("r, mus", [(1, (3, 2, 1)), (2, (4, 2)), (3, (3, 3))])

@@ -227,8 +227,9 @@ def builds_per_run(monkeypatch, owner, route_name, runs):
     """The distinct (kind, r, profile, b_max) each run asks of one route.
 
     The dispatch reads its route from the owning module at each call, so the
-    spy sees every call; the distinct keys of one run are the builds of a
-    cache cleared before it.
+    spy sees every call its answer memo, cleared before each run, lets
+    through; the distinct keys of one run are the builds of a cache cleared
+    before it.
     """
     route = getattr(owner, route_name)
     seen = set()
@@ -240,6 +241,7 @@ def builds_per_run(monkeypatch, owner, route_name, runs):
     monkeypatch.setattr(owner, route_name, spy)
     for args in runs:
         seen.clear()
+        counts._answer.cache_clear()
         assert verify_quasipolynomiality(*args).passed, args
         yield args, set(seen)
 
