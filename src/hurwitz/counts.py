@@ -55,7 +55,8 @@ route is asked afresh, and only the zero padding to b_max is made per
 call.  A Fraction is made only where a number is read:
 `route_series` turns a whole answer into Fractions, and `hurwitz_number`,
 `oracle_group_algebra` and `fock_shifted_coefficient` each the one b they
-read.  The verifiers and the CLI reach the routes only through these.
+read; `number_pair` hands one number over as its integer pair.  The
+verifiers and the CLI reach the routes only through these.
 """
 
 from __future__ import annotations
@@ -450,13 +451,28 @@ def route_series(route: str, kind: HurwitzKind, r: int, mus: Sequence[int],
     return tuple(Fraction(x, den) for x in nums)
 
 
+def number_pair(kind: HurwitzKind, r: int, g: int, mus: Sequence[int],
+                connected: bool = True, method: str = "character") -> tuple[int, int]:
+    """(nums[b], den) of one Hurwitz number's dispatch block, b = 2g - 2 + len(mus) + |mus|/r.
+
+    (0, 1) for a number `request_status` flags; checks what `HurwitzRequest` does.
+    """
+    check_r(r)
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    mus = tuple(mus)
+    check_profile(mus, "mus")
+    quotient, rest = divmod(sum(mus), r)
+    b = 2 * g - 2 + len(mus) + quotient
+    if rest or b < 0 or (connected and g < 0):
+        return 0, 1
+    den, nums = _route_block(method, kind, r, mus, b, connected)
+    return nums[b], den
+
+
 def hurwitz_number(req: HurwitzRequest) -> Fraction:
-    """Evaluate one Hurwitz number; structurally-vanishing requests give 0."""
-    if request_status(req) is not None:
-        return Fraction(0)
-    b = int(req.branch_count())
-    den, nums = _route_block(req.method, req.kind, req.r, req.mus, b, req.connected)
-    return Fraction(nums[b], den)
+    """Evaluate one Hurwitz number, the Fraction of its `number_pair`; structural zeros give 0."""
+    return Fraction(*number_pair(req.kind, req.r, req.g, req.mus, req.connected, req.method))
 
 
 def fock_shifted_coefficient(kind: HurwitzKind, r: int, mus: Sequence[int],

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
+from math import comb, factorial
 
 
 class HurwitzKind(Enum):
@@ -42,3 +44,18 @@ def check_profile(mus: tuple[int, ...], name: str) -> None:
     """The one profile check: an empty mus or a part not a positive int raises ValueError."""
     if not mus or not all(type(m) is int and m >= 1 for m in mus):  # a bool is no part
         raise ValueError(f"{name} must be a nonempty profile of positive integers, got {mus}")
+
+
+@lru_cache(maxsize=None)
+def entry_coefficient(kind: HurwitzKind, r: int, mu: int) -> tuple[int, int]:
+    """The per-entry closed form at mu as (numerator, denominator), nu = mu // r.
+
+    binom(mu+nu, mu), binom(mu-1, nu) (mu >= 1) or mu^nu/nu! by kind: the coefficient
+    of xi_{mu mod r} at mu and the quasi-polynomial prefactor.  Callers check input.
+    """
+    nu = mu // r
+    if kind is HurwitzKind.MONOTONE:
+        return comb(mu + nu, mu), 1
+    if kind is HurwitzKind.STRICT:
+        return comb(mu - 1, nu), 1
+    return mu ** nu, factorial(nu)

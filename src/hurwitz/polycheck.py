@@ -3,9 +3,12 @@
 For 2g-2+n > 0 each kind of orbifold Hurwitz number factors as an explicit
 per-entry prefactor times a polynomial of total degree at most 3g-3+n in the
 quotients [mu_i], with coefficients depending only on the residues <mu_i>.
-The verifier samples the normalized numbers on an integer tensor grid in the
-quotients, interpolates exactly, checks the degree bound, and re-predicts
-held-out lattice points.
+The verifier takes four steps in integers: the points (a tensor grid in the
+quotients, streamed, then holdouts off it); the numbers, each the integer
+pair of `counts.number_pair` over those of its prefactors, made the one
+Fraction the report reads; the fit (`polynomials.interpolate_on_grid`, a
+Fraction per coefficient); and the checks, the degree bound and each holdout
+against the fit's value there (`MultiPolynomial.evaluate`, one Fraction).
 """
 
 from __future__ import annotations
@@ -13,10 +16,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .counts import HurwitzRequest, hurwitz_number
-from .kinds import HurwitzKind, check_r
+from .counts import number_pair
+from .kinds import HurwitzKind, check_r, entry_coefficient
 from .polynomials import MultiPolynomial, interpolate_on_grid
-from .spectral import xi_closed_coefficient
 
 
 def prefactor(kind: HurwitzKind, r: int, mu: int) -> Fraction:
@@ -30,7 +32,7 @@ def prefactor(kind: HurwitzKind, r: int, mu: int) -> Fraction:
     check_r(r)
     if mu < 1:
         raise ValueError("mu must be positive")
-    return xi_closed_coefficient(kind, r, mu % r, mu)
+    return Fraction(*entry_coefficient(kind, r, mu))
 
 
 class QuasiPolyReport:
@@ -68,15 +70,19 @@ class QuasiPolyReport:
         }
 
 
-def _normalized_value(kind: HurwitzKind, r: int, g: int, mus: tuple[int, ...]) -> Fraction | None:
-    """h / prod(prefactor); None flags h != 0 against a vanishing prefactor."""
-    h = hurwitz_number(HurwitzRequest(kind, r, g, mus))
-    denom = Fraction(1)
-    for mu in mus:
-        denom *= prefactor(kind, r, mu)
-    if denom == 0:
-        return Fraction(0) if h == 0 else None
-    return h / denom
+def _normalized_numbers(kind: HurwitzKind, r: int, g: int, residues: tuple[int, ...], points):
+    """(point, h / prod of prefactors) at each point, mu_i = r * nu_i + residues[i].
+
+    The value is the point's one Fraction; None flags h != 0 against a
+    vanishing prefactor.
+    """
+    for point in points:
+        mus = tuple(r * nu + e for nu, e in zip(point, residues))
+        num, den = number_pair(kind, r, g, mus)
+        for mu in mus:
+            factor, below = entry_coefficient(kind, r, mu)
+            num, den = num * below, den * factor
+        yield point, Fraction(num, den) if den else (Fraction(0) if num == 0 else None)
 
 
 def verify_quasipolynomiality(kind: HurwitzKind, r: int, g: int, n: int,
@@ -112,43 +118,34 @@ def verify_quasipolynomiality(kind: HurwitzKind, r: int, g: int, n: int,
         report.reason = "sum of residues not divisible by r: all numbers vanish"
         return report
 
-    def mu_of(point):
-        return tuple(r * nu + e for nu, e in zip(point, residues))
-
     width = degree_bound + 1
-    axes = [range(grid_base, grid_base + width)] * n
+    grid = itertools.product(range(grid_base, grid_base + width), repeat=n)
+    holdouts = (tuple(grid_base + width + j // n if i == j % n else grid_base for i in range(n))
+                for j in range(holdout_count))
     samples = {}
-    # streamed: the grid has width^n points, which are never all listed
-    for point in itertools.product(*axes):
-        value = _normalized_value(kind, r, g, mu_of(point))
+    for point, value in _normalized_numbers(kind, r, g, residues, grid):
         if value is None:
-            report.passed = False
-            report.reason = f"nonzero number against vanishing prefactor at {point}"
-            return report
+            return _fail(report, f"nonzero number against vanishing prefactor at {point}")
         samples[point] = value
         report.grid.append((point, value))
-    poly = interpolate_on_grid(samples, degree_bound)
-    report.polynomial = poly
+    poly = report.polynomial = interpolate_on_grid(samples, degree_bound)
     report.observed_degree = poly.total_degree()
-    if poly.total_degree() > degree_bound:
-        report.passed = False
-        report.reason = (f"interpolant degree {poly.total_degree()} exceeds "
-                         f"bound {degree_bound}")
-        return report
-    for j in range(holdout_count):
-        axis, bump = j % n, grid_base + width + j // n
-        point = tuple(bump if i == axis else grid_base for i in range(n))
-        expected = _normalized_value(kind, r, g, mu_of(point))
+    if report.observed_degree > degree_bound:
+        return _fail(report, f"interpolant degree {report.observed_degree} exceeds "
+                             f"bound {degree_bound}")
+    for point, expected in _normalized_numbers(kind, r, g, residues, holdouts):
         if expected is None:
-            report.passed = False
-            report.reason = f"nonzero number against vanishing prefactor at {point}"
-            return report
+            return _fail(report, f"nonzero number against vanishing prefactor at {point}")
         predicted = poly.evaluate(point)
         ok = predicted == expected
         report.holdouts.append((point, expected, predicted, ok))
         if not ok:
-            report.passed = False
-            report.reason = f"holdout mismatch at {point}"
+            _fail(report, f"holdout mismatch at {point}")
+    return report
+
+
+def _fail(report: QuasiPolyReport, reason: str) -> QuasiPolyReport:
+    report.passed, report.reason = False, reason
     return report
 
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import NamedTuple, Sequence
 
-from .kinds import HurwitzKind, check_r
+from .kinds import HurwitzKind, check_r, entry_coefficient
 from .series import (TruncatedSeries, lagrange_inversion, list_mul, list_power,
                      list_reciprocal)
 
@@ -108,14 +108,9 @@ def xi_closed_coefficient(kind: HurwitzKind, r: int, i: int, mu: int) -> Fractio
         raise ValueError("need 0 <= i <= r-1")
     if mu < 0 or (mu - i) % r != 0:
         return Fraction(0)
-    nu = mu // r
-    if kind is HurwitzKind.MONOTONE:
-        return Fraction(comb(mu + nu, mu))
-    if kind is HurwitzKind.STRICT:
-        if mu < 1:
-            raise ValueError("strictly monotone coefficients need mu >= 1")
-        return Fraction(comb(mu - 1, nu))
-    return Fraction(mu ** nu, factorial(nu)) if mu else Fraction(1)
+    if kind is HurwitzKind.STRICT and mu < 1:
+        raise ValueError("strictly monotone coefficients need mu >= 1")
+    return Fraction(*entry_coefficient(kind, r, mu))
 
 
 def xi_derivative_coefficient(kind: HurwitzKind, r: int, i: int, p: int,

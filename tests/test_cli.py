@@ -420,9 +420,13 @@ def test_csv_rows_of_failures_have_the_header_width(capsys, monkeypatch):
     import hurwitz.counts as counts
     import hurwitz.polycheck as polycheck
 
-    hurwitz_number = polycheck.hurwitz_number
-    monkeypatch.setattr(polycheck, "hurwitz_number",
-                        lambda req: hurwitz_number(req) + (req.mus == (2, 1, 1)))
+    number_pair = polycheck.number_pair
+
+    def one_more_at_211(kind, r, g, mus):
+        num, den = number_pair(kind, r, g, mus)
+        return num + den * (mus == (2, 1, 1)), den
+
+    monkeypatch.setattr(polycheck, "number_pair", one_more_at_211)
     argv = ("verify-quasipoly", "--kind", "monotone", "--r", "1", "--g", "0", "--n", "3")
     code, rows = csv_rows(capsys, *argv)
     assert code == 1

@@ -66,9 +66,10 @@ def test_curve_commands_load_no_route_module(argv):
      "--eta", "0,0,0"),
 ], ids=["series-character", "compute-default", "verify-quasipoly"])
 def test_character_route_commands_load_no_fock(argv):
+    # nor the curve module: the verifier reads its prefactors from kinds
     loaded = loaded_by(run_quietly(*argv))
     assert {"hurwitz.counts", "hurwitz.partitions"} <= loaded
-    assert "hurwitz.fock" not in loaded
+    assert not {"hurwitz.fock", "hurwitz.spectral"} & loaded
 
 
 def test_fock_route_loads_fock():

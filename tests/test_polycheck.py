@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hurwitz import counts, fock, polycheck
 from hurwitz.cli import run
 from hurwitz.counts import HurwitzRequest, hurwitz_number
 from hurwitz.kinds import ALL_KINDS, HurwitzKind as K
+from hurwitz.polynomials import MultiPolynomial
 from hurwitz.polycheck import (
     admissible_residue_classes,
     prefactor,
@@ -17,6 +19,7 @@ from hurwitz.spectral import (
     xi_closed_coefficient,
     xi_derivative_coefficient,
 )
+from test_polynomials import fraction_evaluate, fraction_interpolate
 
 
 def test_prefactor_examples():
@@ -124,21 +127,84 @@ def test_normalized_03_monotone_constant_on_cube():
     assert poly.total_degree() == 0
 
 
+# -- reference: the verifier in Fraction arithmetic that the integer steps replaced
+
+
+def fraction_verifier(kind, r, g, n, residues, holdout_count=3) -> polycheck.QuasiPolyReport:
+    """The verifier as one Fraction loop, for a nontrivial class of valid arguments:
+    a HurwitzRequest and Fraction prefactors per point, the per-axis Fraction
+    Newton pass and Fraction evaluation of the holdouts."""
+    degree_bound, width = 3 * g - 3 + n, 3 * g - 2 + n
+    report = polycheck.QuasiPolyReport(kind, r, g, n, tuple(residues), degree_bound, True)
+
+    def normalized(point):
+        mus = tuple(r * nu + e for nu, e in zip(point, residues))
+        h = hurwitz_number(HurwitzRequest(kind, r, g, mus))
+        denom = Fraction(1)
+        for mu in mus:
+            denom *= prefactor(kind, r, mu)
+        if denom == 0:
+            return Fraction(0) if h == 0 else None
+        return h / denom
+
+    def fail(reason):
+        report.passed, report.reason = False, reason
+        return report
+
+    samples = {}
+    for point in itertools.product(range(1, 1 + width), repeat=n):
+        value = normalized(point)
+        if value is None:
+            return fail(f"nonzero number against vanishing prefactor at {point}")
+        samples[point] = value
+        report.grid.append((point, value))
+    terms = fraction_interpolate(samples)
+    report.polynomial = MultiPolynomial([f"nu{i + 1}" for i in range(n)], terms)
+    report.observed_degree = max((sum(e) for e in terms), default=-1)
+    if report.observed_degree > degree_bound:
+        return fail(f"interpolant degree {report.observed_degree} exceeds bound {degree_bound}")
+    for j in range(holdout_count):
+        point = tuple(1 + width + j // n if i == j % n else 1 for i in range(n))
+        expected = normalized(point)
+        if expected is None:
+            return fail(f"nonzero number against vanishing prefactor at {point}")
+        predicted = fraction_evaluate(terms, point)
+        report.holdouts.append((point, expected, predicted, predicted == expected))
+        if predicted != expected:
+            fail(f"holdout mismatch at {point}")
+    return report
+
+
+REFERENCE_RUNS = [(kind, r, g, n, eta) for kind in ALL_KINDS for r in (1, 2, 3)
+                  for g, n in [(0, 3), (1, 1), (1, 2), (2, 1), (0, 4)] + [(1, 3)] * (r <= 2)
+                  for eta in admissible_residue_classes(r, n)]
+
+
+def test_report_matches_fraction_verifier():
+    assert len(REFERENCE_RUNS) == 201
+    for args in REFERENCE_RUNS:
+        got = verify_quasipolynomiality(*args).to_json()
+        assert got == fraction_verifier(*args).to_json(), args
+        assert got["status"] == "PASS", args
+
+
 # -- failure paths: one wrong value planted per branch -------------------------
 
 
 def plant(monkeypatch, *, prefactor_zero_at=None, wrong_h_at=None):
-    """Zero the prefactor at one part, or add 1 to h at one profile."""
-    true_prefactor, true_h = polycheck.prefactor, polycheck.hurwitz_number
+    """Zero the prefactor pair at one part, or add 1 to h's pair at one profile,
+    where the verifier's sampling loop reads them."""
+    true_prefactor, true_h = polycheck.entry_coefficient, polycheck.number_pair
 
     def fake_prefactor(kind, r, mu):
-        return Fraction(0) if mu == prefactor_zero_at else true_prefactor(kind, r, mu)
+        return (0, 1) if mu == prefactor_zero_at else true_prefactor(kind, r, mu)
 
-    def fake_h(req):
-        return true_h(req) + (req.mus == wrong_h_at)
+    def fake_h(kind, r, g, mus):
+        num, den = true_h(kind, r, g, mus)
+        return num + den * (mus == wrong_h_at), den
 
-    monkeypatch.setattr(polycheck, "prefactor", fake_prefactor)
-    monkeypatch.setattr(polycheck, "hurwitz_number", fake_h)
+    monkeypatch.setattr(polycheck, "entry_coefficient", fake_prefactor)
+    monkeypatch.setattr(polycheck, "number_pair", fake_h)
 
 
 # (planted fault, g, n, holdout_count, reason, observed degree, holdout ok flags);
@@ -198,10 +264,10 @@ def test_verifier_streams_its_grid(monkeypatch):
     class FirstSample(Exception):
         pass
 
-    def first_sample(req):
-        raise FirstSample(req.mus)
+    def first_sample(kind, r, g, mus):
+        raise FirstSample(mus)
 
-    monkeypatch.setattr(polycheck, "hurwitz_number", first_sample)
+    monkeypatch.setattr(polycheck, "number_pair", first_sample)
     with pytest.raises(FirstSample) as caught:
         verify_quasipolynomiality(K.MONOTONE, 1, 0, 12, (0,) * 12)
     assert caught.value.args == ((1,) * 12,)
@@ -260,11 +326,10 @@ def test_verifier_builds_each_character_profile_once(monkeypatch):
 
 
 def test_verifier_on_fock_builds_each_profile_once(monkeypatch):
-    def on_fock(req):
-        return hurwitz_number(HurwitzRequest(req.kind, req.r, req.g, req.mus,
-                                             req.connected, method="fock"))
+    def on_fock(kind, r, g, mus):
+        return counts.number_pair(kind, r, g, mus, method="fock")
 
-    monkeypatch.setattr(polycheck, "hurwitz_number", on_fock)
+    monkeypatch.setattr(polycheck, "number_pair", on_fock)
     runs = [(kind, 2, 0, 4, eta) for kind in ALL_KINDS
             for eta in admissible_residue_classes(2, 4)]
     for args, keys in builds_per_run(monkeypatch, fock, "disconnected_block_series", runs):

@@ -49,6 +49,49 @@ def reference_interpolate(values: dict, nodes: list) -> dict:
     return result
 
 
+# -- reference: the per-axis Newton pass in Fraction arithmetic that the
+# integer pass over one common denominator replaced
+
+
+def monomial_coefficients(xs, ys):
+    """Coefficients, constant first, of the polynomial through (xs[k], ys[k])."""
+    dd = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+    out = [dd[-1]]
+    for x, d in zip(xs[-2::-1], dd[-2::-1]):
+        out = [d - x * out[0]] + [a - x * b for a, b in zip(out, out[1:])] + [out[-1]]
+    return out
+
+
+def fraction_interpolate(samples: dict) -> dict:
+    """Exponent vector -> nonzero Fraction coefficient of the full-grid interpolant."""
+    n = len(next(iter(samples)))
+    nodes = [sorted({p[i] for p in samples}) for i in range(n)]
+    coeffs = {p: Fraction(v) for p, v in samples.items()}
+    for axis, xs in enumerate(nodes):
+        lines: dict = {}
+        for p, v in coeffs.items():
+            lines.setdefault(p[:axis] + p[axis + 1:], {})[p[axis]] = v
+        coeffs = {}
+        for rest, line in lines.items():
+            for k, c in enumerate(monomial_coefficients(xs, [line[x] for x in xs])):
+                coeffs[rest[:axis] + (k,) + rest[axis:]] = c
+    return {e: c for e, c in coeffs.items() if c != 0}
+
+
+def fraction_evaluate(terms: dict, point) -> Fraction:
+    """sum of c * prod x^e in Fraction arithmetic."""
+    total = Fraction(0)
+    for exp, c in terms.items():
+        term = Fraction(c)
+        for x, e in zip(point, exp):
+            term *= Fraction(x) ** e
+        total += term
+    return total
+
+
 def test_constant_recovery():
     samples = {(i,): Fraction(7) for i in range(1, 4)}
     poly = interpolate_on_grid(samples, 2)
@@ -135,3 +178,46 @@ def test_all_zero_grid_matches_reference():
     samples = {p: Fraction(0) for p in itertools.product(*nodes)}
     assert reference_interpolate(samples, nodes) == {}
     assert interpolate_on_grid(samples, 2).terms == {}
+
+
+NODE_SETS = {
+    "consecutive": lambda rng, size: list(range(1, size + 1)),
+    "gapped": lambda rng, size: sorted(rng.sample(range(0, 40), size)),
+    "negative": lambda rng, size: sorted(rng.sample(range(-30, 0), size - 1)) + [rng.randint(0, 5)],
+}
+VALUES = {
+    "int": lambda rng: rng.randint(-10 ** 6, 10 ** 6),
+    "fraction": lambda rng: Fraction(rng.randint(-999, 999), rng.randint(1, 720)),
+    "zero": lambda rng: 0,
+}
+
+
+@pytest.mark.parametrize("values", VALUES)
+@pytest.mark.parametrize("node_set", NODE_SETS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_integer_pass_matches_fraction_references(n, node_set, values):
+    # any values on a full grid: the interpolant has degree < len(xs) per axis
+    rng = random.Random(f"{n},{node_set},{values}")
+    for _ in range(3):
+        nodes = [NODE_SETS[node_set](rng, rng.randint(1, 5 - n // 2)) for _ in range(n)]
+        samples = {p: VALUES[values](rng) for p in itertools.product(*nodes)}
+        poly = interpolate_on_grid(samples, min(map(len, nodes)) - 1)
+        assert poly.terms == fraction_interpolate(samples) == reference_interpolate(samples, nodes)
+        assert all(type(c) is Fraction for c in poly.terms.values())
+        for p in list(samples)[:5]:
+            assert poly.evaluate(p) == samples[p]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_evaluate_matches_fraction_reference(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        terms = {tuple(rng.randint(0, 4) for _ in range(n)):
+                 Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(rng.randint(0, 6))}
+        poly = MultiPolynomial([f"x{i}" for i in range(n)], terms)
+        ints = tuple(rng.randint(-9, 9) for _ in range(n))
+        fractions = tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(n))
+        for point in (ints, fractions, tuple(map(Fraction, ints))):
+            value = poly.evaluate(point)
+            assert type(value) is Fraction
+            assert value == fraction_evaluate(terms, point), (terms, point)
